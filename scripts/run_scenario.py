@@ -18,12 +18,11 @@ def main() -> int:
         "--config", default=str(HERE / "example_scenario.json"), help="scenario JSON"
     )
     parser.add_argument("--out", default="scenario_cells.csv", help="per-cell CSV path")
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
 
     with open(args.config, "r", encoding="utf-8") as fp:
         config = ScenarioConfig.from_dict(json.load(fp))
-    result = sweep(config, max_workers=args.threads)
+    result = sweep(config)
     with open(args.out, "w", encoding="utf-8") as fp:
         result.to_csv(fp)
 

@@ -262,7 +262,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     config = ScenarioConfig.from_dict(_load_json(args.config))
-    result = sweep(config, max_workers=args.threads)
+    result = sweep(config)
     zero_jam, zero_nojam = result.zero_rate_counts()
     summary = {
         "cells": len(result.records),
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="mobile-eavesdropper sweep over a position grid")
     p.add_argument("--config", required=True, help="scenario JSON config")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    p.add_argument("--threads", type=int, help="worker threads (capped by WIRETAP_THREADS)")
     p.set_defaults(func=_cmd_scenario)
 
     return parser

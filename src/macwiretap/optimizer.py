@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .rates import _g_arr
 
 CASE_BOTH_TRANSMIT = "BOTH_TRANSMIT"
 CASE_ONE_TRANSMITS = "ONE_TRANSMITS"
@@ -121,10 +122,6 @@ def phi(p: float, h_j: float) -> float:
     if not (math.isfinite(h_j) and h_j >= 0.0):
         raise ValidationError(f"gain must be finite and nonnegative, got {h_j!r}")
     return (1.0 + h_j * p) / (1.0 + p)
-
-
-def _g_arr(x):
-    return 0.5 * np.log2(1.0 + x)
 
 
 def _sum_kernel(p1, p2, h1: float, h2: float):

@@ -9,7 +9,8 @@ MAC rows bound subset sums of total rates.  Fractional-secrecy regions
 SECRECY right-hand sides scaled by 1/delta.  Two-user boundaries are convex
 closures of unions of fixed-power regions over a power grid (and a
 time-share grid for the time-division kinds), computed with a monotone-chain
-hull.
+hull.  Randomization-rate witnesses come from per-user formulas
+(individual scheme) and from a polymatroid greedy (collective scheme).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .channel import StandardChannel, check_degraded
 from .errors import NonDegradedError, ValidationError
-from .rates import cm, cw, enumerate_subsets, g, pos_part, subset_label
+from .rates import _g_arr, cm, cw, enumerate_subsets, g, pos_part, subset_label
 
 ROW_SECRECY = "SECRECY"
 ROW_MAC = "MAC"
@@ -441,10 +442,6 @@ def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> 
     return np.column_stack([xs, ys])
 
 
-def _g_arr(x: np.ndarray) -> np.ndarray:
-    return 0.5 * np.log2(1.0 + x)
-
-
 def _fixed_power_candidates(std: StandardChannel, kind: str, delta: float, res: int) -> np.ndarray:
     h1, h2 = std.h
     xs = np.linspace(0.0, std.pmax[0], res)
@@ -460,7 +457,7 @@ def _fixed_power_candidates(std: StandardChannel, kind: str, delta: float, res: 
         u1 = np.minimum(s1 / delta, m1)
         u2 = np.minimum(s2 / delta, m2)
         u12 = np.minimum(s12 / delta, m12)
-    elif kind == KIND_COLLECTIVE:
+    elif kind in (KIND_COLLECTIVE, KIND_OUTER_COLLECTIVE):
         s = np.maximum(m12 - _g_arr(h1 * p1 + h2 * p2), 0.0)
         u1, u2 = m1, m2
         u12 = np.minimum(s / delta, m12)
@@ -470,10 +467,6 @@ def _fixed_power_candidates(std: StandardChannel, kind: str, delta: float, res: 
         u1 = np.minimum(o1 / delta, m1)
         u2 = np.minimum(o2 / delta, m2)
         u12 = m12
-    elif kind == KIND_OUTER_COLLECTIVE:
-        o = np.maximum(m12 - _g_arr(h1 * p1 + h2 * p2), 0.0)
-        u1, u2 = m1, m2
-        u12 = np.minimum(o / delta, m12)
     else:
         raise ValidationError(f"unsupported fixed-power boundary kind {kind!r}")
     return _box_simplex_candidates(u1, u2, u12)
@@ -637,77 +630,41 @@ def rate_split_collective(
 ) -> RateSplitResult:
     """Randomization rates for the collective-constraint scheme.
 
-    Finds nonnegative per-user randomization rates whose open+randomization
-    total fills the full-set eavesdropper rate exactly while every MAC row
-    over all three message kinds still holds; returns the lexicographically
-    smallest witness, or the binding constraint when none exists.  Two users
-    are solved in closed form; larger systems fall back to a sequence of
-    linear programs."""
+    Finds nonnegative per-user randomization rates x whose total fills the
+    full-set eavesdropper rate left over by the open messages while every
+    MAC row over all three message kinds still holds, x(S) <= caps[S] with
+    caps[S] = g(p(S)) - (secret + open)(S).  The caps are a concave function
+    of a modular one minus a modular one, hence submodular, so over x >= 0
+    the rows are equivalent to x(S) <= f(S) with f(A) = min of caps[T] over
+    T containing A, a polymatroid rank function (Edmonds 1970; Fujishige,
+    Submodular Functions and Optimization).  A witness therefore exists
+    exactly when the total fits caps[{1..K}], and the greedy over users K,
+    K-1, ..., 1 on min(f, total) yields the lexicographically smallest one.
+    Returns that witness, or the label of a violated row when none exists."""
     p = _check_power(std, powers)
     if rates.num_users != std.num_users:
         raise ValidationError("rate vector length does not match the channel")
-    full = frozenset(range(1, std.num_users + 1))
+    num_users = std.num_users
+    full = frozenset(range(1, num_users + 1))
     target = cw(p, std.h, full) - sum(rates.open)
     if target < -tol:
         return RateSplitResult(False, None, "RANDOMIZATION_TOTAL")
     target = max(target, 0.0)
     caps = _split_caps(std, p, rates)
-    for subset in enumerate_subsets(std.num_users):
-        if subset and caps[subset] < -tol:
+    for subset, cap in caps.items():
+        if cap < -tol:
             return RateSplitResult(False, None, f"MAC{subset_label(subset)}")
     caps = {s: max(c, 0.0) for s, c in caps.items()}
+    if target > caps[full] + tol:
+        return RateSplitResult(False, None, f"MAC{subset_label(full)}")
 
-    if std.num_users == 1:
-        if target > caps[full] + tol:
-            return RateSplitResult(False, None, "MAC{1}")
-        return RateSplitResult(True, (target,), None)
-    if std.num_users == 2:
-        c1, c2, c12 = caps[frozenset({1})], caps[frozenset({2})], caps[full]
-        if target > c12 + tol:
-            return RateSplitResult(False, None, "MAC{1,2}")
-        if target > c1 + c2 + tol:
-            return RateSplitResult(False, None, "MAC{1}" if c1 <= c2 else "MAC{2}")
-        x1 = max(0.0, target - c2)
-        x1 = min(x1, c1)
-        return RateSplitResult(True, (x1, target - x1), None)
-    return _rate_split_lp(std.num_users, caps, target, tol)
+    def rank(users: frozenset[int]) -> float:
+        return min(target, min(c for s, c in caps.items() if users <= s))
 
-
-def _rate_split_lp(
-    num_users: int,
-    caps: dict[frozenset[int], float],
-    target: float,
-    tol: float,
-) -> RateSplitResult:
-    from scipy.optimize import linprog
-
-    subsets = [s for s in enumerate_subsets(num_users) if s]
-    a_ub = [[1.0 if k in s else 0.0 for k in range(1, num_users + 1)] for s in subsets]
-    b_ub = [caps[s] for s in subsets]
-    a_eq = [[1.0] * num_users]
-    b_eq = [target]
-    fixed: list[float] = []
-    for j in range(num_users):
-        cost = [0.0] * num_users
-        cost[j] = 1.0
-        extra_eq = [
-            [1.0 if k == i else 0.0 for k in range(num_users)] for i in range(len(fixed))
-        ]
-        res = linprog(
-            c=cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq + extra_eq,
-            b_eq=b_eq + fixed,
-            bounds=[(0.0, None)] * num_users,
-            method="highs",
-        )
-        if not res.success:
-            worst = min(subsets, key=lambda s: caps[s] - target * len(s) / num_users)
-            return RateSplitResult(False, None, f"MAC{subset_label(worst)}")
-        fixed.append(max(0.0, float(res.x[j])))
-    witness = tuple(fixed)
-    for s in subsets:
-        if sum(witness[k - 1] for k in s) > caps[s] + max(tol, 1e-8):
+    suffix_ranks = [rank(frozenset(range(j, num_users + 1))) for j in range(1, num_users + 1)]
+    extra = [a - b for a, b in zip(suffix_ranks, suffix_ranks[1:])]
+    extra.append(target - sum(extra))
+    for s, cap in caps.items():
+        if sum(extra[k - 1] for k in s) > cap + max(tol, 1e-8):
             return RateSplitResult(False, None, f"MAC{subset_label(s)}")
-    return RateSplitResult(True, witness, None)
+    return RateSplitResult(True, tuple(extra), None)

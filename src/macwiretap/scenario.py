@@ -11,8 +11,6 @@ records are the jamming-solution allocation in standardized units.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence, TextIO
 
@@ -25,11 +23,25 @@ ZERO_RATE_THRESHOLD = 1e-9
 Point = tuple[float, float]
 
 
-def _as_point(value: Any, name: str) -> Point:
+def _as_number(value: Any, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _as_pair(value: Any, name: str) -> tuple[float, float]:
+    if isinstance(value, str):
+        raise ValidationError(f"{name} must be a pair of numbers, got {value!r}")
     try:
         x, y = (float(v) for v in value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be an (x, y) pair: {exc}") from exc
+        raise ValidationError(f"{name} must be a pair of numbers, got {value!r}") from exc
+    return (x, y)
+
+
+def _as_point(value: Any, name: str) -> Point:
+    x, y = _as_pair(value, name)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return (x, y)
@@ -54,14 +66,20 @@ class ScenarioConfig:
     min_distance: float = 1.0
 
     def __post_init__(self) -> None:
-        nx, ny = self.grid
-        if not (isinstance(nx, int) and isinstance(ny, int) and nx >= 1 and ny >= 1):
+        grid = self.grid
+        if not (
+            isinstance(grid, Sequence)
+            and len(grid) == 2
+            and all(isinstance(n, int) and n >= 1 for n in grid)
+        ):
             raise ValidationError(f"grid must be a pair of positive integers, got {self.grid!r}")
-        width, height = (float(v) for v in self.area)
+        width, height = _as_pair(self.area, "area")
         if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
             raise ValidationError(f"area must be positive and finite, got {self.area!r}")
         object.__setattr__(self, "area", (width, height))
         object.__setattr__(self, "base_station", _as_point(self.base_station, "base_station"))
+        if isinstance(self.users, str) or not isinstance(self.users, Sequence):
+            raise ValidationError(f"users must be a list of (x, y) pairs, got {self.users!r}")
         if len(self.users) != 2:
             raise ValidationError(f"exactly two users are supported, got {len(self.users)}")
         object.__setattr__(
@@ -72,8 +90,8 @@ class ScenarioConfig:
         ]:
             if not (0.0 <= pos[0] <= width and 0.0 <= pos[1] <= height):
                 raise ValidationError(f"{name} position {pos} lies outside the area {self.area}")
-        limits = tuple(float(v) for v in self.power_limits)
-        if len(limits) != 2 or any(not math.isfinite(v) or v < 0 for v in limits):
+        limits = _as_pair(self.power_limits, "power_limits")
+        if any(not math.isfinite(v) or v < 0 for v in limits):
             raise ValidationError(f"power_limits must be two nonnegative numbers, got {self.power_limits!r}")
         object.__setattr__(self, "power_limits", limits)
         for name in ("noise_var_main", "noise_var_tap"):
@@ -94,20 +112,22 @@ class ScenarioConfig:
         missing = required - set(data)
         if missing:
             raise ValidationError(f"missing scenario config keys: {sorted(missing)}")
+        if isinstance(data["grid"], str):
+            raise ValidationError(f"grid must be two integers, got {data['grid']!r}")
         try:
             grid = tuple(int(v) for v in data["grid"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"grid must be two integers: {exc}") from exc
         return cls(
             grid=grid,  # type: ignore[arg-type]
-            area=tuple(data["area"]),  # type: ignore[arg-type]
-            base_station=tuple(data["base_station"]),  # type: ignore[arg-type]
-            users=tuple(tuple(u) for u in data["users"]),  # type: ignore[arg-type]
-            power_limits=tuple(data["power_limits"]),  # type: ignore[arg-type]
-            noise_var_main=float(data["noise_var_main"]),
-            noise_var_tap=float(data["noise_var_tap"]),
-            pathloss_exponent=float(data.get("pathloss_exponent", 2.0)),
-            min_distance=float(data.get("min_distance", 1.0)),
+            area=data["area"],
+            base_station=data["base_station"],
+            users=data["users"],
+            power_limits=data["power_limits"],
+            noise_var_main=_as_number(data["noise_var_main"], "noise_var_main"),
+            noise_var_tap=_as_number(data["noise_var_tap"], "noise_var_tap"),
+            pathloss_exponent=_as_number(data.get("pathloss_exponent", 2.0), "pathloss_exponent"),
+            min_distance=_as_number(data.get("min_distance", 1.0), "min_distance"),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -235,34 +255,11 @@ def _cell(config: ScenarioConfig, x: float, y: float) -> CellRecord:
     )
 
 
-def _worker_count(max_workers: int | None) -> int:
-    cap_raw = os.environ.get("WIRETAP_THREADS", "").strip()
-    cap = int(cap_raw) if cap_raw.isdigit() and int(cap_raw) > 0 else None
-    workers = max_workers if max_workers and max_workers > 0 else (cap or 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, workers)
-
-
-def sweep(config: ScenarioConfig, max_workers: int | None = None) -> ScenarioResult:
-    """Evaluate every grid cell (cell centers, row-major: y outer, x inner).
-
-    Cells are independent; with WIRETAP_THREADS (or ``max_workers``) above
-    one, rows are evaluated on a thread pool and reassembled in row-major
-    order, so the result does not depend on scheduling."""
+def sweep(config: ScenarioConfig) -> ScenarioResult:
+    """Evaluate every grid cell (cell centers, row-major: y outer, x inner)."""
     nx, ny = config.grid
     width, height = config.area
     xs = [(i + 0.5) * width / nx for i in range(nx)]
     ys = [(j + 0.5) * height / ny for j in range(ny)]
-
-    def row(j: int) -> list[CellRecord]:
-        return [_cell(config, x, ys[j]) for x in xs]
-
-    workers = _worker_count(max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(ny)))
-    else:
-        rows = [row(j) for j in range(ny)]
-    records = tuple(rec for row_records in rows for rec in row_records)
+    records = tuple(_cell(config, x, y) for y in ys for x in xs)
     return ScenarioResult(config=config, records=records)

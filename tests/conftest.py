@@ -1,8 +1,4 @@
-import hypothesis
 import numpy as np
-
-hypothesis.settings.register_profile("fast", max_examples=20)
-hypothesis.settings.register_profile("thorough", max_examples=500)
 
 # pass/fail lines from the acceptance suite, echoed after the run so they
 # survive output capture

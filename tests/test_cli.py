@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from macwiretap.cli import main
 from macwiretap.optimizer import PowerAllocation
 
-EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "example_scenario.json"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLE_CONFIG = ROOT / "scripts" / "example_scenario.json"
 
 
 def run_cli(capsys, *argv):
@@ -241,12 +245,25 @@ def test_scenario_command_stdout(capsys, tmp_path):
 
 
 def test_scenario_bad_config_exits_2(capsys, tmp_path):
-    cfg = tmp_path / "scenario.json"
-    data = json.loads(EXAMPLE_CONFIG.read_text())
-    data["users"] = [[20.0, 35.0]]
-    cfg.write_text(json.dumps(data))
-    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg))
-    assert code == 2
+    cases = [
+        ("users", [[20.0, 35.0]]),
+        ("grid", [24, 24, 24]),
+        ("grid", "24"),
+        ("area", [100.0, 100.0, 100.0]),
+        ("noise_var_main", "loud"),
+        ("noise_var_tap", "quiet"),
+        ("pathloss_exponent", "steep"),
+        ("min_distance", "near"),
+        ("power_limits", "ab"),
+    ]
+    for key, value in cases:
+        cfg = tmp_path / f"{key}.json"
+        data = json.loads(EXAMPLE_CONFIG.read_text())
+        data[key] = value
+        cfg.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "scenario", "--config", str(cfg))
+        assert code == 2, (key, value)
+        assert err.startswith("error: ") and key in err, (key, err)
 
 
 def test_output_is_deterministic(capsys):
@@ -273,3 +290,42 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["jam", "--nope"])
     assert exc.value.code == 2
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: no subcommand may import it
+    cfg = tmp_path / "scenario.json"
+    data = json.loads(EXAMPLE_CONFIG.read_text())
+    data["grid"] = [3, 3]
+    cfg.write_text(json.dumps(data))
+    six = ",".join(["2"] * 6)
+    calls = [
+        ["standardize", "--gains-main", "4,1", "--gains-tap", "1,1", "--noise-main", "2",
+         "--noise-tap", "1", "--power-limits", "1,1"],
+        ["region", "--kind", "union-i-t", "--h", "0.5,0.5", "--pmax", "2,2", "--res", "11"],
+        ["region", "--kind", "collective", "--h", "0.5,0.5", "--pmax", "2,2", "--power", "2,2"],
+        ["sumopt", "--h", "0.25,0.3", "--pmax", "10,10", "--verify", "--res", "21"],
+        ["jam", "--h", "0.5,2", "--pmax", "10,10", "--verify", "--res", "21"],
+        ["tdma", "--h", "0.5,0.5", "--pmax", "2,4", "--power", "1,3"],
+        ["split", "--kind", "individual", "--h", "0.5,0.5", "--pmax", "2,2",
+         "--power", "2,2", "--secret", "0.16,0"],
+        ["split", "--kind", "collective", "--h", "0.1,0.2,0.3,0.4,0.5,0.6", "--pmax", six,
+         "--power", six, "--secret", "0.05,0.05,0.05,0.05,0.05,0.05"],
+        ["scenario", "--config", str(cfg), "--out", str(tmp_path / "cells.csv")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from macwiretap.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'scipy' in sys.modules]), file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert codes == [0] * len(calls)
+    assert not scipy_loaded

@@ -454,3 +454,80 @@ def test_rate_split_three_users_lp_path():
     assert sum(result.extra) == pytest.approx(g(0.4 * 6.0), abs=1e-8)
     for x in result.extra:
         assert x >= -1e-12
+
+
+def test_rate_split_infeasible_names_the_full_set_row():
+    # cap{1} = g(2) - 0.78 is still nonnegative; the total target
+    # g(2.4) = 0.883 exceeds cap{1,2,3} = g(6) - 0.78 = 0.621
+    std = StandardChannel(3, (0.4, 0.4, 0.4), (2.0, 2.0, 2.0))
+    rates = RateVector((0.782481250360578, 0.0, 0.0), (0.0,) * 3)
+    result = rate_split_collective(std, (2.0, 2.0, 2.0), rates)
+    assert not result.feasible
+    assert result.binding == "MAC{1,2,3}"
+
+
+def _lp_lex_min_split(caps, target):
+    """Lexicographically smallest x >= 0 with x(N) = target and
+    x(S) <= caps[S], by one linear program per coordinate; None when
+    infeasible."""
+    from scipy.optimize import linprog
+
+    num_users = max(max(s) for s in caps)
+    subsets = list(caps)
+    a_ub = [[1.0 if k in s else 0.0 for k in range(1, num_users + 1)] for s in subsets]
+    b_ub = [caps[s] for s in subsets]
+    fixed: list[float] = []
+    for j in range(num_users):
+        a_eq = [[1.0] * num_users] + [
+            [1.0 if k == i else 0.0 for k in range(num_users)] for i in range(len(fixed))
+        ]
+        res = linprog(
+            c=[1.0 if k == j else 0.0 for k in range(num_users)],
+            A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[target] + fixed,
+            bounds=[(0.0, None)] * num_users, method="highs",
+        )
+        if res.status != 0:
+            return None
+        fixed.append(float(res.x[j]))
+    return fixed
+
+
+def test_rate_split_greedy_matches_lp_lex_min():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    outcomes = {True: 0, False: 0}
+    for num_users in range(2, 7):
+        for _ in range(25):
+            h = tuple(rng.uniform(0.0, 0.95, num_users))
+            pmax = tuple(rng.uniform(0.05, 20.0, num_users))
+            power = tuple(rng.uniform(0.2, 1.0) * m for m in pmax)
+            std = StandardChannel(num_users, h, pmax)
+            s_total = g(sum(power)) - g(sum(a * b for a, b in zip(h, power)))
+            weights = rng.dirichlet(np.ones(num_users))
+            secret = tuple(float(w) * s_total * rng.uniform(0.4, 1.6) for w in weights)
+            opn = tuple(rng.uniform(0.0, 0.1) * rng.integers(0, 2) for _ in range(num_users))
+            rates = RateVector(secret, opn)
+            result = rate_split_collective(std, power, rates)
+            outcomes[result.feasible] += 1
+
+            # caps and target from the definition, independent of the module
+            caps = {}
+            for mask in range(1, 2**num_users):
+                s = frozenset(k + 1 for k in range(num_users) if mask >> k & 1)
+                caps[s] = g(sum(power[k - 1] for k in s)) - sum(
+                    secret[k - 1] + opn[k - 1] for k in s
+                )
+            full = frozenset(range(1, num_users + 1))
+            target = g(sum(a * b for a, b in zip(h, power))) - sum(opn)
+            reference = _lp_lex_min_split(caps, target) if target >= 0.0 else None
+
+            assert result.feasible == (reference is not None), (h, power, secret, opn)
+            if result.feasible:
+                assert result.extra == pytest.approx(reference, abs=1e-9)
+            elif result.binding == "RANDOMIZATION_TOTAL":
+                assert target < -1e-9
+            else:
+                # the named row is exceeded by every nonnegative split
+                row = frozenset(int(k) for k in result.binding[4:-1].split(","))
+                need = target if row == full else 0.0
+                assert need > caps[row] + 1e-9, (result.binding, need, caps[row])
+    assert outcomes[True] >= 20 and outcomes[False] >= 20, outcomes

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -39,6 +38,12 @@ def test_config_validation():
         small_config(grid=(0, 4))
     with pytest.raises(ValidationError):
         small_config(min_distance=-1.0)
+    with pytest.raises(ValidationError):
+        small_config(grid=(4, 4, 4))
+    with pytest.raises(ValidationError):
+        small_config(area=(100.0, 100.0, 100.0))
+    with pytest.raises(ValidationError):
+        small_config(power_limits="ab")
 
 
 def test_config_json_round_trip():
@@ -134,27 +139,6 @@ def test_sweep_zero_rate_counts():
     result = sweep(small_config(grid=(20, 20)))
     zero_jam, zero_nojam = result.zero_rate_counts()
     assert zero_jam <= zero_nojam
-
-
-def test_sweep_threaded_matches_serial(monkeypatch):
-    cfg = small_config(grid=(5, 5))
-    serial = sweep(cfg, max_workers=1)
-    monkeypatch.setenv("WIRETAP_THREADS", "4")
-    threaded = sweep(cfg)
-    assert serial.records == threaded.records
-
-
-def test_worker_count_env_cap(monkeypatch):
-    from macwiretap.scenario import _worker_count
-
-    monkeypatch.delenv("WIRETAP_THREADS", raising=False)
-    assert _worker_count(None) == 1
-    assert _worker_count(6) == 6
-    monkeypatch.setenv("WIRETAP_THREADS", "2")
-    assert _worker_count(None) == 2
-    assert _worker_count(8) == 2  # env caps explicit requests
-    monkeypatch.setenv("WIRETAP_THREADS", "junk")
-    assert _worker_count(None) == 1
 
 
 def test_csv_output_shape():
