@@ -27,7 +27,7 @@ def main() -> int:
         result.to_csv(fp)
 
     zero_jam, zero_nojam = result.zero_rate_counts()
-    print(f"cells:                 {len(result.records)}")
+    print(f"cells:                 {len(result)}")
     print(f"zero-rate w/o jamming: {zero_nojam}")
     print(f"zero-rate w/ jamming:  {zero_jam}")
     print(f"wrote {args.out}")

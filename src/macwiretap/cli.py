@@ -265,7 +265,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     result = sweep(config)
     zero_jam, zero_nojam = result.zero_rate_counts()
     summary = {
-        "cells": len(result.records),
+        "cells": len(result),
         "zero_rate_cells_jam": zero_jam,
         "zero_rate_cells_nojam": zero_nojam,
         "out": args.out,

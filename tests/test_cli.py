@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -255,6 +257,8 @@ def test_scenario_bad_config_exits_2(capsys, tmp_path):
         ("pathloss_exponent", "steep"),
         ("min_distance", "near"),
         ("power_limits", "ab"),
+        ("grid", [24.7, 3.2]),
+        ("grid", [True, 2]),
     ]
     for key, value in cases:
         cfg = tmp_path / f"{key}.json"
@@ -264,6 +268,40 @@ def test_scenario_bad_config_exits_2(capsys, tmp_path):
         code, _, err = run_cli(capsys, "scenario", "--config", str(cfg))
         assert code == 2, (key, value)
         assert err.startswith("error: ") and key in err, (key, err)
+
+
+def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
+    # numeric extremes on a 6x6 grid: each keeps the exit code and the
+    # stderr line (or the CSV) that the per-cell scalar sweep produced, and
+    # none lets a RuntimeWarning through to stderr
+    cases = [
+        ({"pathloss_exponent": 300}, 2,
+         "error: cell (8.33333, 8.33333): gains_main must be strictly positive, got (0.0, 0.0)\n"),
+        ({"pathloss_exponent": 150, "noise_var_tap": 1e-10}, 2,
+         "error: cell (25, 75): powers entries must be finite and nonnegative, "
+         "got (8.74403861447459e-226, inf)\n"),
+        ({"power_limits": [1e300, 1e300]}, 0,
+         "292aa1f0ecc91c5d4a24e46dbb5f725195cf8538987c61df9b4fc2d27e01d207"),
+        # the cell centre (i + 0.5) * width / nx overflows
+        ({"area": [1.7e308, 1.7e308], "grid": [2, 2]}, 2,
+         "error: cell (inf, 4.25e+307): eaves_pos must be finite, got (inf, 4.25e+307)\n"),
+    ]
+    for k, (overrides, code, expected) in enumerate(cases):
+        data = json.loads(EXAMPLE_CONFIG.read_text())
+        data.update({"grid": [6, 6], **overrides})
+        cfg = tmp_path / f"edge{k}.json"
+        cfg.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_cli(capsys, "scenario", "--config", str(cfg))
+        assert got == code, (overrides, err)
+        if code:
+            assert (out, err) == ("", expected)
+        else:
+            assert hashlib.sha256(out.encode()).hexdigest() == expected
+            assert json.loads(err)["result"]["cells"] == 36
+            p2 = float(out.splitlines()[1].split(",")[3])
+            assert p2 == pytest.approx(9.756e296, rel=1e-4)
 
 
 def test_output_is_deterministic(capsys):

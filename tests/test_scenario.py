@@ -1,16 +1,25 @@
+import hashlib
 import io
 import json
 import math
+import random
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import macwiretap.scenario as scenario
 from macwiretap.channel import standardize
 from macwiretap.errors import ValidationError
 from macwiretap.rates import g
-from macwiretap.scenario import ScenarioConfig, gains_at, sweep
+from macwiretap.scenario import ScenarioConfig, _cell, gains_at, sweep
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "example_scenario.json"
+
+# sha256 of the example config's CSV as written by the per-cell scalar sweep
+# (standardize + optimal_powers_sum + optimal_powers_jam at every cell)
+EXAMPLE_CSV_SHA256 = "f8d0fa89fb26ae55bf0eaf523a01f2bef8e3079a5bd9a06e1ef546afa74a19ed"
 
 
 def small_config(**overrides):
@@ -44,6 +53,15 @@ def test_config_validation():
         small_config(area=(100.0, 100.0, 100.0))
     with pytest.raises(ValidationError):
         small_config(power_limits="ab")
+    with pytest.raises(ValidationError):
+        small_config(grid=(24.7, 3.2))
+    with pytest.raises(ValidationError):
+        small_config(grid=(True, 2))
+    data = small_config().to_dict()
+    for grid in ([24.7, 3.2], [True, 2]):
+        with pytest.raises(ValidationError, match="grid"):
+            ScenarioConfig.from_dict({**data, "grid": grid})
+    assert ScenarioConfig.from_dict({**data, "grid": [24.0, 3]}).grid == (24, 3)
 
 
 def test_config_json_round_trip():
@@ -158,3 +176,126 @@ def test_jam_power_distance_profile_reports():
     profile = result.jam_power_by_bs_distance(bins=5)
     assert profile  # diagnostic is reported, not asserted on
     assert all(set(b) == {"distance_lo", "distance_hi", "mean_jam_power", "cells"} for b in profile)
+
+
+def csv_text(result) -> str:
+    buf = io.StringIO()
+    result.to_csv(buf)
+    return buf.getvalue()
+
+
+def scalar_csv(config: ScenarioConfig) -> str:
+    """The CSV built row by row from the per-cell scalar reference ``_cell``."""
+    nx, ny = config.grid
+    width, height = config.area
+    lines = ["x,y,P1,P2,sumrate_jam,sumrate_nojam,case\n"]
+    for j in range(ny):
+        for i in range(nx):
+            r = _cell(config, (i + 0.5) * width / nx, (j + 0.5) * height / ny)
+            lines.append(
+                f"{r.x:.12g},{r.y:.12g},{r.p1:.12g},{r.p2:.12g},"
+                f"{r.sumrate_jam:.12g},{r.sumrate_nojam:.12g},{r.case}\n"
+            )
+    return "".join(lines)
+
+
+def random_geometry(rng: random.Random) -> ScenarioConfig:
+    def loguniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    def point():
+        return (rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
+
+    return ScenarioConfig(
+        grid=(rng.randint(3, 14), rng.randint(3, 14)),
+        area=(100.0, 100.0),
+        base_station=point(),
+        users=(point(), point()),
+        power_limits=(loguniform(1.0, 1e4), loguniform(1.0, 1e4)),
+        noise_var_main=1.0,
+        noise_var_tap=loguniform(0.1, 10.0),
+        pathloss_exponent=rng.uniform(2.0, 4.0),
+    )
+
+
+def test_example_csv_matches_golden_digest():
+    with open(EXAMPLE_CONFIG, "r", encoding="utf-8") as fp:
+        cfg = ScenarioConfig.from_dict(json.load(fp))
+    text = csv_text(sweep(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXAMPLE_CSV_SHA256
+
+
+def test_sweep_matches_scalar_cells_on_random_geometries():
+    rng = random.Random(3)
+    # users mirrored about the base station: the middle column (x = 50) has
+    # equal gains, above one near the base station and below one away from it
+    mirrored = [small_config(users=((40.0, 50.0), (60.0, 50.0)), grid=(5, n)) for n in (5, 9)]
+    cases = Counter()
+    for cfg in mirrored + [random_geometry(rng) for _ in range(40)]:
+        text = csv_text(sweep(cfg))
+        assert text == scalar_csv(cfg), cfg
+        cases.update(line.rsplit(",", 1)[1] for line in text.splitlines()[1:])
+    # every branch of the jamming solution is exercised
+    assert {"BOTH_TRANSMIT", "NO_JAM", "JAM_AT_ROOT", "JAM_AT_MAX", "NONE"} <= set(cases)
+
+
+def test_sweep_resolves_unvouched_cells_with_the_scalar_reference(monkeypatch):
+    # cells the array pass does not vouch for are re-solved by ``_cell``:
+    # poison every third cell and mark it unvouched; the CSV must not change
+    solve = scenario._solve
+
+    def poisoned(*args):
+        p1, p2, jam, nojam, case, ok = solve(*args)
+        p1[::3], jam[::3], case[::3], ok[::3] = np.nan, np.nan, 0, False
+        return p1, p2, jam, nojam, case, ok
+
+    cfg = small_config(grid=(7, 5))
+    monkeypatch.setattr(scenario, "_solve", poisoned)
+    assert csv_text(sweep(cfg)) == scalar_csv(cfg)
+
+
+def test_records_follow_the_columns():
+    result = sweep(small_config(grid=(5, 4)))
+    assert len(result) == len(result.records) == 20
+    for k, rec in enumerate(result.records):
+        assert (rec.x, rec.y, rec.p1, rec.p2) == (
+            result.x[k], result.y[k], result.p1[k], result.p2[k]
+        )
+        assert (rec.sumrate_jam, rec.sumrate_nojam) == (
+            result.sumrate_jam[k], result.sumrate_nojam[k]
+        )
+        assert rec.case == scenario.CASE_LABELS[result.case[k]]
+
+
+def reference_jam_power_by_bs_distance(result, bins):
+    """The per-record diagnostic the column version replaces."""
+    bx, by = result.config.base_station
+    jamming = [r for r in result.records if r.case in ("JAM_AT_ROOT", "JAM_AT_MAX")]
+    dists = [math.hypot(r.x - bx, r.y - by) for r in jamming]
+    dmax = max(dists) if dists else 0.0
+    width = dmax / bins if dmax > 0 else 1.0
+    out = []
+    for b in range(bins):
+        lo, hi = b * width, (b + 1) * width
+        cells = [r for r, d in zip(jamming, dists) if lo <= d < hi or (b == bins - 1 and d == dmax)]
+        if cells:
+            out.append({
+                "distance_lo": lo,
+                "distance_hi": hi,
+                "mean_jam_power": sum(c.p2 for c in cells) / len(cells),
+                "cells": float(len(cells)),
+            })
+    return out
+
+
+def test_diagnostics_match_the_per_record_reference():
+    rng = random.Random(11)
+    for cfg in [small_config(grid=(12, 12))] + [random_geometry(rng) for _ in range(8)]:
+        result = sweep(cfg)
+        for threshold in (scenario.ZERO_RATE_THRESHOLD, 0.5):
+            assert result.zero_rate_counts(threshold) == (
+                sum(1 for r in result.records if r.sumrate_jam <= threshold),
+                sum(1 for r in result.records if r.sumrate_nojam <= threshold),
+            )
+        for bins in (1, 3, 8, 10):
+            assert result.jam_power_by_bs_distance(bins) == reference_jam_power_by_bs_distance(result, bins)
