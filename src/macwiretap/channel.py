@@ -18,13 +18,35 @@ from .errors import ValidationError
 DEGRADED_TOL_DEFAULT = 1e-9
 
 
-def _as_float_tuple(values: Any, name: str, length: int) -> tuple[float, ...]:
+def _as_number(value: Any, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _as_whole(value: Any) -> int:
+    """An int, or an integral float such as 24.0; not a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def _as_floats(values: Any, name: str, length: int) -> tuple[float, ...]:
+    """Exactly ``length`` numbers; a string is not read as a sequence of digits."""
+    if isinstance(values, str):
+        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
     try:
         out = tuple(float(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a sequence of numbers: {exc}") from exc
     if len(out) != length:
         raise ValidationError(f"{name} must have length {length}, got {len(out)}")
+    return out
+
+
+def _as_float_tuple(values: Any, name: str, length: int) -> tuple[float, ...]:
+    out = _as_floats(values, name, length)
     if any(not math.isfinite(v) for v in out):
         raise ValidationError(f"{name} must contain only finite values, got {out}")
     return out
@@ -76,16 +98,16 @@ class RawChannelConfig:
         if missing:
             raise ValidationError(f"missing channel config keys: {sorted(missing)}")
         try:
-            num_users = int(data["num_users"])
+            num_users = _as_whole(data["num_users"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"num_users must be an integer: {exc}") from exc
         return cls(
             num_users=num_users,
-            gains_main=tuple(data["gains_main"]),
-            gains_tap=tuple(data["gains_tap"]),
-            noise_var_main=float(data["noise_var_main"]),
-            noise_var_tap=float(data["noise_var_tap"]),
-            power_limits=tuple(data["power_limits"]),
+            gains_main=data["gains_main"],
+            gains_tap=data["gains_tap"],
+            noise_var_main=_as_number(data["noise_var_main"], "noise_var_main"),
+            noise_var_tap=_as_number(data["noise_var_tap"], "noise_var_tap"),
+            power_limits=data["power_limits"],
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -150,10 +172,14 @@ def standardize(raw: RawChannelConfig) -> StandardChannel:
     h_k    = gains_tap_k * noise_var_main / (gains_main_k * noise_var_tap)
     pmax_k = gains_main_k / noise_var_main * power_limits_k
     """
-    h = tuple(
-        raw.gains_tap[k] * raw.noise_var_main / (raw.gains_main[k] * raw.noise_var_tap)
-        for k in range(raw.num_users)
-    )
+    try:
+        h = tuple(
+            raw.gains_tap[k] * raw.noise_var_main / (raw.gains_main[k] * raw.noise_var_tap)
+            for k in range(raw.num_users)
+        )
+    except ZeroDivisionError as exc:
+        raise ValidationError(f"gains_main {raw.gains_main} times noise_var_tap "
+                              f"{raw.noise_var_tap} underflows to zero, so h is undefined") from exc
     pmax = tuple(
         raw.gains_main[k] / raw.noise_var_main * raw.power_limits[k]
         for k in range(raw.num_users)

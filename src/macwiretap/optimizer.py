@@ -290,6 +290,8 @@ def tdma_optimal_alpha(powers: Sequence[float]) -> tuple[float, ...]:
     total = sum(p)
     if total <= 0.0:
         raise ValidationError("time shares undefined for all-zero powers")
+    if not math.isfinite(total):
+        raise ValidationError(f"powers {p} too large: their sum overflows the float range")
     return tuple(v / total for v in p)
 
 

@@ -40,6 +40,11 @@ def _g_arr(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.log2(1.0 + x)
 
 
+def _clamp0(x):
+    """``pos_part`` elementwise, unchecked: 0.0 unless x > 0, so NaN maps to 0."""
+    return np.where(x > 0.0, x, 0.0)
+
+
 def pos_part(x: float) -> float:
     """max(x, 0)."""
     if not math.isfinite(x):

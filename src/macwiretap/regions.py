@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, sub
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import StandardChannel, check_degraded
 from .errors import NonDegradedError, ValidationError
-from .rates import _g_arr, cm, cw, enumerate_subsets, g, pos_part, subset_label
+from .rates import _clamp0, _g_arr, cw, enumerate_subsets, g, subset_label
 
 ROW_SECRECY = "SECRECY"
 ROW_MAC = "MAC"
@@ -209,41 +211,71 @@ def _check_power(std: StandardChannel, powers: Sequence[float]) -> tuple[float, 
     return p
 
 
+def _subset_bounds(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[tuple[Any, ...]]:
+    """(S, SECRECY rhs or None, MAC rhs g(p(S))) of a fixed-power region of
+    the given kind for every nonempty subset S, in ``enumerate_subsets`` order.
+    INDIVIDUAL bounds every S by g(p(S)) minus each member's g(h_k p_k),
+    OUTER_INDIVIDUAL only single users; the collective kinds bound the full
+    set by g(p(S)) - g(sum of h_k p_k); all clamped at zero.  Each power is
+    a float or an array of one common shape, evaluated elementwise and
+    unchecked: a non-finite MAC value means a power sum overflowed."""
+    individual = kind in (KIND_INDIVIDUAL, KIND_OUTER_INDIVIDUAL)
+    out = []
+    with np.errstate(all="ignore"):
+        eaves = [_g_arr(h_k * p_k) for h_k, p_k in zip(h, p)] if individual else []
+        for subset in enumerate_subsets(len(p))[1:]:
+            members = sorted(subset)
+            mac = _g_arr(reduce(add, (p[k - 1] for k in members)))
+            secrecy = None
+            if individual and (kind == KIND_INDIVIDUAL or len(members) == 1):
+                secrecy = reduce(sub, (eaves[k - 1] for k in members), mac)
+            elif not individual and len(members) == len(p):
+                secrecy = mac - _g_arr(reduce(add, (h[k - 1] * p[k - 1] for k in members)))
+            out.append((subset, None if secrecy is None else _clamp0(secrecy), mac))
+    return out
+
+
+def _require_finite(values: Any, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what} too large: a rate bound overflows the float range")
+
+
+def _region_at(std: StandardChannel, kind: str, powers: Sequence[float]) -> RateConstraintSet:
+    p = _check_power(std, powers)
+    bounds = _subset_bounds(kind, std.h, p)
+    _require_finite([mac for _, _, mac in bounds], f"powers {p}")
+    rows = []
+    for subset, secrecy, mac in bounds:
+        if secrecy is not None:
+            rows.append(ConstraintRow(subset, ROW_SECRECY, float(secrecy)))
+        rows.append(ConstraintRow(subset, ROW_MAC, float(mac)))
+    return RateConstraintSet(kind, std.num_users, p, tuple(rows))
+
+
 def individual_region_at(std: StandardChannel, powers: Sequence[float]) -> RateConstraintSet:
     """Region where each user's secrecy survives even if all other users'
     codewords are revealed: for every nonempty subset, the secret-rate sum is
     bounded by the subset's receiver rate minus the members' single-user
     eavesdropper rates (clamped at zero), plus the usual MAC rows."""
-    p = _check_power(std, powers)
-    rows = []
-    for subset in enumerate_subsets(std.num_users):
-        if not subset:
-            continue
-        mac = cm(p, subset)
-        secrecy = pos_part(mac - sum(cw(p, std.h, {k}) for k in subset))
-        rows.append(ConstraintRow(subset, ROW_SECRECY, secrecy))
-        rows.append(ConstraintRow(subset, ROW_MAC, mac))
-    return RateConstraintSet(KIND_INDIVIDUAL, std.num_users, p, tuple(rows))
+    return _region_at(std, KIND_INDIVIDUAL, powers)
 
 
 def collective_region_at(std: StandardChannel, powers: Sequence[float]) -> RateConstraintSet:
     """Region where secrecy is trusted jointly across users: a single
     secret-sum row for the full set plus MAC rows for every subset."""
-    p = _check_power(std, powers)
-    full = frozenset(range(1, std.num_users + 1))
-    rows = [ConstraintRow(full, ROW_SECRECY, pos_part(cm(p, full) - cw(p, std.h, full)))]
-    for subset in enumerate_subsets(std.num_users):
-        if subset:
-            rows.append(ConstraintRow(subset, ROW_MAC, cm(p, subset)))
-    return RateConstraintSet(KIND_COLLECTIVE, std.num_users, p, tuple(rows))
+    return _region_at(std, KIND_COLLECTIVE, powers)
 
 
-def _tdma_bounds(h_k: float, p_k: float, a_k: float) -> tuple[float, float]:
-    if a_k <= 0.0:
-        return 0.0, 0.0
-    arg = (1.0 - h_k) * p_k / (a_k + h_k * p_k) if (a_k + h_k * p_k) > 0.0 else 0.0
-    secrecy = a_k * g(arg) if arg > 0.0 else 0.0
-    return secrecy, a_k * g(p_k / a_k)
+def _tdma_bound(h: Any, p: Any, a: Any) -> tuple[Any, Any]:
+    """(secrecy, total) rate bounds of a user with gain h sending at power
+    p/a for a share a of the time, zero for a zero share; elementwise over
+    broadcastable arrays and unchecked, like ``_subset_bounds``."""
+    with np.errstate(all="ignore"):
+        den = a + h * p
+        arg = np.where(den > 0.0, (1.0 - h) * p / np.where(den > 0.0, den, 1.0), 0.0)
+        secrecy = np.where((a > 0.0) & (arg > 0.0), a * _g_arr(_clamp0(arg)), 0.0)
+        total = np.where(a > 0.0, a * _g_arr(p / np.where(a > 0.0, a, 1.0)), 0.0)
+    return secrecy, total
 
 
 def tdma_region_at(
@@ -258,11 +290,12 @@ def tdma_region_at(
         raise ValidationError(f"alpha must have length {std.num_users}, got {len(a)}")
     if any(v > 1.0 for v in a) or abs(sum(a) - 1.0) > ALPHA_SUM_TOL:
         raise ValidationError(f"time shares must lie in [0,1] and sum to 1, got {a}")
+    secrecy, total = _tdma_bound(np.array(std.h), np.array(p), np.array(a))
+    _require_finite(total, f"powers {p} over time shares {a}")
     rows = []
     for k in range(1, std.num_users + 1):
-        secrecy, mac = _tdma_bounds(std.h[k - 1], p[k - 1], a[k - 1])
-        rows.append(ConstraintRow(frozenset({k}), ROW_SECRECY, secrecy))
-        rows.append(ConstraintRow(frozenset({k}), ROW_MAC, mac))
+        rows.append(ConstraintRow(frozenset({k}), ROW_SECRECY, float(secrecy[k - 1])))
+        rows.append(ConstraintRow(frozenset({k}), ROW_MAC, float(total[k - 1])))
     return RateConstraintSet(KIND_TDMA, std.num_users, p, tuple(rows), alpha=a)
 
 
@@ -279,32 +312,17 @@ def outer_region_at(
     kind = str(kind).upper().replace("-", "_").replace("OUTER_", "")
     if kind not in (KIND_INDIVIDUAL, KIND_COLLECTIVE):
         raise ValidationError(f"outer bound kind must be INDIVIDUAL or COLLECTIVE, got {kind!r}")
-    report = check_degraded(std, degraded_tol)
+    _require_degraded(std, degraded_tol, "outer bounds hold only for a degraded "
+                      "eavesdropper (equal gains below 1)")
+    return _region_at(std, f"OUTER_{kind}", powers)
+
+
+def _require_degraded(std: StandardChannel, tol: float, what: str) -> None:
+    report = check_degraded(std, tol)
     if not report.is_degraded:
         raise NonDegradedError(
-            "outer bounds hold only for a degraded eavesdropper (equal gains below 1); "
-            f"got gains {std.h} with spread {report.max_gain_spread:.3g}"
+            f"{what}; got gains {std.h} with spread {report.max_gain_spread:.3g}"
         )
-    p = _check_power(std, powers)
-    full = frozenset(range(1, std.num_users + 1))
-    rows = []
-    if kind == KIND_INDIVIDUAL:
-        for k in range(1, std.num_users + 1):
-            rows.append(
-                ConstraintRow(
-                    frozenset({k}),
-                    ROW_SECRECY,
-                    pos_part(cm(p, {k}) - cw(p, std.h, {k})),
-                )
-            )
-        out_kind = KIND_OUTER_INDIVIDUAL
-    else:
-        rows.append(ConstraintRow(full, ROW_SECRECY, pos_part(cm(p, full) - cw(p, std.h, full))))
-        out_kind = KIND_OUTER_COLLECTIVE
-    for subset in enumerate_subsets(std.num_users):
-        if subset:
-            rows.append(ConstraintRow(subset, ROW_MAC, cm(p, subset)))
-    return RateConstraintSet(out_kind, std.num_users, p, tuple(rows))
 
 
 def delta_region(base: RateConstraintSet, delta: float) -> RateConstraintSet:
@@ -443,53 +461,25 @@ def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> 
 
 
 def _fixed_power_candidates(std: StandardChannel, kind: str, delta: float, res: int) -> np.ndarray:
-    h1, h2 = std.h
-    xs = np.linspace(0.0, std.pmax[0], res)
-    ys = np.linspace(0.0, std.pmax[1], res)
-    p1, p2 = np.meshgrid(xs, ys, indexing="ij")
-    p1, p2 = p1.ravel(), p2.ravel()
-    m1, m2, m12 = _g_arr(p1), _g_arr(p2), _g_arr(p1 + p2)
-    if kind == KIND_INDIVIDUAL:
-        cw1, cw2 = _g_arr(h1 * p1), _g_arr(h2 * p2)
-        s1 = np.maximum(m1 - cw1, 0.0)
-        s2 = np.maximum(m2 - cw2, 0.0)
-        s12 = np.maximum(m12 - cw1 - cw2, 0.0)
-        u1 = np.minimum(s1 / delta, m1)
-        u2 = np.minimum(s2 / delta, m2)
-        u12 = np.minimum(s12 / delta, m12)
-    elif kind in (KIND_COLLECTIVE, KIND_OUTER_COLLECTIVE):
-        s = np.maximum(m12 - _g_arr(h1 * p1 + h2 * p2), 0.0)
-        u1, u2 = m1, m2
-        u12 = np.minimum(s / delta, m12)
-    elif kind == KIND_OUTER_INDIVIDUAL:
-        o1 = np.maximum(m1 - _g_arr(h1 * p1), 0.0)
-        o2 = np.maximum(m2 - _g_arr(h2 * p2), 0.0)
-        u1 = np.minimum(o1 / delta, m1)
-        u2 = np.minimum(o2 / delta, m2)
-        u12 = m12
-    else:
-        raise ValidationError(f"unsupported fixed-power boundary kind {kind!r}")
+    grid = np.meshgrid(
+        np.linspace(0.0, std.pmax[0], res), np.linspace(0.0, std.pmax[1], res), indexing="ij"
+    )
+    bounds = _subset_bounds(kind, std.h, [p.ravel() for p in grid])
+    _require_finite([mac for _, _, mac in bounds], f"pmax {std.pmax}")
+    u1, u2, u12 = (mac if s is None else np.minimum(s / delta, mac) for _, s, mac in bounds)
     return _box_simplex_candidates(u1, u2, u12)
-
-
-def _tdma_user_bound(h: float, p: np.ndarray, a: np.ndarray, delta: float) -> np.ndarray:
-    """min(secrecy/delta, total) bound of one user over a (share, power) grid."""
-    den = a + h * p
-    arg = np.where(den > 0.0, (1.0 - h) * p / np.where(den > 0.0, den, 1.0), 0.0)
-    secrecy = np.where((a > 0.0) & (arg > 0.0), a * _g_arr(np.maximum(arg, 0.0)), 0.0)
-    total = np.where(a > 0.0, a * _g_arr(p / np.where(a > 0.0, a, 1.0)), 0.0)
-    return np.minimum(secrecy / delta, total)
 
 
 def _tdma_candidates(std: StandardChannel, delta: float, power_res: int, alpha_res: int) -> np.ndarray:
     alphas = np.linspace(0.0, 1.0, alpha_res)
-    p1 = np.linspace(0.0, std.pmax[0], power_res)
-    p2 = np.linspace(0.0, std.pmax[1], power_res)
-    # the per-user bound grows with power, so per share only the maximum
-    # over the power grid can generate a hull vertex
-    b1 = _tdma_user_bound(std.h[0], p1[None, :], alphas[:, None], delta).max(axis=1)
-    b2 = _tdma_user_bound(std.h[1], p2[None, :], (1.0 - alphas)[:, None], delta).max(axis=1)
-    return _box_simplex_candidates(b1, b2, np.full_like(b1, np.inf))
+    bounds = []
+    for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
+        secrecy, total = _tdma_bound(h, np.linspace(0.0, pmax, power_res)[None, :], a[:, None])
+        _require_finite(total, f"pmax {std.pmax}")
+        # the per-user bound grows with power, so per share only the maximum
+        # over the power grid can generate a hull vertex
+        bounds.append(np.minimum(secrecy / delta, total).max(axis=1))
+    return _box_simplex_candidates(bounds[0], bounds[1], np.full_like(bounds[0], np.inf))
 
 
 def _upper_right_hull(points: np.ndarray) -> list[tuple[float, float]]:
@@ -549,12 +539,9 @@ def region_boundary_2d(
     if power_grid_res < 2 or alpha_grid_res < 2:
         raise ValidationError("grid resolutions must be at least 2")
     if kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE):
-        report = check_degraded(std, degraded_tol)
-        if not report.is_degraded:
-            raise NonDegradedError(
-                "outer-bound boundaries require a degraded eavesdropper; "
-                f"got gains {std.h} with spread {report.max_gain_spread:.3g}"
-            )
+        _require_degraded(
+            std, degraded_tol, "outer-bound boundaries require a degraded eavesdropper"
+        )
     if kind == KIND_TDMA:
         candidates = _tdma_candidates(std, delta, power_grid_res, alpha_grid_res)
     elif kind == KIND_UNION_I_T:
@@ -578,15 +565,11 @@ def region_boundary_2d(
 # Rate splitting
 
 
-def _split_caps(
-    std: StandardChannel, p: tuple[float, ...], rates: RateVector
-) -> dict[frozenset[int], float]:
-    caps = {}
-    for subset in enumerate_subsets(std.num_users):
-        if subset:
-            used = sum(rates.secret[k - 1] + rates.open[k - 1] for k in subset)
-            caps[subset] = cm(p, subset) - used
-    return caps
+def _subset_macs(std: StandardChannel, p: tuple[float, ...]) -> dict[frozenset[int], float]:
+    # every kind has the same MAC rows; COLLECTIVE adds the fewest secrecy bounds
+    macs = {subset: float(mac) for subset, _, mac in _subset_bounds(KIND_COLLECTIVE, std.h, p)}
+    _require_finite(list(macs.values()), f"powers {p}")
+    return macs
 
 
 def rate_split_individual(
@@ -613,11 +596,9 @@ def rate_split_individual(
             extra.append(max(x_k, 0.0))
         else:
             extra.append(0.0)
-    for subset in enumerate_subsets(std.num_users):
-        if not subset:
-            continue
+    for subset, mac in _subset_macs(std, p).items():
         used = sum(rates.secret[k - 1] + rates.open[k - 1] + extra[k - 1] for k in subset)
-        if used > cm(p, subset) + tol:
+        if used > mac + tol:
             return RateSplitResult(False, None, f"MAC{subset_label(subset)}")
     return RateSplitResult(True, tuple(extra), None)
 
@@ -650,7 +631,10 @@ def rate_split_collective(
     if target < -tol:
         return RateSplitResult(False, None, "RANDOMIZATION_TOTAL")
     target = max(target, 0.0)
-    caps = _split_caps(std, p, rates)
+    caps = {
+        s: mac - sum(rates.secret[k - 1] + rates.open[k - 1] for k in s)
+        for s, mac in _subset_macs(std, p).items()
+    }
     for subset, cap in caps.items():
         if cap < -tol:
             return RateSplitResult(False, None, f"MAC{subset_label(subset)}")

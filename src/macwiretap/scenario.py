@@ -16,7 +16,7 @@ from typing import Any, Sequence, TextIO
 
 import numpy as np
 
-from .channel import RawChannelConfig, standardize
+from .channel import RawChannelConfig, _as_floats, _as_number, _as_whole, standardize
 from .errors import ValidationError
 from .optimizer import (
     CASE_BOTH_TRANSMIT,
@@ -25,42 +25,20 @@ from .optimizer import (
     CASE_NO_JAM,
     CASE_NONE,
     CASE_ONE_TRANSMITS,
+    _jam_kernel,
+    _sum_kernel,
     optimal_powers_jam,
     optimal_powers_sum,
 )
-from .rates import _g_arr
+from .rates import _clamp0
 
 ZERO_RATE_THRESHOLD = 1e-9
 
 Point = tuple[float, float]
 
 
-def _as_number(value: Any, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
-
-
-def _as_pair(value: Any, name: str) -> tuple[float, float]:
-    if isinstance(value, str):
-        raise ValidationError(f"{name} must be a pair of numbers, got {value!r}")
-    try:
-        x, y = (float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a pair of numbers, got {value!r}") from exc
-    return (x, y)
-
-
-def _as_side(value: Any) -> int:
-    """A grid side: an int, or an integral float such as 24.0; not a bool."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
-
-
 def _as_point(value: Any, name: str) -> Point:
-    x, y = _as_pair(value, name)
+    x, y = _as_floats(value, name, 2)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return (x, y)
@@ -92,7 +70,7 @@ class ScenarioConfig:
             and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in grid)
         ):
             raise ValidationError(f"grid must be a pair of positive integers, got {self.grid!r}")
-        width, height = _as_pair(self.area, "area")
+        width, height = _as_floats(self.area, "area", 2)
         if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
             raise ValidationError(f"area must be positive and finite, got {self.area!r}")
         object.__setattr__(self, "area", (width, height))
@@ -109,7 +87,7 @@ class ScenarioConfig:
         ]:
             if not (0.0 <= pos[0] <= width and 0.0 <= pos[1] <= height):
                 raise ValidationError(f"{name} position {pos} lies outside the area {self.area}")
-        limits = _as_pair(self.power_limits, "power_limits")
+        limits = _as_floats(self.power_limits, "power_limits", 2)
         if any(not math.isfinite(v) or v < 0 for v in limits):
             raise ValidationError(f"power_limits must be two nonnegative numbers, got {self.power_limits!r}")
         object.__setattr__(self, "power_limits", limits)
@@ -134,7 +112,7 @@ class ScenarioConfig:
         if isinstance(data["grid"], str):
             raise ValidationError(f"grid must be two integers, got {data['grid']!r}")
         try:
-            grid = tuple(_as_side(v) for v in data["grid"])
+            grid = tuple(_as_whole(v) for v in data["grid"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"grid must be two integers: {exc}") from exc
         return cls(
@@ -264,7 +242,13 @@ class ScenarioResult:
 
 
 def _pathloss_gain(distance: float, exponent: float, min_distance: float) -> float:
-    return max(distance, min_distance) ** (-exponent)
+    try:
+        return max(distance, min_distance) ** (-exponent)
+    except OverflowError as exc:
+        raise ValidationError(
+            f"path-loss gain max(distance, min_distance) ** -pathloss_exponent overflows: "
+            f"distance {distance!r}, min_distance {min_distance!r}, pathloss_exponent {exponent!r}"
+        ) from exc
 
 
 def gains_at(config: ScenarioConfig, eaves_pos: Sequence[float]) -> RawChannelConfig:
@@ -331,7 +315,7 @@ def _solve(h_a, h_b, m_a, m_b):
     s2 = np.where(both, m2, 0.0)
     sum_case = np.where(both, _CODE[CASE_BOTH_TRANSMIT],
                         np.where(below, _CODE[CASE_ONE_TRANSMITS], _CODE[CASE_NONE]))
-    sum_rate = _g_arr(s1 + s2) - _g_arr(h1 * s1 + h2 * s2)
+    sum_rate = _sum_kernel(s1, s2, h1, h2)
 
     # optimal_powers_jam: equal gains below one and distinct gains below the
     # sum-rate threshold defer to the sum-rate answer
@@ -354,7 +338,7 @@ def _solve(h_a, h_b, m_a, m_b):
         np.where(j2 == m2, _CODE[CASE_JAM_AT_MAX], _CODE[CASE_JAM_AT_ROOT]),
         np.where(~equal & (h1 > 1.0), _CODE[CASE_NONE], _CODE[CASE_NO_JAM]),
     )
-    jam_rate = _g_arr(j1 / (1.0 + j2)) - _g_arr(h1 * j1 / (1.0 + h2 * j2))
+    jam_rate = _jam_kernel(j1, j2, h1, h2)
 
     p1 = np.where(defer, s1, j1)
     p2 = np.where(defer, s2, j2)
@@ -367,11 +351,6 @@ def _solve(h_a, h_b, m_a, m_b):
         np.where(defer, sum_case, jam_case),
         roots_ok,
     )
-
-
-def _clamp0(rate):
-    # max(0.0, rate) as the scalar solvers take it: 0.0 unless rate > 0
-    return np.where(rate > 0.0, rate, 0.0)
 
 
 def sweep(config: ScenarioConfig) -> ScenarioResult:
@@ -396,7 +375,7 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
             for ux, uy in config.users
         ]
         gains_tap = [_gain_grid(config, user, xs, ys) for user in config.users]
-    except ArithmeticError:
+    except ValidationError:
         # a gain out of float range: the scalar path raises at the first bad cell
         for cy in ys:
             for cx in xs:

@@ -99,6 +99,27 @@ def test_from_dict_missing_key():
         RawChannelConfig.from_dict({"num_users": 2})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("gains_main", "12"),
+        ("power_limits", "34"),
+        ("gains_tap", 5),
+        ("num_users", True),
+        ("num_users", 2.7),
+        ("noise_var_main", "x"),
+        ("noise_var_tap", None),
+    ],
+)
+def test_from_dict_rejects_loose_values(key, value):
+    # a string is not a sequence of digits, a bool or a fraction is not a
+    # user count, and a non-numeric noise variance names its field
+    data = make_raw((4, 1), (1, 0.5), 2.0, 1.0, (1, 3)).to_dict()
+    data[key] = value
+    with pytest.raises(ValidationError, match=key):
+        RawChannelConfig.from_dict(data)
+
+
 @given(
     gm=st.tuples(pos, pos),
     gt=st.tuples(nonneg, nonneg),

@@ -86,6 +86,20 @@ def test_standardize_malformed_json_exits_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_standardize_loose_config_values_exit_2(capsys, tmp_path):
+    base = {
+        "num_users": 2, "gains_main": [4, 1], "gains_tap": [1, 1],
+        "noise_var_main": 2, "noise_var_tap": 1, "power_limits": [1, 1],
+    }
+    cases = [("gains_main", "12"), ("num_users", True), ("num_users", 2.7), ("noise_var_main", "x")]
+    for key, value in cases:
+        cfg = tmp_path / "chan.json"
+        cfg.write_text(json.dumps({**base, key: value}))
+        code, out, err = run_cli(capsys, "standardize", "--config", str(cfg))
+        assert (code, out) == (2, ""), (key, value)
+        assert err.startswith(f"error: {key} "), (key, err)
+
+
 def test_standardize_missing_inputs_exits_2(capsys):
     code, _, err = run_cli(capsys, "standardize", "--gains-main", "1,1")
     assert code == 2
@@ -285,6 +299,16 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
         # the cell centre (i + 0.5) * width / nx overflows
         ({"area": [1.7e308, 1.7e308], "grid": [2, 2]}, 2,
          "error: cell (inf, 4.25e+307): eaves_pos must be finite, got (inf, 4.25e+307)\n"),
+        # a user at the base station: min_distance ** -2 overflows
+        ({"users": [[50.0, 50.0], [25.0, 70.0]], "min_distance": 1e-200}, 2,
+         "error: cell (8.33333, 8.33333): path-loss gain max(distance, min_distance) "
+         "** -pathloss_exponent overflows: distance 0.0, min_distance 1e-200, "
+         "pathloss_exponent 2.0\n"),
+        # gains_main * noise_var_tap underflows to zero
+        ({"pathloss_exponent": 155, "noise_var_tap": 1e-147}, 2,
+         "error: cell (8.33333, 8.33333): gains_main (3.4330451120721237e-237, "
+         "4.665524046260508e-234) times noise_var_tap 1e-147 underflows to zero, "
+         "so h is undefined\n"),
     ]
     for k, (overrides, code, expected) in enumerate(cases):
         data = json.loads(EXAMPLE_CONFIG.read_text())
@@ -302,6 +326,42 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
             assert json.loads(err)["result"]["cells"] == 36
             p2 = float(out.splitlines()[1].split(",")[3])
             assert p2 == pytest.approx(9.756e296, rel=1e-4)
+
+
+def test_overflowing_powers_exit_2_and_never_warn(capsys):
+    # a power sum beyond the float range makes a rate bound infinite: the
+    # boundary names pmax, a constraint set names the powers
+    cases = [
+        (["region", "--kind", "collective", "--h", "0.5,0.5", "--pmax", "1e308,1e308",
+          "--res", "11"], "pmax"),
+        (["region", "--kind", "individual", "--h", "2,3", "--pmax", "1e308,1e308",
+          "--res", "11", "--format", "csv"], "pmax"),
+        # the time-share grid boosts a user's power by up to res - 1
+        (["region", "--kind", "union-i-t", "--h", "0,0", "--pmax", "1e307,1e307",
+          "--res", "11"], "pmax"),
+        (["region", "--kind", "individual", "--h", "0.5,0.5", "--pmax", "1e308,1e308",
+          "--power", "1e308,1e308"], "powers"),
+        (["tdma", "--h", "0.5,0.5", "--pmax", "1e10,1e10", "--power", "1e10,1e10",
+          "--alpha", "1e-320,1"], "powers"),
+        # the default time shares are proportional to the powers
+        (["tdma", "--h", "0.5,0.5", "--pmax", "1e308,1e308", "--power", "1e308,1e308"], "powers"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, name in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {name} ") and "overflows" in err, err
+        # below the overflow the boundary holds the true secrecy sum, g(1)
+        env = run_json(capsys, "region", "--kind", "collective", "--h", "0.5,0.5",
+                       "--pmax", "1e307,1e307", "--res", "11")
+        assert env["result"]["boundary"]["max_sum"] == pytest.approx(0.5, abs=1e-9)
+        # a gain-times-power overflow only clamps the secrecy bound to zero
+        env = run_json(capsys, "region", "--kind", "collective", "--h", "1e300,1e300",
+                       "--pmax", "1e200,1e200", "--power", "1e200,1e200")
+        rows = {r["label"]: r["rhs"] for r in env["result"]["constraint_set"]["rows"]}
+        assert rows["SECRECY{1,2}"] == 0.0
+        assert rows["MAC{1,2}"] == pytest.approx(332.7, abs=0.1)
 
 
 def test_output_is_deterministic(capsys):

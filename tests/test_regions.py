@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from macwiretap.channel import StandardChannel
 from macwiretap.errors import NonDegradedError, ValidationError
-from macwiretap.rates import g
+from macwiretap.rates import cm, cw, enumerate_subsets, g, pos_part, subset_label
 from macwiretap.regions import (
     DeltaRateVector,
     RateVector,
@@ -333,6 +334,102 @@ def test_boundary_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "R1,R2"
     assert len(lines) == len(boundary.vertices) + 1
+
+
+REGION_AT = {
+    "INDIVIDUAL": individual_region_at,
+    "COLLECTIVE": collective_region_at,
+    "OUTER_INDIVIDUAL": lambda std, p: outer_region_at(std, p, "INDIVIDUAL"),
+    "OUTER_COLLECTIVE": lambda std, p: outer_region_at(std, p, "COLLECTIVE"),
+}
+
+
+def _scalar_rows(kind, std, p, alpha):
+    """Every row's right-hand side by label, composed from the scalar rate
+    functions alone."""
+    if kind == "TDMA":
+        rows = {}
+        for k, (h, pk, a) in enumerate(zip(std.h, p, alpha), start=1):
+            rows[f"SECRECY{{{k}}}"] = a * g(pos_part((1.0 - h) * pk / (a + h * pk))) if a else 0.0
+            rows[f"MAC{{{k}}}"] = a * g(pk / a) if a else 0.0
+        return rows
+    full = frozenset(range(1, std.num_users + 1))
+    rows = {}
+    for subset in enumerate_subsets(std.num_users)[1:]:
+        label = subset_label(subset)
+        rows["MAC" + label] = cm(p, subset)
+        if kind == "INDIVIDUAL" or (kind == "OUTER_INDIVIDUAL" and len(subset) == 1):
+            eaves = sum(cw(p, std.h, {k}) for k in subset)
+            rows["SECRECY" + label] = pos_part(cm(p, subset) - eaves)
+        elif kind in ("COLLECTIVE", "OUTER_COLLECTIVE") and subset == full:
+            rows["SECRECY" + label] = pos_part(cm(p, full) - cw(p, std.h, full))
+    return rows
+
+
+def test_region_rows_match_the_scalar_rate_functions():
+    rng = np.random.default_rng(RNG_SEED)
+    for num_users in (1, 2, 3, 4):
+        for trial in range(30):
+            degraded = trial % 2 == 0
+            if degraded:
+                h = (float(rng.uniform(0.0, 1.0)),) * num_users
+            else:
+                h = tuple(rng.uniform(0.0, 2.0, num_users).tolist())
+            pmax = tuple(rng.uniform(0.0, 20.0, num_users).tolist())
+            p = tuple((rng.uniform(0.0, 1.0, num_users) * pmax).tolist())
+            shares = rng.dirichlet(np.ones(num_users))
+            if trial % 5 == 0 and num_users > 1:
+                shares[0] = 0.0
+            alpha = tuple((shares / shares.sum()).tolist())
+            std = StandardChannel(num_users, h, pmax)
+            regions = {"TDMA": tdma_region_at(std, p, alpha)}
+            for kind, region_at in REGION_AT.items():
+                if degraded or not kind.startswith("OUTER"):
+                    regions[kind] = region_at(std, p)
+            delta = float(rng.uniform(0.05, 1.0))
+            for kind, region in regions.items():
+                expected = _scalar_rows(kind, std, p, alpha)
+                for scale, rows in ((1.0, region.rows), (delta, delta_region(region, delta).rows)):
+                    got = {row.label: row.rhs for row in rows}
+                    assert got.keys() == expected.keys(), kind
+                    for label, rhs in expected.items():
+                        want = rhs / scale if label.startswith("SECRECY") else rhs
+                        assert abs(got[label] - want) <= 1e-12, (kind, label, h, p)
+
+
+@pytest.mark.parametrize("kind", list(REGION_AT))
+def test_fixed_power_candidates_are_the_corners_of_each_region(kind):
+    # the boundary's candidates at grid power p are the vertices of the box
+    # and simplex that the fixed-power region at p cuts out in total rates
+    std = StandardChannel(2, (0.4, 0.4) if kind.startswith("OUTER") else (0.3, 0.8), (3.0, 5.0))
+    res = 11
+    axes = np.linspace(0.0, std.pmax[0], res), np.linspace(0.0, std.pmax[1], res)
+    rng = np.random.default_rng(RNG_SEED)
+    cells = [0, res * res - 1] + rng.choice(res * res, 12, replace=False).tolist()
+    for delta in (1.0, 0.4):
+        candidates = _fixed_power_candidates(std, kind, delta, res)
+        for cell in cells:
+            i, j = divmod(cell, res)
+            p = (float(axes[0][i]), float(axes[1][j]))
+            caps = {}
+            for row in delta_region(REGION_AT[kind](std, p), delta).rows:
+                caps[row.subset] = min(caps.get(row.subset, math.inf), row.rhs)
+            u1, u2, u12 = caps[frozenset({1})], caps[frozenset({2})], caps[frozenset({1, 2})]
+            x, y = min(u1, u12), min(u2, u12)
+            corners = [(x, 0.0), (0.0, y), (x, min(u2, u12 - x)), (min(u1, u12 - y), y)]
+            got = candidates[[cell + block * res * res for block in range(4)]]
+            np.testing.assert_allclose(got, corners, rtol=0.0, atol=1e-12)
+
+
+def test_boundary_vertices_match_the_reference_lists():
+    # vertex lists computed by the earlier implementation, which wrote the
+    # array bounds apart from the scalar ones
+    cases = json.loads((Path(__file__).parent / "golden_vertices.json").read_text())
+    for case in cases:
+        std = StandardChannel(2, case["h"], case["pmax"])
+        got = region_boundary_2d(std, case["kind"], power_grid_res=case["res"]).vertices
+        assert len(got) == len(case["vertices"]), case["kind"]
+        np.testing.assert_allclose(got, case["vertices"], rtol=0.0, atol=1e-12)
 
 
 @given(
