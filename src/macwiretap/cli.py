@@ -62,7 +62,8 @@ def _emit(command: str, inputs_echo: dict[str, Any], result: Any, stream=None) -
         "inputs_echo": inputs_echo,
         "result": _round12(result),
     }
-    print(json.dumps(envelope, indent=2, sort_keys=True), file=stream or sys.stdout)
+    text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    print(text, file=stream or sys.stdout)
 
 
 def _floats_arg(text: str) -> tuple[float, ...]:

@@ -195,6 +195,11 @@ def jam_roots(gains: Sequence[float], pmax1: float) -> JamAuxiliaries:
     if h2 == 0.0:
         raise ValidationError("root formulas require a nonzero jammer gain h2")
     disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * pmax1)
+    if not math.isfinite(disc):
+        raise ValidationError(
+            f"gains {(h1, h2)} with transmit power limit {pmax1} too large: "
+            "the jamming-root discriminant overflows the float range"
+        )
     if disc < 0.0:
         root_p = root_p_bar = None
         p2_eval = 0.0
@@ -338,7 +343,13 @@ def grid_oracle(
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
 
     def best_on(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-        values = kernel(xs[:, None], ys[None, :], h1, h2)
+        with np.errstate(all="ignore"):
+            values = kernel(xs[:, None], ys[None, :], h1, h2)
+        if not np.isfinite(values).all():
+            raise ValidationError(
+                f"gains {(h1, h2)} with pmax {(m1, m2)} too large: "
+                "the oracle objective overflows the float range"
+            )
         flat = int(np.argmax(values))
         i, j = divmod(flat, ys.size)
         return float(values[i, j]), float(xs[i]), float(ys[j])

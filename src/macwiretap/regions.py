@@ -235,9 +235,13 @@ def _subset_bounds(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[tupl
     return out
 
 
+def _overflow(what: str) -> ValidationError:
+    return ValidationError(f"{what} too large: a rate bound overflows the float range")
+
+
 def _require_finite(values: Any, what: str) -> None:
     if not np.isfinite(values).all():
-        raise ValidationError(f"{what} too large: a rate bound overflows the float range")
+        raise _overflow(what)
 
 
 def _region_at(std: StandardChannel, kind: str, powers: Sequence[float]) -> RateConstraintSet:
@@ -482,11 +486,30 @@ def _tdma_candidates(std: StandardChannel, delta: float, power_res: int, alpha_r
     return _box_simplex_candidates(bounds[0], bounds[1], np.full_like(bounds[0], np.inf))
 
 
+def _pareto_generators(points: np.ndarray) -> np.ndarray:
+    """The points the upper-right chain can pass through: each point whose
+    rate 2 beats that of every point with a larger rate 1 (or an equal rate
+    1 and a larger rate 2), plus the two chain ends (the lowest point at the
+    largest rate 1, the leftmost point at the largest rate 2) and the
+    lexicographic minimum.  For candidates that is the origin, from which the
+    chain decides the corner at the rate-1 axis as it does on the full set."""
+    order = np.lexsort((points[:, 1], points[:, 0]))[::-1]  # rate 1, then rate 2, descending
+    x, y = points[order, 0], points[order, 1]
+    keep = np.empty(len(order), dtype=bool)
+    keep[0] = True
+    keep[1:] = y[1:] > np.maximum.accumulate(y[:-1])
+    keep[np.count_nonzero(x == x[0]) - 1] = True
+    keep[np.flatnonzero(y == y.max())[-1]] = True
+    keep[-1] = True
+    return points[order[keep]]
+
+
 def _upper_right_hull(points: np.ndarray) -> list[tuple[float, float]]:
-    """Monotone-chain hull of first-quadrant points; returns the boundary
-    from the max-rate-1 vertex counterclockwise to the max-rate-2 vertex.
-    Ties and duplicates resolve by lexicographic point order."""
-    pts = np.unique(points, axis=0)
+    """Monotone-chain hull of first-quadrant points that include the origin;
+    returns the boundary from the max-rate-1 vertex counterclockwise to the
+    max-rate-2 vertex.  Only ``_pareto_generators`` enter the chain.  Ties
+    and duplicates resolve by lexicographic point order."""
+    pts = np.unique(_pareto_generators(points), axis=0)
     if pts.shape[0] == 1:
         return [(float(pts[0, 0]), float(pts[0, 1]))]
 
@@ -565,6 +588,13 @@ def region_boundary_2d(
 # Rate splitting
 
 
+def _eavesdropper_rate(std: StandardChannel, p: tuple[float, ...], subset) -> float:
+    try:
+        return cw(p, std.h, subset)
+    except ValidationError:  # the only failure left: the gain-weighted power sum overflowed
+        raise _overflow(f"powers {p} with gains {std.h}") from None
+
+
 def _subset_macs(std: StandardChannel, p: tuple[float, ...]) -> dict[frozenset[int], float]:
     # every kind has the same MAC rows; COLLECTIVE adds the fewest secrecy bounds
     macs = {subset: float(mac) for subset, _, mac in _subset_bounds(KIND_COLLECTIVE, std.h, p)}
@@ -590,7 +620,7 @@ def rate_split_individual(
     extra = []
     for k in range(1, std.num_users + 1):
         if rates.secret[k - 1] > 0.0:
-            x_k = cw(p, std.h, {k}) - rates.open[k - 1]
+            x_k = _eavesdropper_rate(std, p, {k}) - rates.open[k - 1]
             if x_k < -1e-12:
                 return RateSplitResult(False, None, f"RANDOMIZATION{{{k}}}")
             extra.append(max(x_k, 0.0))
@@ -627,7 +657,7 @@ def rate_split_collective(
         raise ValidationError("rate vector length does not match the channel")
     num_users = std.num_users
     full = frozenset(range(1, num_users + 1))
-    target = cw(p, std.h, full) - sum(rates.open)
+    target = _eavesdropper_rate(std, p, full) - sum(rates.open)
     if target < -tol:
         return RateSplitResult(False, None, "RANDOMIZATION_TOTAL")
     target = max(target, 0.0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from macwiretap.cli import main
+from macwiretap.cli import _emit, main
 from macwiretap.optimizer import PowerAllocation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -291,9 +291,11 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
     cases = [
         ({"pathloss_exponent": 300}, 2,
          "error: cell (8.33333, 8.33333): gains_main must be strictly positive, got (0.0, 0.0)\n"),
+        # the jamming-root discriminant grows with the cube of a gain
         ({"pathloss_exponent": 150, "noise_var_tap": 1e-10}, 2,
-         "error: cell (25, 75): powers entries must be finite and nonnegative, "
-         "got (8.74403861447459e-226, inf)\n"),
+         "error: cell (25, 75): gains (0.010530204003645497, 9.094718346467746e+130) with "
+         "transmit power limit 8.74403861447459e-226 too large: the jamming-root "
+         "discriminant overflows the float range\n"),
         ({"power_limits": [1e300, 1e300]}, 0,
          "292aa1f0ecc91c5d4a24e46dbb5f725195cf8538987c61df9b4fc2d27e01d207"),
         # the cell centre (i + 0.5) * width / nx overflows
@@ -345,6 +347,16 @@ def test_overflowing_powers_exit_2_and_never_warn(capsys):
           "--alpha", "1e-320,1"], "powers"),
         # the default time shares are proportional to the powers
         (["tdma", "--h", "0.5,0.5", "--pmax", "1e308,1e308", "--power", "1e308,1e308"], "powers"),
+        # overflows inside the split's eavesdropper rate, the jamming roots and
+        # the oracle grid name the inputs, not g()'s argument or a NaN power
+        (["split", "--kind", "collective", "--h", "1e200,1e200", "--pmax", "1e200,1e200",
+          "--power", "1e200,1e200", "--secret", "0.1,0.1"], "powers"),
+        (["split", "--kind", "individual", "--h", "1e200,1e200", "--pmax", "1e200,1e200",
+          "--power", "1e200,1e200", "--secret", "0.1,0.1"], "powers"),
+        (["jam", "--h", "1e-300,1e300", "--pmax", "1e300,1e300"], "gains"),
+        (["jam", "--h", "0.5,3", "--pmax", "1e308,1e308", "--verify"], "gains"),
+        (["sumopt", "--h", "1e308,1", "--pmax", "1e308,1", "--verify"], "gains"),
+        (["sumopt", "--h", "0.1,0.2", "--pmax", "1e308,1e308", "--verify"], "gains"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -362,6 +374,32 @@ def test_overflowing_powers_exit_2_and_never_warn(capsys):
         rows = {r["label"]: r["rhs"] for r in env["result"]["constraint_set"]["rows"]}
         assert rows["SECRECY{1,2}"] == 0.0
         assert rows["MAC{1,2}"] == pytest.approx(332.7, abs=0.1)
+
+
+def test_envelopes_never_hold_nan_or_infinity(capsys):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _emit("jam", {"h": [0.5, 2.0]}, {"allocation": {"achieved_rate": bad}})
+        assert capsys.readouterr().out == ""
+
+
+def test_scripts_write_nonempty_csvs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = [
+        [ROOT / "scripts" / "region_sweep.py", "--res", "51", "--outdir", tmp_path / "regions"],
+        [ROOT / "scripts" / "run_scenario.py", "--config", EXAMPLE_CONFIG,
+         "--out", tmp_path / "cells.csv"],
+    ]
+    for argv in runs:
+        proc = subprocess.run([sys.executable, *map(str, argv)], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    csvs = sorted((tmp_path / "regions").glob("*.csv")) + [tmp_path / "cells.csv"]
+    assert len(csvs) == 19
+    for path in csvs:
+        header, *rows = path.read_text().splitlines()
+        assert "," in header and rows, path
 
 
 def test_output_is_deterministic(capsys):

@@ -13,7 +13,10 @@ from macwiretap.rates import cm, cw, enumerate_subsets, g, pos_part, subset_labe
 from macwiretap.regions import (
     DeltaRateVector,
     RateVector,
+    BOUNDARY_KINDS,
     _fixed_power_candidates,
+    _tdma_candidates,
+    _upper_right_hull,
     collective_region_at,
     delta_region,
     individual_region_at,
@@ -430,6 +433,95 @@ def test_boundary_vertices_match_the_reference_lists():
         got = region_boundary_2d(std, case["kind"], power_grid_res=case["res"]).vertices
         assert len(got) == len(case["vertices"]), case["kind"]
         np.testing.assert_allclose(got, case["vertices"], rtol=0.0, atol=1e-12)
+
+
+def _unfiltered_hull(points):
+    # the monotone chain over every point, as it ran before the Pareto
+    # pre-filter: the reference the filtered hull must reproduce
+    pts = np.unique(points, axis=0)
+    if pts.shape[0] == 1:
+        return [(float(pts[0, 0]), float(pts[0, 1]))]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in map(tuple, pts):
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in map(tuple, pts[::-1]):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    xmax = max(p[0] for p in hull)
+    ymax = max(p[1] for p in hull)
+    start = hull.index(min((p for p in hull if p[0] == xmax), key=lambda p: p[1]))
+    end = hull.index(min((p for p in hull if p[1] == ymax), key=lambda p: p[0]))
+    if start == end:
+        return [hull[start]]
+    if start < end:
+        return hull[start : end + 1]
+    return hull[start:] + hull[: end + 1]
+
+
+def _hull_clouds(rng):
+    """Point clouds with the ties and degeneracies a hull can trip on; like
+    the boundary candidates, each but the lone point holds the origin."""
+    x, y = rng.uniform(0.1, 2.0, 2)
+    n = int(rng.integers(1, 40))
+    t = rng.uniform(0.0, 1.0, n)
+    zeros = np.zeros(n)
+    arc = rng.uniform(0.0, np.pi / 2, n)
+    frontier = np.column_stack([np.cos(arc), np.sin(arc)]) * (1.0 + rng.choice([0.0, 1e-16], (n, 1)))
+    clouds = {
+        "duplicates": rng.integers(0, 4, (n, 2)) / 3.0,
+        "ties_at_the_maxima": np.vstack([np.column_stack([np.full(n, x), t * y]),
+                                         np.column_stack([t * x, np.full(n, y)]),
+                                         rng.uniform(0.0, 1.0, (n, 2)) * [x, y]]),
+        "collinear_runs": np.vstack([np.column_stack([t * x, zeros]),
+                                     np.column_stack([zeros, t * y]),
+                                     np.column_stack([t * x, (1.0 - t) * y])]),
+        "all_zero": np.zeros((n, 2)),
+        # axis intercepts one ulp apart, and a corner a hair above the axis
+        "near_ulp_ties": np.vstack([[[0.0, y], [0.0, np.nextafter(y, 3.0)], [x, 0.0],
+                                     [x, 5.6e-17], [np.nextafter(x, 0.0), 1e-300]],
+                                    rng.uniform(0.0, 1.0, (n, 2)) * [x, y]]),
+        "near_ulp_frontier": np.vstack([frontier, frontier * rng.uniform(0.0, 1.0, (n, 1))]),
+    }
+    clouds = {name: np.vstack([pts, [[0.0, 0.0]]]) for name, pts in clouds.items()}
+    return {**clouds, "lone_point": np.array([[x, y]])}
+
+
+def _boundary_candidates(rng):
+    out = {}
+    for kind in BOUNDARY_KINDS:
+        if kind.startswith("OUTER"):
+            h = (float(rng.uniform(0.0, 1.0)),) * 2
+        else:
+            h = tuple(float(v) for v in rng.choice([0.0, 1.0, rng.uniform(0, 1), rng.uniform(1, 3)], 2))
+        std = StandardChannel(2, h, tuple(float(v) for v in 10.0 ** rng.uniform(-1.0, 1.5, 2)))
+        delta = float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))
+        res = int(rng.integers(2, 24))
+        parts = []
+        if kind != "TDMA":
+            fixed_kind = "INDIVIDUAL" if kind == "UNION_I_T" else kind
+            parts.append(_fixed_power_candidates(std, fixed_kind, delta, res))
+        if kind in ("TDMA", "UNION_I_T"):
+            parts.append(_tdma_candidates(std, delta, res, int(rng.integers(2, 24))))
+        out[kind] = np.vstack(parts + [[[0.0, 0.0]]])
+    return out
+
+
+def test_pareto_prefiltered_hull_matches_the_unfiltered_chain():
+    rng = np.random.default_rng(RNG_SEED)
+    for trial in range(60):
+        for name, points in {**_hull_clouds(rng), **_boundary_candidates(rng)}.items():
+            got, want = _upper_right_hull(points), _unfiltered_hull(points)
+            assert len(got) == len(want), (trial, name)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=f"{trial} {name}")
 
 
 @given(
