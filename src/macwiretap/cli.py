@@ -180,16 +180,12 @@ def _cmd_region(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _allocation_payload(alloc) -> dict[str, Any]:
-    return alloc.to_dict()
-
-
 def _cmd_power_opt(args: argparse.Namespace, which: str) -> int:
     if len(args.h) != 2 or len(args.pmax) != 2:
         raise ValidationError("power optimization is two-user: --h and --pmax need two entries")
     solver = optimal_powers_sum if which == "sumopt" else optimal_powers_jam
     alloc = solver(args.h, args.pmax)
-    result: dict[str, Any] = {"allocation": _allocation_payload(alloc)}
+    result: dict[str, Any] = {"allocation": alloc.to_dict()}
     echo = {
         "h": list(args.h),
         "pmax": list(args.pmax),
@@ -206,7 +202,7 @@ def _cmd_power_opt(args: argparse.Namespace, which: str) -> int:
         objective = "SUM" if which == "sumopt" or alloc.case_label == "BOTH_TRANSMIT" else "JAM"
         oracle = grid_oracle(objective, h_sorted, m_sorted, resolution=args.res)
         gap = abs(alloc.achieved_rate - oracle.achieved_rate)
-        result["oracle"] = _allocation_payload(oracle)
+        result["oracle"] = oracle.to_dict()
         result["oracle_objective"] = objective
         result["verify_gap"] = gap
         if gap > VERIFY_GAP_TOL:

@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Every quantity here is a rate in bits/use; this is the factor to nats.
-LOG2_TO_NATS = math.log(2.0)
-
 # 2**K subsets are materialized; beyond this the constraint sets explode.
 MAX_SUBSET_USERS = 20
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Sequence, TextIO
 
 import numpy as np
@@ -164,6 +165,10 @@ CASE_LABELS = (
 _CODE = {label: code for code, label in enumerate(CASE_LABELS)}
 _JAMMING = (_CODE[CASE_JAM_AT_ROOT], _CODE[CASE_JAM_AT_MAX])
 
+_CSV_HEADER = "x,y,P1,P2,sumrate_jam,sumrate_nojam,case\n"
+# the last field of each CSV row, indexed by case code
+_CASE_LINE_ENDS = np.array([label + "\n" for label in CASE_LABELS], dtype=object)
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
@@ -182,17 +187,15 @@ class ScenarioResult:
     def __len__(self) -> int:
         return len(self.x)
 
-    def _rows(self):
-        return zip(
-            self.x.tolist(), self.y.tolist(), self.p1.tolist(), self.p2.tolist(),
-            self.sumrate_jam.tolist(), self.sumrate_nojam.tolist(),
-            [CASE_LABELS[c] for c in self.case.tolist()],
-        )
-
     @property
     def records(self) -> tuple[CellRecord, ...]:
         """The cells as ``CellRecord``s, built afresh on each access."""
-        return tuple(CellRecord(*row) for row in self._rows())
+        return tuple(map(
+            CellRecord,
+            self.x.tolist(), self.y.tolist(), self.p1.tolist(), self.p2.tolist(),
+            self.sumrate_jam.tolist(), self.sumrate_nojam.tolist(),
+            map(CASE_LABELS.__getitem__, self.case.tolist()),
+        ))
 
     def zero_rate_counts(self, threshold: float = ZERO_RATE_THRESHOLD) -> tuple[int, int]:
         """(cells with zero rate despite jamming, cells with zero rate
@@ -237,8 +240,33 @@ class ScenarioResult:
         return out
 
     def to_csv(self, fp: TextIO) -> None:
-        fp.write("x,y,P1,P2,sumrate_jam,sumrate_nojam,case\n")
-        fp.writelines("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % row for row in self._rows())
+        """One ``%.12g`` row per cell.  Each distinct value of x, y, P1 and
+        P2 is formatted once, and sumrate_jam reuses the sumrate_nojam text
+        wherever the two are bitwise equal."""
+        nojam = _formatted(self.sumrate_nojam)
+        jam = nojam.copy()
+        jam_bits, nojam_bits = self.sumrate_jam.view(np.int64), self.sumrate_nojam.view(np.int64)
+        differ = np.flatnonzero(jam_bits != nojam_bits)
+        jam[differ] = _formatted(self.sumrate_jam[differ])
+        columns = (
+            *map(_formatted_distinct, (self.x, self.y, self.p1, self.p2)),
+            jam.tolist(), nojam.tolist(), _CASE_LINE_ENDS[self.case].tolist(),
+        )
+        fp.write(_CSV_HEADER)
+        # row by row: one joined string would raise the peak RSS by its size
+        fp.writelines(map(",".join, zip(*columns)))
+
+
+def _formatted(column: np.ndarray) -> np.ndarray:
+    """``"%.12g" % v`` for every entry, as an object array."""
+    return np.array(list(map("%.12g".__mod__, column.tolist())), dtype=object)
+
+
+def _formatted_distinct(column: np.ndarray) -> list[str]:
+    """``_formatted``, formatting each distinct bit pattern once (so -0.0
+    and 0.0 keep their own text)."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    return _formatted(bits.view(np.float64))[inverse].tolist()
 
 
 def _pathloss_gain(distance: float, exponent: float, min_distance: float) -> float:
@@ -374,8 +402,8 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
             _pathloss_gain(math.hypot(ux - bx, uy - by), exponent, dmin)
             for ux, uy in config.users
         ]
-        gains_tap = [_gain_grid(config, user, xs, ys) for user in config.users]
-    except ValidationError:
+        gains_tap = [_gain_grid(config, user, x, y) for user in config.users]
+    except (ValidationError, OverflowError):
         # a gain out of float range: the scalar path raises at the first bad cell
         for cy in ys:
             for cx in xs:
@@ -402,12 +430,12 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(config, x, y, p1, p2, jam, nojam, case)
 
 
-def _gain_grid(config: ScenarioConfig, user: Point, xs: list[float], ys: list[float]) -> np.ndarray:
-    """Tap gains of one user over the grid, row-major, each computed as
-    ``gains_at`` computes it (scalar, so bitwise the same)."""
+def _gain_grid(config: ScenarioConfig, user: Point, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tap gains of one user at the cell centres ``x``, ``y``, each computed
+    as ``gains_at`` computes it: ``math.hypot`` and ``pow`` stay scalar,
+    because their numpy forms differ in the last ulp.  Raises
+    ``OverflowError`` where a gain leaves the float range."""
     ux, uy = user
-    dxs = [ux - x for x in xs]
-    return np.array([
-        _pathloss_gain(math.hypot(dx, uy - y), config.pathloss_exponent, config.min_distance)
-        for y in ys for dx in dxs
-    ])
+    distances = map(max, map(math.hypot, (ux - x).tolist(), (uy - y).tolist()),
+                    repeat(config.min_distance))
+    return np.fromiter(map(pow, distances, repeat(-config.pathloss_exponent)), np.float64, len(x))

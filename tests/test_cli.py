@@ -306,6 +306,12 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
          "error: cell (8.33333, 8.33333): path-loss gain max(distance, min_distance) "
          "** -pathloss_exponent overflows: distance 0.0, min_distance 1e-200, "
          "pathloss_exponent 2.0\n"),
+        # a user on a cell centre: the tap gain 1e-3 ** -300 overflows
+        ({"base_station": [26.0, 25.0], "users": [[25.0, 25.0], [75.0, 75.0]], "grid": [2, 2],
+          "min_distance": 1e-3, "pathloss_exponent": 300}, 2,
+         "error: cell (25, 25): path-loss gain max(distance, min_distance) "
+         "** -pathloss_exponent overflows: distance 0.0, min_distance 0.001, "
+         "pathloss_exponent 300.0\n"),
         # gains_main * noise_var_tap underflows to zero
         ({"pathloss_exponent": 155, "noise_var_tap": 1e-147}, 2,
          "error: cell (8.33333, 8.33333): gains_main (3.4330451120721237e-237, "

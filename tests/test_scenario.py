@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -299,3 +300,94 @@ def test_diagnostics_match_the_per_record_reference():
             )
         for bins in (1, 3, 8, 10):
             assert result.jam_power_by_bs_distance(bins) == reference_jam_power_by_bs_distance(result, bins)
+
+
+def rowwise_csv(result) -> str:
+    """The CSV as one seven-field ``%`` format per row."""
+    rows = zip(
+        result.x.tolist(), result.y.tolist(), result.p1.tolist(), result.p2.tolist(),
+        result.sumrate_jam.tolist(), result.sumrate_nojam.tolist(),
+        [scenario.CASE_LABELS[c] for c in result.case.tolist()],
+    )
+    return "x,y,P1,P2,sumrate_jam,sumrate_nojam,case\n" + "".join(
+        "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n" % row for row in rows
+    )
+
+
+def hand_built_result(nx, ny, rng):
+    """A result whose columns hold the values the CSV writer shares across
+    cells or must keep apart: signed zeros, subnormals, values near the top
+    of the float range, jam rates that differ from the no-jam rate in only
+    some cells, and every case label."""
+    cfg = small_config(grid=(nx, ny))
+    n = nx * ny
+    xs = np.array([(i + 0.5) * 100.0 / nx for i in range(nx)])
+    ys = np.array([(j + 0.5) * 100.0 / ny for j in range(ny)])
+    specials = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+                1.7976931348623157e308, np.nextafter(1e300, np.inf), 1 / 3, 6000.0]
+    p1 = np.array([rng.choice(specials) for _ in range(n)])
+    p2 = np.array([rng.choice(specials) for _ in range(n)])
+    nojam = np.array([rng.choice(specials + [rng.uniform(0.0, 20.0)]) for _ in range(n)])
+    jam = nojam.copy()
+    for k in range(n):
+        if rng.random() < 0.3:
+            jam[k] = rng.choice(specials + [np.nextafter(nojam[k], 0.0)])
+    case = np.array([rng.randrange(len(scenario.CASE_LABELS)) for _ in range(n)], dtype=np.int8)
+    return scenario.ScenarioResult(
+        cfg, np.tile(xs, ny), np.repeat(ys, nx), p1, p2, jam, nojam, case,
+    )
+
+
+def test_csv_matches_the_rowwise_format_on_hand_built_columns():
+    rng = random.Random(5)
+    labels = Counter()
+    for nx, ny in [(1, 1), (1, 9), (9, 1), (1, 40), (40, 1), (13, 11)] * 3:
+        result = hand_built_result(nx, ny, rng)
+        text = csv_text(result)
+        assert text == rowwise_csv(result), (nx, ny)
+        labels.update(line.rsplit(",", 1)[1] for line in text.splitlines()[1:])
+    assert set(labels) == set(scenario.CASE_LABELS)
+    # -0.0 and 0.0 share one P1 column and keep their own text
+    result = hand_built_result(3, 3, rng)
+    result.p1[:] = [0.0, -0.0] * 4 + [0.0]
+    result.sumrate_jam[:] = -0.0
+    result.sumrate_nojam[:] = 0.0
+    rows = csv_text(result).splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["0", "-0"] * 4 + ["0"]
+    assert all(row.split(",")[4:6] == ["-0", "0"] for row in rows)
+
+
+def test_gain_grid_is_bitwise_the_scalar_tap_gain():
+    rng = random.Random(13)
+    configs = [random_geometry(rng) for _ in range(30)]
+    # min_distance up to the area size, so many cells are clamped to it
+    configs = [dataclasses.replace(c, min_distance=rng.uniform(0.1, 120.0)) for c in configs]
+    # users on cell centres: distance zero
+    configs.append(small_config(grid=(4, 4), users=((12.5, 37.5), (87.5, 87.5)), min_distance=1e-3))
+    clamped = 0
+    for cfg in configs:
+        nx, ny = cfg.grid
+        width, height = cfg.area
+        centres = [((i + 0.5) * width / nx, (j + 0.5) * height / ny)
+                   for j in range(ny) for i in range(nx)]
+        x = np.array([c[0] for c in centres])
+        y = np.array([c[1] for c in centres])
+        for u, user in enumerate(cfg.users):
+            expected = np.array([gains_at(cfg, c).gains_tap[u] for c in centres])
+            assert scenario._gain_grid(cfg, user, x, y).tobytes() == expected.tobytes(), cfg
+            clamped += int(np.count_nonzero(expected == cfg.min_distance ** -cfg.pathloss_exponent))
+    assert clamped > 0
+
+
+def test_gain_grid_raises_overflow_and_sweep_names_the_first_bad_cell():
+    # a user on the centre of cell (25, 25) with min_distance 1e-3: the tap
+    # gain 1e-3 ** -300 leaves the float range before any other cell fails
+    cfg = small_config(
+        grid=(2, 2), base_station=(26.0, 25.0), users=((25.0, 25.0), (75.0, 75.0)),
+        min_distance=1e-3, pathloss_exponent=300.0,
+    )
+    x, y = np.array([25.0, 75.0, 25.0, 75.0]), np.array([25.0, 25.0, 75.0, 75.0])
+    with pytest.raises(OverflowError):
+        scenario._gain_grid(cfg, cfg.users[0], x, y)
+    with pytest.raises(ValidationError, match=r"^cell \(25, 25\): path-loss gain"):
+        sweep(cfg)
