@@ -10,6 +10,7 @@ self-verification failure (--verify gap above tolerance).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Sequence
@@ -37,6 +38,9 @@ from .regions import (
 from .scenario import ScenarioConfig, sweep
 
 VERIFY_GAP_TOL = 1e-6
+# largest --res and --alpha-res: a boundary peaks at ~256 bytes per power
+# grid cell (tracemalloc, res 301 and 601), so ~1 GB at this cap
+MAX_GRID_RES = 2001
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -71,6 +75,16 @@ def _floats_arg(text: str) -> tuple[float, ...]:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _grid_res_arg(text: str) -> int:
+    try:
+        res = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if res > MAX_GRID_RES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_GRID_RES} grid points, got {res}")
+    return res
 
 
 def _load_json(path: str) -> dict[str, Any]:
@@ -278,7 +292,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once and shared: ``main`` reuses it on every
+    call, so a caller must not change it."""
     parser = argparse.ArgumentParser(
         prog="macwiretap",
         description="Secrecy rate regions and power allocation for the two-user "
@@ -313,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="secret fraction in (0, 1]; boundaries default to 1, fixed-power "
         "sets stay in (secret, open) coordinates when omitted",
     )
-    p.add_argument("--res", type=int, default=101, help="power grid resolution per axis")
-    p.add_argument("--alpha-res", type=int, default=101, help="time-share grid resolution")
+    p.add_argument("--res", type=_grid_res_arg, default=101, help="power grid resolution per axis")
+    p.add_argument("--alpha-res", type=_grid_res_arg, default=101, help="time-share grid resolution")
     p.add_argument("--power", type=_floats_arg, help="fixed power: emit the constraint set instead")
     p.add_argument("--alpha", type=_floats_arg, help="time shares for the fixed-power tdma set")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -324,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_floats_arg, required=True)
     p.add_argument("--pmax", type=_floats_arg, required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
-    p.add_argument("--res", type=int, default=201, help="oracle grid resolution")
+    p.add_argument("--res", type=_grid_res_arg, default=201, help="oracle grid resolution")
     p.set_defaults(func=lambda a: _cmd_power_opt(a, "sumopt"))
 
     p = sub.add_parser("jam", help="cooperative-jamming power allocation")
     p.add_argument("--h", type=_floats_arg, required=True)
     p.add_argument("--pmax", type=_floats_arg, required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
-    p.add_argument("--res", type=int, default=201, help="oracle grid resolution")
+    p.add_argument("--res", type=_grid_res_arg, default=201, help="oracle grid resolution")
     p.set_defaults(func=lambda a: _cmd_power_opt(a, "jam"))
 
     p = sub.add_parser("tdma", help="optimal time shares and the time-division region")

@@ -19,8 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .channel import _as_floats
 from .errors import ValidationError
 from .rates import _g_arr
+from .regions import _as_rate_tuple
 
 CASE_BOTH_TRANSMIT = "BOTH_TRANSMIT"
 CASE_ONE_TRANSMITS = "ONE_TRANSMITS"
@@ -95,12 +97,7 @@ class JamAuxiliaries:
 
 
 def _check_pair(values: Sequence[float], name: str) -> tuple[float, float]:
-    try:
-        pair = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a pair of numbers: {exc}") from exc
-    if len(pair) != 2:
-        raise ValidationError(f"{name} must have exactly two entries, got {len(pair)}")
+    pair = _as_floats(values, name, 2)
     if any(not math.isfinite(v) or v < 0.0 for v in pair):
         raise ValidationError(f"{name} entries must be finite and nonnegative, got {pair}")
     return pair
@@ -286,12 +283,7 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
 def tdma_optimal_alpha(powers: Sequence[float]) -> tuple[float, ...]:
     """Time shares proportional to powers; optimal for the single-user
     time-sharing scheme and summing to one."""
-    try:
-        p = tuple(float(v) for v in powers)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"powers must be a sequence of numbers: {exc}") from exc
-    if any(not math.isfinite(v) or v < 0.0 for v in p):
-        raise ValidationError(f"powers must be finite and nonnegative, got {p}")
+    p = _as_rate_tuple(powers, "powers")
     total = sum(p)
     if total <= 0.0:
         raise ValidationError("time shares undefined for all-zero powers")

@@ -54,6 +54,8 @@ POWER_FEAS_TOL = 1e-12
 
 
 def _as_rate_tuple(values: Any, name: str) -> tuple[float, ...]:
+    if isinstance(values, str):
+        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
     try:
         out = tuple(float(v) for v in values)
     except (TypeError, ValueError) as exc:
@@ -486,57 +488,35 @@ def _tdma_candidates(std: StandardChannel, delta: float, power_res: int, alpha_r
     return _box_simplex_candidates(bounds[0], bounds[1], np.full_like(bounds[0], np.inf))
 
 
-def _pareto_generators(points: np.ndarray) -> np.ndarray:
-    """The points the upper-right chain can pass through: each point whose
-    rate 2 beats that of every point with a larger rate 1 (or an equal rate
-    1 and a larger rate 2), plus the two chain ends (the lowest point at the
-    largest rate 1, the leftmost point at the largest rate 2) and the
-    lexicographic minimum.  For candidates that is the origin, from which the
-    chain decides the corner at the rate-1 axis as it does on the full set."""
-    order = np.lexsort((points[:, 1], points[:, 0]))[::-1]  # rate 1, then rate 2, descending
-    x, y = points[order, 0], points[order, 1]
-    keep = np.empty(len(order), dtype=bool)
-    keep[0] = True
-    keep[1:] = y[1:] > np.maximum.accumulate(y[:-1])
-    keep[np.count_nonzero(x == x[0]) - 1] = True
-    keep[np.flatnonzero(y == y.max())[-1]] = True
-    keep[-1] = True
-    return points[order[keep]]
-
-
 def _upper_right_hull(points: np.ndarray) -> list[tuple[float, float]]:
-    """Monotone-chain hull of first-quadrant points that include the origin;
-    returns the boundary from the max-rate-1 vertex counterclockwise to the
-    max-rate-2 vertex.  Only ``_pareto_generators`` enter the chain.  Ties
-    and duplicates resolve by lexicographic point order."""
-    pts = np.unique(_pareto_generators(points), axis=0)
-    if pts.shape[0] == 1:
-        return [(float(pts[0, 0]), float(pts[0, 1]))]
+    """Upper-right boundary of the convex hull of first-quadrant points, from
+    the lowest point at the largest rate 1 counterclockwise to the leftmost
+    point at the largest rate 2.  Only the Pareto staircase can lie on it.
+    Visiting the points by rate 1, then rate 2, both descending, gives the
+    staircase in counterclockwise order: the lowest and then the top point
+    at the largest rate 1, each point whose rate 2 beats every one before
+    it, and the leftmost point at the largest rate 2.  One monotone chain
+    (Andrew 1979) over it drops each point that does not turn left and each
+    point equal to the chain's last."""
+    order = np.lexsort((points[:, 1], points[:, 0]))[::-1]
+    x, y = points[order, 0], points[order, 1]
+    stair = np.concatenate([
+        [np.count_nonzero(x == x[0]) - 1, 0],
+        1 + np.flatnonzero(y[1:] > np.maximum.accumulate(y[:-1])),
+        [np.flatnonzero(y == y.max())[-1]],
+    ])
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[tuple[float, float]] = []
-    for p in map(tuple, pts):
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in map(tuple, pts[::-1]):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]  # counterclockwise, starts at lexicographic min
-
-    xmax = max(p[0] for p in hull)
-    ymax = max(p[1] for p in hull)
-    start = hull.index(min((p for p in hull if p[0] == xmax), key=lambda p: p[1]))
-    end = hull.index(min((p for p in hull if p[1] == ymax), key=lambda p: p[0]))
-    if start == end:
-        return [hull[start]]
-    if start < end:
-        return hull[start : end + 1]
-    return hull[start:] + hull[: end + 1]
+    chain: list[tuple[float, float]] = []
+    for p in map(tuple, points[order[stair]].tolist()):
+        if chain and p == chain[-1]:
+            continue
+        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def region_boundary_2d(
@@ -577,9 +557,8 @@ def region_boundary_2d(
     else:
         candidates = _fixed_power_candidates(std, kind, delta, power_grid_res)
     candidates = np.vstack([candidates, [[0.0, 0.0]]])
-    vertices = _upper_right_hull(candidates)
     return RegionBoundary2D(
-        vertices=tuple((float(x), float(y)) for x, y in vertices),
+        vertices=tuple(_upper_right_hull(candidates)),
         generator_count=int(candidates.shape[0]),
     )
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from macwiretap.cli import _emit, main
+from macwiretap.cli import MAX_GRID_RES, _emit, build_parser, main
 from macwiretap.optimizer import PowerAllocation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,7 +17,10 @@ EXAMPLE_CONFIG = ROOT / "scripts" / "example_scenario.json"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse errors exit from inside main
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -432,6 +435,41 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["jam", "--nope"])
     assert exc.value.code == 2
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    calls = [
+        ["region", "--kind", "collective", "--h", "0.5,0.5", "--pmax", "2,2", "--res", "21"],
+        ["jam", "--h", "0.5,2", "--pmax", "10,10"],
+        ["split", "--kind", "individual", "--h", "0.5,0.5", "--pmax", "2,2", "--power", "2,2",
+         "--secret", "0.16,0"],
+        ["jam", "--nope"],
+        ["tdma", "--h", "0.5,0.5", "--pmax", "2,4", "--power", "1,3"],
+        ["region", "--kind", "individual", "--h", "0.5,abc", "--pmax", "1,1"],
+        ["sumopt", "--h", "1.2,1.5", "--pmax", "10,10"],
+        ["tdma", "--h", "0.5,0.5", "--pmax", "2,2", "--power", "1,1", "--alpha", "0.7,0.7"],
+        ["region", "--kind", "collective", "--h", "0.5,0.5", "--pmax", "2,2", "--res", "21"],
+    ]
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 2, 0, 2, 0]
+    assert reused[0] == reused[-1]
+    monkeypatch.setattr("macwiretap.cli.build_parser", build_parser.__wrapped__)
+    assert [run_cli(capsys, *argv) for argv in calls] == reused
+
+
+def test_grid_sizes_are_capped_at_the_edge(capsys):
+    over = str(MAX_GRID_RES + 1)
+    cases = [
+        (["region", "--kind", "individual", "--h", "0.5,0.5", "--pmax", "1,1", "--res", over], "--res"),
+        (["region", "--kind", "tdma", "--h", "0.5,0.5", "--pmax", "1,1", "--alpha-res", over],
+         "--alpha-res"),
+        (["sumopt", "--h", "0.5,2", "--pmax", "1,1", "--verify", "--res", over], "--res"),
+        (["jam", "--h", "0.5,2", "--pmax", "1,1", "--verify", "--res", over], "--res"),
+    ]
+    for argv, flag in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"argument {flag}: at most {MAX_GRID_RES} grid points, got {over}" in err, err
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -18,6 +18,7 @@ from macwiretap.optimizer import (
     sum_objective,
     tdma_optimal_alpha,
 )
+from macwiretap.regions import RateVector
 
 RNG_SEED = 20240917
 
@@ -214,6 +215,19 @@ def test_tdma_optimal_alpha():
     assert tdma_optimal_alpha((5.0, 0.0)) == (1.0, 0.0)
     with pytest.raises(ValidationError):
         tdma_optimal_alpha((0.0, 0.0))
+
+
+def test_a_string_is_not_a_sequence_of_numbers():
+    # each call once read "12" as the digits (1, 2)
+    calls = [
+        (lambda: sum_objective("12", (0.5, 0.5)), "powers"),
+        (lambda: rho("12", "01"), "powers"),
+        (lambda: RateVector(secret="12", open="00"), "secret"),
+        (lambda: tdma_optimal_alpha("12"), "powers"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValidationError, match=f"^{name} must be a sequence of numbers, got '12'$"):
+            call()
 
 
 def _tdma_degraded_sum(h, powers, alpha1):

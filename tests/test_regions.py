@@ -490,6 +490,11 @@ def _hull_clouds(rng):
                                      [x, 5.6e-17], [np.nextafter(x, 0.0), 1e-300]],
                                     rng.uniform(0.0, 1.0, (n, 2)) * [x, y]]),
         "near_ulp_frontier": np.vstack([frontier, frontier * rng.uniform(0.0, 1.0, (n, 1))]),
+        "rate_2_axis": np.column_stack([zeros, rng.integers(0, 4, n) / 3.0 * y]),
+        # one point holds both maxima, possibly twice
+        "both_maxima": np.vstack([rng.uniform(0.0, 1.0, (n, 2)) * [x, y], [[x, y]] * int(rng.integers(1, 3))]),
+        "duplicate_column": np.vstack([rng.uniform(0.0, 1.0, (n, 2)) * [x, y], np.column_stack(
+            [np.full(n + 1, x), rng.integers(0, 3, n + 1) / 2.0 * y])]),
     }
     clouds = {name: np.vstack([pts, [[0.0, 0.0]]]) for name, pts in clouds.items()}
     return {**clouds, "lone_point": np.array([[x, y]])}
