@@ -19,6 +19,7 @@ from . import __version__
 from .channel import RawChannelConfig, StandardChannel, check_degraded, standardize
 from .errors import ValidationError
 from .optimizer import (
+    MIN_ORACLE_RESOLUTION,
     grid_oracle,
     optimal_powers_jam,
     optimal_powers_sum,
@@ -77,14 +78,22 @@ def _floats_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _grid_res_arg(text: str) -> int:
-    try:
-        res = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if res > MAX_GRID_RES:
-        raise argparse.ArgumentTypeError(f"at most {MAX_GRID_RES} grid points, got {res}")
-    return res
+def _grid_res_arg(minimum: int):
+    """argparse type of a grid-size flag: an integer from ``minimum`` to
+    ``MAX_GRID_RES``."""
+
+    def parse(text: str) -> int:
+        try:
+            res = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+        if res < minimum:
+            raise argparse.ArgumentTypeError(f"at least {minimum} grid points, got {res}")
+        if res > MAX_GRID_RES:
+            raise argparse.ArgumentTypeError(f"at most {MAX_GRID_RES} grid points, got {res}")
+        return res
+
+    return parse
 
 
 def _load_json(path: str) -> dict[str, Any]:
@@ -330,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="secret fraction in (0, 1]; boundaries default to 1, fixed-power "
         "sets stay in (secret, open) coordinates when omitted",
     )
-    p.add_argument("--res", type=_grid_res_arg, default=101, help="power grid resolution per axis")
-    p.add_argument("--alpha-res", type=_grid_res_arg, default=101, help="time-share grid resolution")
+    p.add_argument("--res", type=_grid_res_arg(2), default=101, help="power grid resolution per axis")
+    p.add_argument("--alpha-res", type=_grid_res_arg(2), default=101, help="time-share grid resolution")
     p.add_argument("--power", type=_floats_arg, help="fixed power: emit the constraint set instead")
     p.add_argument("--alpha", type=_floats_arg, help="time shares for the fixed-power tdma set")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -341,14 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_floats_arg, required=True)
     p.add_argument("--pmax", type=_floats_arg, required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
-    p.add_argument("--res", type=_grid_res_arg, default=201, help="oracle grid resolution")
+    p.add_argument(
+        "--res", type=_grid_res_arg(MIN_ORACLE_RESOLUTION), default=201, help="oracle grid resolution"
+    )
     p.set_defaults(func=lambda a: _cmd_power_opt(a, "sumopt"))
 
     p = sub.add_parser("jam", help="cooperative-jamming power allocation")
     p.add_argument("--h", type=_floats_arg, required=True)
     p.add_argument("--pmax", type=_floats_arg, required=True)
     p.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
-    p.add_argument("--res", type=_grid_res_arg, default=201, help="oracle grid resolution")
+    p.add_argument(
+        "--res", type=_grid_res_arg(MIN_ORACLE_RESOLUTION), default=201, help="oracle grid resolution"
+    )
     p.set_defaults(func=lambda a: _cmd_power_opt(a, "jam"))
 
     p = sub.add_parser("tdma", help="optimal time shares and the time-division region")

@@ -453,30 +453,41 @@ class RegionBoundary2D:
         return "\n".join(lines) + "\n"
 
 
-def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> np.ndarray:
-    """Vertices of {x,y >= 0, x <= u1, y <= u2, x+y <= u12}, stacked for all
-    cells.  u12 may be +inf when no joint row exists."""
+def _box_simplex_corners(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per cell, the coordinates (x_ax, y_ax, c1y, c2x) of the vertices
+    (x_ax, 0), (0, y_ax), (x_ax, c1y) and (c2x, y_ax) of
+    {x,y >= 0, x <= u1, y <= u2, x+y <= u12}.  u12 may be +inf when no joint
+    row exists."""
     x_ax = np.minimum(u1, u12)
     y_ax = np.minimum(u2, u12)
-    c1y = np.minimum(u2, u12 - x_ax)
-    c2x = np.minimum(u1, u12 - y_ax)
-    zeros = np.zeros_like(u1)
-    xs = np.concatenate([x_ax, zeros, x_ax, c2x])
-    ys = np.concatenate([zeros, y_ax, c1y, y_ax])
-    return np.column_stack([xs, ys])
+    return x_ax, y_ax, np.minimum(u2, u12 - x_ax), np.minimum(u1, u12 - y_ax)
 
 
-def _fixed_power_candidates(std: StandardChannel, kind: str, delta: float, res: int) -> np.ndarray:
+def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rate-1 and rate-2 columns of the hull candidates of all cells.  Since
+    c1y, c2x >= 0, an axis vertex (x_ax, 0) or (0, y_ax) is never above or
+    right of its cell's corner (x_ax, c1y) or (c2x, y_ax), so it can never
+    raise the staircase's running maximum: of each axis family only the
+    maximum, which may be an end of the staircase, is kept."""
+    x_ax, y_ax, c1y, c2x = _box_simplex_corners(u1, u2, u12)
+    return (np.concatenate([[x_ax.max(), 0.0], x_ax, c2x]),
+            np.concatenate([[0.0, y_ax.max()], c1y, y_ax]))
+
+
+def _fixed_power_bounds(std: StandardChannel, kind: str, delta: float, res: int) -> tuple[np.ndarray, ...]:
+    """Per cell of the res x res power grid, flattened in row-major order,
+    the total-rate bounds (u1, u2, u12) of the fixed-power region."""
     grid = np.meshgrid(
         np.linspace(0.0, std.pmax[0], res), np.linspace(0.0, std.pmax[1], res), indexing="ij"
     )
     bounds = _subset_bounds(kind, std.h, [p.ravel() for p in grid])
     _require_finite([mac for _, _, mac in bounds], f"pmax {std.pmax}")
-    u1, u2, u12 = (mac if s is None else np.minimum(s / delta, mac) for _, s, mac in bounds)
-    return _box_simplex_candidates(u1, u2, u12)
+    return tuple(mac if s is None else np.minimum(s / delta, mac) for _, s, mac in bounds)
 
 
-def _tdma_candidates(std: StandardChannel, delta: float, power_res: int, alpha_res: int) -> np.ndarray:
+def _tdma_bounds(std: StandardChannel, delta: float, power_res: int, alpha_res: int) -> tuple[np.ndarray, ...]:
+    """Per time share of the alpha_res-point share grid, the total-rate
+    bounds (u1, u2, u12 = +inf) of the time-division region."""
     alphas = np.linspace(0.0, 1.0, alpha_res)
     bounds = []
     for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
@@ -485,32 +496,64 @@ def _tdma_candidates(std: StandardChannel, delta: float, power_res: int, alpha_r
         # the per-user bound grows with power, so per share only the maximum
         # over the power grid can generate a hull vertex
         bounds.append(np.minimum(secrecy / delta, total).max(axis=1))
-    return _box_simplex_candidates(bounds[0], bounds[1], np.full_like(bounds[0], np.inf))
+    return bounds[0], bounds[1], np.full_like(bounds[0], np.inf)
 
 
-def _upper_right_hull(points: np.ndarray) -> list[tuple[float, float]]:
-    """Upper-right boundary of the convex hull of first-quadrant points, from
-    the lowest point at the largest rate 1 counterclockwise to the leftmost
-    point at the largest rate 2.  Only the Pareto staircase can lie on it.
-    Visiting the points by rate 1, then rate 2, both descending, gives the
-    staircase in counterclockwise order: the lowest and then the top point
-    at the largest rate 1, each point whose rate 2 beats every one before
-    it, and the leftmost point at the largest rate 2.  One monotone chain
-    (Andrew 1979) over it drops each point that does not turn left and each
-    point equal to the chain's last."""
-    order = np.lexsort((points[:, 1], points[:, 0]))[::-1]
-    x, y = points[order, 0], points[order, 1]
-    stair = np.concatenate([
-        [np.count_nonzero(x == x[0]) - 1, 0],
-        1 + np.flatnonzero(y[1:] > np.maximum.accumulate(y[:-1])),
-        [np.flatnonzero(y == y.max())[-1]],
-    ])
+# rate-1 bins of the dominance filter in front of the hull's sort
+_HULL_BINS = 1024
+
+
+def _upper_right_hull(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
+    """Upper-right boundary of the convex hull of the first-quadrant points
+    (x, y), from the lowest point at the largest rate 1 counterclockwise to
+    the leftmost point at the largest rate 2.  Only the Pareto staircase can
+    lie on it.  Visiting the points by rate 1, then rate 2, both descending,
+    gives the staircase in counterclockwise order: the lowest and then the
+    top point at the largest rate 1, each point whose rate 2 beats every one
+    before it, and the leftmost point at the largest rate 2.  One monotone
+    chain (Andrew 1979) over it drops each point that does not turn left and
+    each point equal to the chain's last.
+
+    Before the sort, one linear pass drops points that cannot beat the
+    running maximum, by comparisons alone.  The bin index
+    floor(x / xmax * bins) never decreases with x, so a point in a strictly
+    higher bin has a strictly larger rate 1 and is visited earlier; a point
+    with no larger rate 2 than some point in a higher bin therefore never
+    beats the running maximum, and dropping it changes no running maximum.
+    The column at the largest rate 1 is the top bin and is never dropped;
+    the leftmost point at the largest rate 2 is put back.  The sort then
+    sees the same staircase in the same order, so the chain's vertices are
+    bitwise those of the unfiltered points.  A cloud on one axis is read
+    directly: its staircase is its two ends on that axis.  Boundary
+    candidates arrive with each axis family already cut to its maximum
+    (``_box_simplex_candidates``), by the same argument."""
+    xmax, ymax = x.max(), y.max()
+    if xmax == 0.0:
+        stair = [np.argmin(y), np.flatnonzero(y == ymax)[-1]]
+    elif ymax == 0.0:
+        stair = [np.argmax(x), np.argmin(x)]
+    else:
+        bins = (x / xmax * _HULL_BINS).astype(np.intp)
+        top = np.full(_HULL_BINS + 2, -np.inf)
+        np.maximum.at(top, bins, y)
+        above = np.maximum.accumulate(top[::-1])[::-1]
+        keep = y > above[bins + 1]
+        at_ymax = np.flatnonzero(y == ymax)
+        keep[at_ymax[np.argmin(x[at_ymax])]] = True
+        kept = np.flatnonzero(keep)
+        order = kept[np.lexsort((y[kept], x[kept]))[::-1]]
+        sx, sy = x[order], y[order]
+        stair = order[np.concatenate([
+            [np.count_nonzero(sx == sx[0]) - 1, 0],
+            1 + np.flatnonzero(sy[1:] > np.maximum.accumulate(sy[:-1])),
+            [np.flatnonzero(sy == ymax)[-1]],
+        ])]
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
     chain: list[tuple[float, float]] = []
-    for p in map(tuple, points[order[stair]].tolist()):
+    for p in zip(x[stair].tolist(), y[stair].tolist()):
         if chain and p == chain[-1]:
             continue
         while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0.0:
@@ -545,22 +588,17 @@ def region_boundary_2d(
         _require_degraded(
             std, degraded_tol, "outer-bound boundaries require a degraded eavesdropper"
         )
-    if kind == KIND_TDMA:
-        candidates = _tdma_candidates(std, delta, power_grid_res, alpha_grid_res)
-    elif kind == KIND_UNION_I_T:
-        candidates = np.vstack(
-            [
-                _fixed_power_candidates(std, KIND_INDIVIDUAL, delta, power_grid_res),
-                _tdma_candidates(std, delta, power_grid_res, alpha_grid_res),
-            ]
-        )
-    else:
-        candidates = _fixed_power_candidates(std, kind, delta, power_grid_res)
-    candidates = np.vstack([candidates, [[0.0, 0.0]]])
-    return RegionBoundary2D(
-        vertices=tuple(_upper_right_hull(candidates)),
-        generator_count=int(candidates.shape[0]),
-    )
+    bounds = []
+    if kind != KIND_TDMA:
+        fixed_kind = KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind
+        bounds.append(_fixed_power_bounds(std, fixed_kind, delta, power_grid_res))
+    if kind in (KIND_TDMA, KIND_UNION_I_T):
+        bounds.append(_tdma_bounds(std, delta, power_grid_res, alpha_grid_res))
+    columns = zip(*(_box_simplex_candidates(*b) for b in bounds))
+    x, y = (np.concatenate([*parts, [0.0]]) for parts in columns)
+    # every cell has four corners, and the origin closes the region
+    generator_count = 1 + 4 * sum(u1.size for u1, _, _ in bounds)
+    return RegionBoundary2D(vertices=tuple(_upper_right_hull(x, y)), generator_count=generator_count)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from macwiretap.cli import MAX_GRID_RES, _emit, build_parser, main
-from macwiretap.optimizer import PowerAllocation
+from macwiretap.optimizer import MIN_ORACLE_RESOLUTION, PowerAllocation
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_CONFIG = ROOT / "scripts" / "example_scenario.json"
@@ -470,6 +470,24 @@ def test_grid_sizes_are_capped_at_the_edge(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"argument {flag}: at most {MAX_GRID_RES} grid points, got {over}" in err, err
+
+
+def test_grid_sizes_have_a_floor_at_the_edge(capsys):
+    region = ["region", "--kind", "tdma", "--h", "0.5,0.5", "--pmax", "1,1"]
+    sumopt = ["sumopt", "--h", "0.5,2", "--pmax", "1,1"]
+    jam = ["jam", "--h", "0.5,2", "--pmax", "1,1"]
+    cases = [(region, "--res", 2), (region, "--alpha-res", 2)] + [
+        (argv + verify, "--res", MIN_ORACLE_RESOLUTION)
+        for argv in (sumopt, jam) for verify in ([], ["--verify"])
+    ]
+    for argv, flag, floor in cases:
+        for res in (floor - 1, 0, -3):
+            code, out, err = run_cli(capsys, *argv, flag, str(res))
+            assert (code, out) == (2, ""), (argv, flag, res)
+            assert f"argument {flag}: at least {floor} grid points, got {res}" in err, err
+        code, out, _ = run_cli(capsys, *argv, flag, str(floor))
+        assert code in (0, 3), (argv, flag)
+        assert json.loads(out)["inputs_echo"][flag[2:].replace("-", "_")] == floor
 
 
 def test_cli_runs_without_scipy(tmp_path):

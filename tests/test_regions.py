@@ -14,8 +14,11 @@ from macwiretap.regions import (
     DeltaRateVector,
     RateVector,
     BOUNDARY_KINDS,
-    _fixed_power_candidates,
-    _tdma_candidates,
+    _HULL_BINS,
+    _box_simplex_candidates,
+    _box_simplex_corners,
+    _fixed_power_bounds,
+    _tdma_bounds,
     _upper_right_hull,
     collective_region_at,
     delta_region,
@@ -272,8 +275,17 @@ def test_boundary_grows_with_resolution(kind):
         assert fine.contains(vertex, tol=1e-9), (kind, vertex)
 
 
+def _all_corners(bounds):
+    """Every cell's four box-simplex corners, unfiltered, as (4 * cells, 2)
+    rows: the (x_ax, 0) block, then (0, y_ax), (x_ax, c1y) and (c2x, y_ax)."""
+    x_ax, y_ax, c1y, c2x = _box_simplex_corners(*bounds)
+    zeros = np.zeros_like(x_ax)
+    return np.column_stack([np.concatenate([x_ax, zeros, x_ax, c2x]),
+                            np.concatenate([zeros, y_ax, c1y, y_ax])])
+
+
 def test_boundary_contains_generators():
-    candidates = _fixed_power_candidates(STD_HALF, "COLLECTIVE", 1.0, 21)
+    candidates = _all_corners(_fixed_power_bounds(STD_HALF, "COLLECTIVE", 1.0, 21))
     boundary = region_boundary_2d(STD_HALF, "COLLECTIVE", power_grid_res=21)
     for point in candidates:
         assert boundary.contains(point, tol=1e-9)
@@ -410,7 +422,7 @@ def test_fixed_power_candidates_are_the_corners_of_each_region(kind):
     rng = np.random.default_rng(RNG_SEED)
     cells = [0, res * res - 1] + rng.choice(res * res, 12, replace=False).tolist()
     for delta in (1.0, 0.4):
-        candidates = _fixed_power_candidates(std, kind, delta, res)
+        candidates = _all_corners(_fixed_power_bounds(std, kind, delta, res))
         for cell in cells:
             i, j = divmod(cell, res)
             p = (float(axes[0][i]), float(axes[1][j]))
@@ -435,9 +447,10 @@ def test_boundary_vertices_match_the_reference_lists():
         np.testing.assert_allclose(got, case["vertices"], rtol=0.0, atol=1e-12)
 
 
-def _unfiltered_hull(points):
-    # the monotone chain over every point, as it ran before the Pareto
-    # pre-filter: the reference the filtered hull must reproduce
+def _two_chain_hull(points):
+    # the lower and upper monotone chains over every distinct point, as the
+    # hull ran before the Pareto staircase: an independent reference, up to
+    # the rounding of turns that its other cross products judge differently
     pts = np.unique(points, axis=0)
     if pts.shape[0] == 1:
         return [(float(pts[0, 0]), float(pts[0, 1]))]
@@ -467,6 +480,30 @@ def _unfiltered_hull(points):
     return hull[start:] + hull[: end + 1]
 
 
+def _unfiltered_hull(points):
+    # the staircase chain over every point, as it ran before the bin filter:
+    # the reference the filtered hull must reproduce bit for bit
+    order = np.lexsort((points[:, 1], points[:, 0]))[::-1]
+    x, y = points[order, 0], points[order, 1]
+    stair = np.concatenate([
+        [np.count_nonzero(x == x[0]) - 1, 0],
+        1 + np.flatnonzero(y[1:] > np.maximum.accumulate(y[:-1])),
+        [np.flatnonzero(y == y.max())[-1]],
+    ])
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chain = []
+    for p in map(tuple, points[order[stair]].tolist()):
+        if chain and p == chain[-1]:
+            continue
+        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def _hull_clouds(rng):
     """Point clouds with the ties and degeneracies a hull can trip on; like
     the boundary candidates, each but the lone point holds the origin."""
@@ -476,6 +513,9 @@ def _hull_clouds(rng):
     zeros = np.zeros(n)
     arc = rng.uniform(0.0, np.pi / 2, n)
     frontier = np.column_stack([np.cos(arc), np.sin(arc)]) * (1.0 + rng.choice([0.0, 1e-16], (n, 1)))
+    steps = rng.integers(0, 4, n) / 3.0
+    edges = x * rng.integers(0, _HULL_BINS + 1, 4 * n) / _HULL_BINS
+    line = np.sort(rng.uniform(0.0, 1.0, 20 * n)) * x
     clouds = {
         "duplicates": rng.integers(0, 4, (n, 2)) / 3.0,
         "ties_at_the_maxima": np.vstack([np.column_stack([np.full(n, x), t * y]),
@@ -490,17 +530,33 @@ def _hull_clouds(rng):
                                      [x, 5.6e-17], [np.nextafter(x, 0.0), 1e-300]],
                                     rng.uniform(0.0, 1.0, (n, 2)) * [x, y]]),
         "near_ulp_frontier": np.vstack([frontier, frontier * rng.uniform(0.0, 1.0, (n, 1))]),
-        "rate_2_axis": np.column_stack([zeros, rng.integers(0, 4, n) / 3.0 * y]),
+        "rate_1_axis": np.column_stack([steps * x, zeros]),
+        "rate_2_axis": np.column_stack([zeros, steps * y]),
         # one point holds both maxima, possibly twice
         "both_maxima": np.vstack([rng.uniform(0.0, 1.0, (n, 2)) * [x, y], [[x, y]] * int(rng.integers(1, 3))]),
         "duplicate_column": np.vstack([rng.uniform(0.0, 1.0, (n, 2)) * [x, y], np.column_stack(
             [np.full(n + 1, x), rng.integers(0, 3, n + 1) / 2.0 * y])]),
+        # rate 1 on the filter's bin edges x = xmax * k / bins, rate 2 tied
+        "bin_edges": np.vstack([[[x, 0.0]], np.column_stack([edges, rng.integers(0, 5, 4 * n) / 4.0 * y])]),
+        # a largest rate 1 of the smallest subnormal, and of a larger one.  At
+        # 5e-324 rate 2 is integral: a product of 5e-324 with a fraction
+        # underflows, and the two-chain reference, which forms other
+        # products than the staircase chain, then rounds some turns apart
+        "smallest_subnormal": np.column_stack([rng.integers(0, 2, n) * 5e-324, rng.integers(0, 5, n) * 1.0]),
+        "subnormal": np.column_stack([np.append(t, 1.0) * 1e-310, np.append(steps, 0.5) * y]),
+        # one rate near the float maximum, the other small enough that no
+        # cross product of the chain overflows
+        "near_float_max_rate_1": np.vstack([[[1.7e308, 0.0]], np.column_stack([t * 1.7e308, steps * 0.5])]),
+        "near_float_max_rate_2": np.vstack([[[0.0, 1.6e308]], np.column_stack([steps * 0.5, t * 1.6e308])]),
+        # the equal-gain outer-collective shape: a dense frontier x + y ~ c
+        "near_line": np.column_stack([line, x - line]),
     }
     clouds = {name: np.vstack([pts, [[0.0, 0.0]]]) for name, pts in clouds.items()}
     return {**clouds, "lone_point": np.array([[x, y]])}
 
 
-def _boundary_candidates(rng):
+def _boundary_cases(rng):
+    """Per kind, a seeded boundary and all of its candidates, unfiltered."""
     out = {}
     for kind in BOUNDARY_KINDS:
         if kind.startswith("OUTER"):
@@ -509,24 +565,56 @@ def _boundary_candidates(rng):
             h = tuple(float(v) for v in rng.choice([0.0, 1.0, rng.uniform(0, 1), rng.uniform(1, 3)], 2))
         std = StandardChannel(2, h, tuple(float(v) for v in 10.0 ** rng.uniform(-1.0, 1.5, 2)))
         delta = float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))
-        res = int(rng.integers(2, 24))
-        parts = []
+        res, alpha_res = (int(v) for v in rng.integers(2, 24, 2))
+        bounds = []
         if kind != "TDMA":
             fixed_kind = "INDIVIDUAL" if kind == "UNION_I_T" else kind
-            parts.append(_fixed_power_candidates(std, fixed_kind, delta, res))
+            bounds.append(_fixed_power_bounds(std, fixed_kind, delta, res))
         if kind in ("TDMA", "UNION_I_T"):
-            parts.append(_tdma_candidates(std, delta, res, int(rng.integers(2, 24))))
-        out[kind] = np.vstack(parts + [[[0.0, 0.0]]])
+            bounds.append(_tdma_bounds(std, delta, res, alpha_res))
+        boundary = region_boundary_2d(std, kind, delta, res, alpha_res)
+        out[kind] = boundary, np.vstack([_all_corners(b) for b in bounds] + [[[0.0, 0.0]]])
     return out
 
 
+def _hex(vertices):
+    return [(float(x).hex(), float(y).hex()) for x, y in vertices]
+
+
 def test_pareto_prefiltered_hull_matches_the_unfiltered_chain():
+    # the collapsed axis families and the bin filter only drop points that
+    # cannot reach the staircase, so every vertex is bitwise the same
     rng = np.random.default_rng(RNG_SEED)
     for trial in range(60):
-        for name, points in {**_hull_clouds(rng), **_boundary_candidates(rng)}.items():
-            got, want = _upper_right_hull(points), _unfiltered_hull(points)
+        clouds = _hull_clouds(rng)
+        cases = _boundary_cases(rng)
+        pairs = [(name, _upper_right_hull(points[:, 0], points[:, 1]), points)
+                 for name, points in clouds.items()]
+        pairs += [(kind, boundary.vertices, corners) for kind, (boundary, corners) in cases.items()]
+        for name, got, points in pairs:
+            assert _hex(got) == _hex(_unfiltered_hull(points)), (trial, name)
+            want = _two_chain_hull(points)
             assert len(got) == len(want), (trial, name)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=f"{trial} {name}")
+        for kind, (boundary, corners) in cases.items():
+            assert boundary.generator_count == len(corners), (trial, kind)
+
+
+def test_collapsed_candidates_keep_each_axis_maximum():
+    u1, u2, u12 = np.array([1.0, 3.0, 2.0]), np.array([2.0, 0.5, 4.0]), np.array([2.5, 3.0, np.inf])
+    x, y = _box_simplex_candidates(u1, u2, u12)
+    # the two axis maxima, then the (x_ax, c1y) and the (c2x, y_ax) corners
+    assert x.tolist() == [3.0, 0.0, 1.0, 3.0, 2.0, 0.5, 2.5, 2.0]
+    assert y.tolist() == [0.0, 4.0, 1.5, 0.0, 4.0, 2.0, 0.5, 4.0]
+
+
+@pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+def test_generator_count_counts_every_corner_and_the_origin(kind):
+    for res, alpha_res in ((2, 2), (2, 7), (11, 3), (31, 101)):
+        boundary = region_boundary_2d(STD_HALF, kind, power_grid_res=res, alpha_grid_res=alpha_res)
+        fixed = 0 if kind == "TDMA" else 4 * res * res
+        tdma = 4 * alpha_res if kind in ("TDMA", "UNION_I_T") else 0
+        assert boundary.generator_count == fixed + tdma + 1, (res, alpha_res)
 
 
 @given(
