@@ -39,8 +39,9 @@ from .regions import (
 from .scenario import ScenarioConfig, sweep
 
 VERIFY_GAP_TOL = 1e-6
-# largest --res and --alpha-res: a boundary peaks at ~256 bytes per power
-# grid cell (tracemalloc, res 301 and 601), so ~1 GB at this cap
+# largest --res and --alpha-res: a boundary peaks at ~66 bytes per power
+# grid cell, ~72 for union-i-t (tracemalloc, res 301 and 601), so ~0.3 GB at
+# this cap
 MAX_GRID_RES = 2001
 
 EXIT_OK = 0

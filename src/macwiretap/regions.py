@@ -218,9 +218,10 @@ def _subset_bounds(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[tupl
     the given kind for every nonempty subset S, in ``enumerate_subsets`` order.
     INDIVIDUAL bounds every S by g(p(S)) minus each member's g(h_k p_k),
     OUTER_INDIVIDUAL only single users; the collective kinds bound the full
-    set by g(p(S)) - g(sum of h_k p_k); all clamped at zero.  Each power is
-    a float or an array of one common shape, evaluated elementwise and
-    unchecked: a non-finite MAC value means a power sum overflowed."""
+    set by g(p(S)) - g(sum of h_k p_k); all clamped at zero.  The powers are
+    floats or arrays of broadcastable shapes, evaluated elementwise and
+    unchecked: a term of one user has that user's shape, a joint term the
+    broadcast shape, and a non-finite MAC value means a power sum overflowed."""
     individual = kind in (KIND_INDIVIDUAL, KIND_OUTER_INDIVIDUAL)
     out = []
     with np.errstate(all="ignore"):
@@ -453,49 +454,66 @@ class RegionBoundary2D:
         return "\n".join(lines) + "\n"
 
 
-def _box_simplex_corners(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per cell, the coordinates (x_ax, y_ax, c1y, c2x) of the vertices
-    (x_ax, 0), (0, y_ax), (x_ax, c1y) and (c2x, y_ax) of
-    {x,y >= 0, x <= u1, y <= u2, x+y <= u12}.  u12 may be +inf when no joint
-    row exists."""
-    x_ax = np.minimum(u1, u12)
-    y_ax = np.minimum(u2, u12)
-    return x_ax, y_ax, np.minimum(u2, u12 - x_ax), np.minimum(u1, u12 - y_ax)
-
-
 def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rate-1 and rate-2 columns of the hull candidates of all cells.  Since
-    c1y, c2x >= 0, an axis vertex (x_ax, 0) or (0, y_ax) is never above or
-    right of its cell's corner (x_ax, c1y) or (c2x, y_ax), so it can never
+    """Rate-1 and rate-2 columns of the hull candidates of all cells, for
+    the per-cell total-rate bounds u1, u2 and u12 (broadcastable; u12 may be
+    +inf when no joint row exists) of {x,y >= 0, x <= u1, y <= u2,
+    x+y <= u12}.  The box-simplex vertices of a cell are (x_ax, 0),
+    (0, y_ax), (x_ax, c1y) and (c2x, y_ax), with x_ax = min(u1, u12),
+    y_ax = min(u2, u12), c1y = min(u2, u12 - x_ax) and
+    c2x = min(u1, u12 - y_ax).  Since c1y, c2x >= 0, an axis vertex is never
+    above or right of its cell's corner at the same rate, so it can never
     raise the staircase's running maximum: of each axis family only the
-    maximum, which may be an end of the staircase, is kept."""
-    x_ax, y_ax, c1y, c2x = _box_simplex_corners(u1, u2, u12)
-    return (np.concatenate([[x_ax.max(), 0.0], x_ax, c2x]),
-            np.concatenate([[0.0, y_ax.max()], c1y, y_ax]))
+    maximum, which may be an end of the staircase, is kept.  The origin,
+    which closes the region, is left out for the same reason.  The columns
+    hold the two axis maxima, then the (x_ax, c1y) and the (c2x, y_ax)
+    corners of every cell in row-major order, each written once in place."""
+    shape = np.broadcast_shapes(u1.shape, u2.shape, u12.shape)
+    cells = math.prod(shape)
+    x, y = np.empty(2 + 2 * cells), np.empty(2 + 2 * cells)
+    x_ax, c2x = x[2:2 + cells].reshape(shape), x[2 + cells:].reshape(shape)
+    c1y, y_ax = y[2:2 + cells].reshape(shape), y[2 + cells:].reshape(shape)
+    np.minimum(u1, u12, out=x_ax)
+    np.minimum(u2, u12, out=y_ax)
+    np.minimum(u2, np.subtract(u12, x_ax, out=c1y), out=c1y)
+    np.minimum(u1, np.subtract(u12, y_ax, out=c2x), out=c2x)
+    x[:2] = x_ax.max(), 0.0
+    y[:2] = 0.0, y_ax.max()
+    return x, y
 
 
 def _fixed_power_bounds(std: StandardChannel, kind: str, delta: float, res: int) -> tuple[np.ndarray, ...]:
-    """Per cell of the res x res power grid, flattened in row-major order,
-    the total-rate bounds (u1, u2, u12) of the fixed-power region."""
-    grid = np.meshgrid(
-        np.linspace(0.0, std.pmax[0], res), np.linspace(0.0, std.pmax[1], res), indexing="ij"
-    )
-    bounds = _subset_bounds(kind, std.h, [p.ravel() for p in grid])
-    _require_finite([mac for _, _, mac in bounds], f"pmax {std.pmax}")
-    return tuple(mac if s is None else np.minimum(s / delta, mac) for _, s, mac in bounds)
+    """The total-rate bounds (u1, u2, u12) of the fixed-power region on the
+    res x res power grid, user 1's power along axis 0 and user 2's along
+    axis 1.  The powers enter as a column and a row, so a single-user bound
+    is computed once per axis, with shape (res, 1) or (1, res), and only the
+    joint terms once per cell; broadcast, they are the bounds of each cell.
+    An overflow in linspace's step product or in s / delta is harmless: the
+    grid's last point is set to pmax exactly, and min(inf, mac) = mac."""
+    with np.errstate(all="ignore"):
+        p = [np.linspace(0.0, std.pmax[0], res)[:, None], np.linspace(0.0, std.pmax[1], res)[None, :]]
+        bounds = _subset_bounds(kind, std.h, p)
+        for _, _, mac in bounds:
+            _require_finite(mac, f"pmax {std.pmax}")
+        return tuple(mac if s is None else np.minimum(s / delta, mac) for _, s, mac in bounds)
 
 
 def _tdma_bounds(std: StandardChannel, delta: float, power_res: int, alpha_res: int) -> tuple[np.ndarray, ...]:
     """Per time share of the alpha_res-point share grid, the total-rate
     bounds (u1, u2, u12 = +inf) of the time-division region."""
-    alphas = np.linspace(0.0, 1.0, alpha_res)
     bounds = []
-    for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
-        secrecy, total = _tdma_bound(h, np.linspace(0.0, pmax, power_res)[None, :], a[:, None])
-        _require_finite(total, f"pmax {std.pmax}")
-        # the per-user bound grows with power, so per share only the maximum
-        # over the power grid can generate a hull vertex
-        bounds.append(np.minimum(secrecy / delta, total).max(axis=1))
+    with np.errstate(all="ignore"):
+        alphas = np.linspace(0.0, 1.0, alpha_res)
+        for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
+            secrecy, total = _tdma_bound(h, np.linspace(0.0, pmax, power_res)[None, :], a[:, None])
+            _require_finite(total, f"pmax {std.pmax}")
+            # the per-user bound grows with power, so per share only the
+            # maximum over the power grid can generate a hull vertex.  It is
+            # not always the pmax column, so the whole grid is kept: at large
+            # powers (seen from pmax 1.17e13 up) rounding breaks the growth
+            # by an ulp, and at h = 0.52193896907896 and pmax 4.54e283 for
+            # both users, res 327, alpha res 21, 20 of 21 share maxima differ
+            bounds.append(np.minimum(secrecy / delta, total).max(axis=1))
     return bounds[0], bounds[1], np.full_like(bounds[0], np.inf)
 
 
@@ -533,11 +551,14 @@ def _upper_right_hull(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]
     elif ymax == 0.0:
         stair = [np.argmax(x), np.argmin(x)]
     else:
-        bins = (x / xmax * _HULL_BINS).astype(np.intp)
+        bins = x / xmax
+        bins *= _HULL_BINS
+        bins = bins.astype(np.intp)
         top = np.full(_HULL_BINS + 2, -np.inf)
         np.maximum.at(top, bins, y)
-        above = np.maximum.accumulate(top[::-1])[::-1]
-        keep = y > above[bins + 1]
+        # above[b]: the largest rate 2 in any bin higher than b
+        above = np.maximum.accumulate(top[::-1])[-2::-1]
+        keep = y > above[bins]
         at_ymax = np.flatnonzero(y == ymax)
         keep[at_ymax[np.argmin(x[at_ymax])]] = True
         kept = np.flatnonzero(keep)
@@ -560,6 +581,24 @@ def _upper_right_hull(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]
             chain.pop()
         chain.append(p)
     return chain
+
+
+def _boundary_candidates(
+    std: StandardChannel, kind: str, delta: float, power_res: int, alpha_res: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rate-1 and rate-2 columns of the hull candidates of a boundary kind,
+    and the number of generators they stand for.  The per-cell bounds are
+    freed on return, before the hull runs."""
+    bounds = []
+    if kind != KIND_TDMA:
+        fixed_kind = KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind
+        bounds.append(_fixed_power_bounds(std, fixed_kind, delta, power_res))
+    if kind in (KIND_TDMA, KIND_UNION_I_T):
+        bounds.append(_tdma_bounds(std, delta, power_res, alpha_res))
+    families = [_box_simplex_candidates(*b) for b in bounds]
+    x, y = families[0] if len(families) == 1 else map(np.concatenate, zip(*families))
+    # every cell has four corners, and the origin closes the region
+    return x, y, 1 + 4 * sum(np.broadcast(*b).size for b in bounds)
 
 
 def region_boundary_2d(
@@ -588,16 +627,7 @@ def region_boundary_2d(
         _require_degraded(
             std, degraded_tol, "outer-bound boundaries require a degraded eavesdropper"
         )
-    bounds = []
-    if kind != KIND_TDMA:
-        fixed_kind = KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind
-        bounds.append(_fixed_power_bounds(std, fixed_kind, delta, power_grid_res))
-    if kind in (KIND_TDMA, KIND_UNION_I_T):
-        bounds.append(_tdma_bounds(std, delta, power_grid_res, alpha_grid_res))
-    columns = zip(*(_box_simplex_candidates(*b) for b in bounds))
-    x, y = (np.concatenate([*parts, [0.0]]) for parts in columns)
-    # every cell has four corners, and the origin closes the region
-    generator_count = 1 + 4 * sum(u1.size for u1, _, _ in bounds)
+    x, y, generator_count = _boundary_candidates(std, kind, delta, power_grid_res, alpha_grid_res)
     return RegionBoundary2D(vertices=tuple(_upper_right_hull(x, y)), generator_count=generator_count)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macwiretap.cli import MAX_GRID_RES, _emit, build_parser, main
 from macwiretap.optimizer import MIN_ORACLE_RESOLUTION, PowerAllocation
@@ -527,3 +531,53 @@ def test_cli_runs_without_scipy(tmp_path):
     codes, scipy_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
     assert codes == [0] * len(calls)
     assert not scipy_loaded
+
+
+# 0, the smallest subnormal, log-uniform 1e-320 to 1e308 and the float maximum
+_EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"stdout holds {name}")
+
+
+@pytest.mark.parametrize("kind", ["individual", "collective", "tdma", "outer-individual",
+                                  "outer-collective", "union-i-t"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    h=st.tuples(_EXTREME_FLOATS, _EXTREME_FLOATS),
+    equal_gains=st.booleans(),
+    pmax=st.tuples(_EXTREME_FLOATS, _EXTREME_FLOATS),
+    delta=st.one_of(st.sampled_from([1.0, 5e-324]), st.floats(-323.0, 0.0).map(lambda e: 10.0 ** e)),
+    res=st.integers(2, 40),
+    alpha_res=st.integers(2, 40),
+    csv=st.booleans(),
+)
+def test_region_boundaries_at_float_extremes_exit_cleanly(kind, h, equal_gains, pmax, delta, res,
+                                                          alpha_res, csv):
+    # boundaries of every kind at float-edge inputs exit 0 with finite
+    # output or 2 with a message, and never warn or raise
+    h = (h[0], h[0]) if equal_gains else h
+    argv = ["region", "--kind", kind, "--h", f"{h[0]!r},{h[1]!r}", "--pmax", f"{pmax[0]!r},{pmax[1]!r}",
+            "--delta", repr(delta), "--res", str(res), "--alpha-res", str(alpha_res),
+            "--format", "csv" if csv else "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        if csv:
+            header, *rows = out.getvalue().splitlines()
+            assert header == "R1,R2" and rows, argv
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), argv
+        else:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), (argv, err.getvalue())

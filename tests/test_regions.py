@@ -16,8 +16,9 @@ from macwiretap.regions import (
     BOUNDARY_KINDS,
     _HULL_BINS,
     _box_simplex_candidates,
-    _box_simplex_corners,
     _fixed_power_bounds,
+    _subset_bounds,
+    _tdma_bound,
     _tdma_bounds,
     _upper_right_hull,
     collective_region_at,
@@ -277,8 +278,11 @@ def test_boundary_grows_with_resolution(kind):
 
 def _all_corners(bounds):
     """Every cell's four box-simplex corners, unfiltered, as (4 * cells, 2)
-    rows: the (x_ax, 0) block, then (0, y_ax), (x_ax, c1y) and (c2x, y_ax)."""
-    x_ax, y_ax, c1y, c2x = _box_simplex_corners(*bounds)
+    rows: the (x_ax, 0) block, then (0, y_ax), (x_ax, c1y) and (c2x, y_ax).
+    The bounds are broadcast to one value per cell, in row-major order."""
+    u1, u2, u12 = (b.ravel() for b in np.broadcast_arrays(*bounds))
+    x_ax, y_ax = np.minimum(u1, u12), np.minimum(u2, u12)
+    c1y, c2x = np.minimum(u2, u12 - x_ax), np.minimum(u1, u12 - y_ax)
     zeros = np.zeros_like(x_ax)
     return np.column_stack([np.concatenate([x_ax, zeros, x_ax, c2x]),
                             np.concatenate([zeros, y_ax, c1y, y_ax])])
@@ -606,6 +610,60 @@ def test_collapsed_candidates_keep_each_axis_maximum():
     # the two axis maxima, then the (x_ax, c1y) and the (c2x, y_ax) corners
     assert x.tolist() == [3.0, 0.0, 1.0, 3.0, 2.0, 0.5, 2.5, 2.0]
     assert y.tolist() == [0.0, 4.0, 1.5, 0.0, 4.0, 2.0, 0.5, 4.0]
+
+
+def _full_grid_bounds(std, kind, delta, res):
+    """The bounds of _fixed_power_bounds with every term evaluated per cell,
+    on the raveled res x res power meshgrid, or None when a MAC bound
+    overflows."""
+    with np.errstate(all="ignore"):
+        grid = np.meshgrid(np.linspace(0.0, std.pmax[0], res), np.linspace(0.0, std.pmax[1], res),
+                           indexing="ij")
+        bounds = _subset_bounds(kind, std.h, [p.ravel() for p in grid])
+        if not all(np.isfinite(mac).all() for _, _, mac in bounds):
+            return None
+        return [mac if s is None else np.minimum(s / delta, mac) for _, s, mac in bounds]
+
+
+def _hex_cells(values):
+    return list(map(float.hex, np.ravel(values).tolist()))
+
+
+def test_per_axis_bounds_match_the_full_grid_bitwise():
+    # a single-user term is evaluated once per axis and broadcast; each cell
+    # still sees the same operations on the same inputs
+    rng = np.random.default_rng(RNG_SEED)
+    for trial in range(120):
+        kind = list(REGION_AT)[trial % len(REGION_AT)]
+        h = tuple(float(v) for v in rng.choice([0.0, 1.0, rng.uniform(0, 1), rng.uniform(1, 3)], 2))
+        pmax = tuple(float(rng.choice([0.0, 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-320, 308)]))
+                     for _ in range(2))
+        delta = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
+        res = int(rng.integers(2, 102))
+        std = StandardChannel(2, h, pmax)
+        want = _full_grid_bounds(std, kind, delta, res)
+        if want is None:
+            with pytest.raises(ValidationError, match="pmax .* overflows"):
+                _fixed_power_bounds(std, kind, delta, res)
+            continue
+        got = np.broadcast_arrays(*_fixed_power_bounds(std, kind, delta, res))
+        for name, got_u, want_u in zip(("u1", "u2", "u12"), got, want):
+            assert got_u.shape == (res, res)
+            assert _hex_cells(got_u) == _hex_cells(want_u), (trial, kind, h, pmax, delta, res, name)
+
+
+def test_tdma_share_maxima_come_from_the_whole_power_grid():
+    # rounding breaks the growth of the time-division bound in power by an
+    # ulp at large powers: here the pmax column misses 20 of 21 share maxima
+    h, pmax = 0.52193896907896, 4.5438663135699214e283
+    got = _tdma_bounds(StandardChannel(2, (h, h), (pmax, pmax)), 1.0, 327, 21)
+    alphas = np.linspace(0.0, 1.0, 21)
+    with np.errstate(all="ignore"):
+        for u, shares in zip(got, (alphas, 1.0 - alphas)):
+            secrecy, total = _tdma_bound(h, np.linspace(0.0, pmax, 327)[None, :], shares[:, None])
+            grid = np.minimum(secrecy, total)
+            assert _hex_cells(u) == _hex_cells(grid.max(axis=1))
+            assert np.count_nonzero(grid.max(axis=1) != grid[:, -1]) == 20
 
 
 @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
