@@ -32,16 +32,25 @@ def _as_whole(value: Any) -> int:
     return int(value)
 
 
-def _as_floats(values: Any, name: str, length: int) -> tuple[float, ...]:
-    """Exactly ``length`` numbers; a string is not read as a sequence of digits."""
+def _as_floats(values: Any, name: str, length: int | None = None) -> tuple[float, ...]:
+    """Numbers, exactly ``length`` of them if given; a string is not read as a
+    sequence of digits."""
     if isinstance(values, str):
         raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
     try:
         out = tuple(float(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a sequence of numbers: {exc}") from exc
-    if len(out) != length:
+    if length is not None and len(out) != length:
         raise ValidationError(f"{name} must have length {length}, got {len(out)}")
+    return out
+
+
+def _as_rate_tuple(values: Any, name: str, length: int | None = None) -> tuple[float, ...]:
+    """``_as_floats``, each finite and nonnegative."""
+    out = _as_floats(values, name, length)
+    if any(not math.isfinite(v) or v < 0.0 for v in out):
+        raise ValidationError(f"{name} entries must be finite and nonnegative, got {out}")
     return out
 
 

@@ -72,6 +72,16 @@ def _emit(command: str, inputs_echo: dict[str, Any], result: Any, stream=None) -
     print(text, file=stream or sys.stdout)
 
 
+def _echo(args: argparse.Namespace, **overrides: Any) -> dict[str, Any]:
+    """The parsed flags of a subcommand, tuples as lists, then ``overrides``."""
+    echo = {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in vars(args).items()
+        if name not in ("command", "func")
+    }
+    return {**echo, **overrides}
+
+
 def _floats_arg(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -151,17 +161,7 @@ def _region_kind_arg(text: str) -> str:
 def _cmd_region(args: argparse.Namespace) -> int:
     std = _std_channel(args)
     kind = args.kind.upper().replace("-", "_")
-    echo = {
-        "kind": args.kind,
-        "h": list(args.h),
-        "pmax": list(args.pmax),
-        "delta": args.delta,
-        "res": args.res,
-        "alpha_res": args.alpha_res,
-        "power": list(args.power) if args.power else None,
-        "alpha": list(args.alpha) if args.alpha else None,
-        "format": args.format,
-    }
+    echo = _echo(args)
     if args.power is not None:
         if args.format == "csv":
             raise ValidationError("constraint sets serialize to JSON; csv is for boundaries")
@@ -204,18 +204,13 @@ def _cmd_region(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_power_opt(args: argparse.Namespace, which: str) -> int:
+def _cmd_power_opt(args: argparse.Namespace) -> int:
     if len(args.h) != 2 or len(args.pmax) != 2:
         raise ValidationError("power optimization is two-user: --h and --pmax need two entries")
+    which = args.command  # "sumopt" or "jam"
     solver = optimal_powers_sum if which == "sumopt" else optimal_powers_jam
     alloc = solver(args.h, args.pmax)
     result: dict[str, Any] = {"allocation": alloc.to_dict()}
-    echo = {
-        "h": list(args.h),
-        "pmax": list(args.pmax),
-        "verify": bool(args.verify),
-        "res": args.res,
-    }
     exit_code = EXIT_OK
     if args.verify:
         order = sorted(range(2), key=lambda i: args.h[i])
@@ -231,7 +226,7 @@ def _cmd_power_opt(args: argparse.Namespace, which: str) -> int:
         result["verify_gap"] = gap
         if gap > VERIFY_GAP_TOL:
             exit_code = EXIT_VERIFY_FAILED
-    _emit(which, echo, result)
+    _emit(which, _echo(args), result)
     return exit_code
 
 
@@ -245,13 +240,7 @@ def _cmd_tdma(args: argparse.Namespace) -> int:
         payload = region.to_json_dict()
     _emit(
         "tdma",
-        {
-            "h": list(args.h),
-            "pmax": list(args.pmax),
-            "power": list(args.power),
-            "alpha": list(args.alpha) if args.alpha else None,
-            "delta": args.delta,
-        },
+        _echo(args),
         {"optimal_alpha": list(tdma_optimal_alpha(args.power)), "region": payload},
     )
     return EXIT_OK
@@ -264,14 +253,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     outcome = splitter(std, args.power, rates)
     _emit(
         "split",
-        {
-            "kind": args.kind,
-            "h": list(args.h),
-            "pmax": list(args.pmax),
-            "power": list(args.power),
-            "secret": list(rates.secret),
-            "open": list(rates.open),
-        },
+        _echo(args, open=list(rates.open)),
         {
             "feasible": outcome.feasible,
             "extra": list(outcome.extra) if outcome.extra is not None else None,
@@ -347,23 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_region)
 
-    p = sub.add_parser("sumopt", help="secrecy sum-rate maximizing powers")
-    p.add_argument("--h", type=_floats_arg, required=True)
-    p.add_argument("--pmax", type=_floats_arg, required=True)
-    p.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
-    p.add_argument(
-        "--res", type=_grid_res_arg(MIN_ORACLE_RESOLUTION), default=201, help="oracle grid resolution"
-    )
-    p.set_defaults(func=lambda a: _cmd_power_opt(a, "sumopt"))
-
-    p = sub.add_parser("jam", help="cooperative-jamming power allocation")
-    p.add_argument("--h", type=_floats_arg, required=True)
-    p.add_argument("--pmax", type=_floats_arg, required=True)
-    p.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
-    p.add_argument(
-        "--res", type=_grid_res_arg(MIN_ORACLE_RESOLUTION), default=201, help="oracle grid resolution"
-    )
-    p.set_defaults(func=lambda a: _cmd_power_opt(a, "jam"))
+    for name, text in (("sumopt", "secrecy sum-rate maximizing powers"),
+                       ("jam", "cooperative-jamming power allocation")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--h", type=_floats_arg, required=True)
+        p.add_argument("--pmax", type=_floats_arg, required=True)
+        p.add_argument("--verify", action="store_true", help="cross-check against the grid oracle")
+        p.add_argument(
+            "--res", type=_grid_res_arg(MIN_ORACLE_RESOLUTION), default=201,
+            help="oracle grid resolution",
+        )
+        p.set_defaults(func=_cmd_power_opt)
 
     p = sub.add_parser("tdma", help="optimal time shares and the time-division region")
     p.add_argument("--h", type=_floats_arg, required=True)

@@ -19,10 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _as_floats
+from .channel import _as_rate_tuple
 from .errors import ValidationError
 from .rates import _g_arr
-from .regions import _as_rate_tuple
 
 CASE_BOTH_TRANSMIT = "BOTH_TRANSMIT"
 CASE_ONE_TRANSMITS = "ONE_TRANSMITS"
@@ -86,28 +85,12 @@ class JamAuxiliaries:
     root_p: float | None
     root_p_bar: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "phi2": self.phi2,
-            "discriminant": self.discriminant,
-            "root_p": self.root_p,
-            "root_p_bar": self.root_p_bar,
-        }
-
-
-def _check_pair(values: Sequence[float], name: str) -> tuple[float, float]:
-    pair = _as_floats(values, name, 2)
-    if any(not math.isfinite(v) or v < 0.0 for v in pair):
-        raise ValidationError(f"{name} entries must be finite and nonnegative, got {pair}")
-    return pair
-
 
 def rho(powers: Sequence[float], gains: Sequence[float]) -> float:
     """Ratio (1 + h1*P1 + h2*P2) / (1 + P1 + P2); the sum-rate objective is
     -0.5*log2 of it, so maximizing the rate minimizes this ratio."""
-    p1, p2 = _check_pair(powers, "powers")
-    h1, h2 = _check_pair(gains, "gains")
+    p1, p2 = _as_rate_tuple(powers, "powers", 2)
+    h1, h2 = _as_rate_tuple(gains, "gains", 2)
     return (1.0 + h1 * p1 + h2 * p2) / (1.0 + p1 + p2)
 
 
@@ -129,24 +112,40 @@ def _jam_kernel(p1, p2, h1: float, h2: float):
     return _g_arr(p1 / (1.0 + p2)) - _g_arr(h1 * p1 / (1.0 + h2 * p2))
 
 
+def _threshold(h1, m1):
+    """Both users transmit when h1 < 1 and h2 lies below this threshold."""
+    return (1.0 + h1 * m1) / (1.0 + m1)
+
+
+def _jam_root(h1, h2, m1, sign: float = 1.0):
+    """(discriminant, root) of the jamming-power stationarity parabola at
+    full transmit power m1, elementwise and unchecked.  The root is
+    (-h2(1-h1) + sign*sqrt(disc)) / (h2(h2-h1)): the larger one for the
+    default sign when h2 > h1, and inf or NaN where the division leaves the
+    float range or the discriminant is negative or overflows."""
+    with np.errstate(all="ignore"):
+        disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * m1)
+        return disc, (-h2 * (1.0 - h1) + sign * np.sqrt(disc)) / (h2 * (h2 - h1))
+
+
 def sum_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
     """Secrecy sum rate g(P1+P2) - g(h1*P1 + h2*P2); may be negative."""
-    p1, p2 = _check_pair(powers, "powers")
-    h1, h2 = _check_pair(gains, "gains")
+    p1, p2 = _as_rate_tuple(powers, "powers", 2)
+    h1, h2 = _as_rate_tuple(gains, "gains", 2)
     return float(_sum_kernel(p1, p2, h1, h2))
 
 
 def jam_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
     """Single-user secrecy rate when user 2 jams: user 2's power is noise to
     both receivers.  May be negative."""
-    p1, p2 = _check_pair(powers, "powers")
-    h1, h2 = _check_pair(gains, "gains")
+    p1, p2 = _as_rate_tuple(powers, "powers", 2)
+    h1, h2 = _as_rate_tuple(gains, "gains", 2)
     return float(_jam_kernel(p1, p2, h1, h2))
 
 
 def _sorted_two(gains, pmax):
-    h = _check_pair(gains, "gains")
-    m = _check_pair(pmax, "pmax")
+    h = _as_rate_tuple(gains, "gains", 2)
+    m = _as_rate_tuple(pmax, "pmax", 2)
     if h[0] <= h[1]:
         return h, m, False
     return (h[1], h[0]), (m[1], m[0]), True
@@ -154,6 +153,32 @@ def _sorted_two(gains, pmax):
 
 def _restore(pair: tuple[float, float], swapped: bool) -> tuple[float, float]:
     return (pair[1], pair[0]) if swapped else pair
+
+
+def _allocation(kernel, p_sorted, case: str, h, m, swapped: bool, **extra) -> PowerAllocation:
+    """The allocation in the caller's order, its objective clamped at zero;
+    a non-finite objective is rejected."""
+    rate = float(kernel(p_sorted[0], p_sorted[1], h[0], h[1]))
+    if not math.isfinite(rate):
+        raise ValidationError(
+            f"gains {_restore(h, swapped)} with pmax {_restore(m, swapped)} too large: "
+            "the secrecy rate overflows the float range"
+        )
+    return PowerAllocation(
+        p=_restore(p_sorted, swapped), case_label=case, achieved_rate=max(0.0, rate), **extra
+    )
+
+
+def _sum_allocation(h, m, swapped: bool) -> PowerAllocation:
+    (h1, h2), (m1, m2) = h, m
+    if h1 < 1.0:
+        if h2 < _threshold(h1, m1):
+            p_sorted, case = (m1, m2), CASE_BOTH_TRANSMIT
+        else:
+            p_sorted, case = (m1, 0.0), CASE_ONE_TRANSMITS
+    else:
+        p_sorted, case = (0.0, 0.0), CASE_NONE
+    return _allocation(_sum_kernel, p_sorted, case, h, m, swapped)
 
 
 def optimal_powers_sum(gains: Sequence[float], pmax: Sequence[float]) -> PowerAllocation:
@@ -164,47 +189,41 @@ def optimal_powers_sum(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     only the better user transmits when h1 < 1 and h2 is at or above it;
     nobody transmits otherwise.
     """
-    (h1, h2), (m1, m2), swapped = _sorted_two(gains, pmax)
-    if h1 < 1.0:
-        threshold = (1.0 + h1 * m1) / (1.0 + m1)
-        if h2 < threshold:
-            p_sorted = (m1, m2)
-            case = CASE_BOTH_TRANSMIT
-        else:
-            p_sorted = (m1, 0.0)
-            case = CASE_ONE_TRANSMITS
-    else:
-        p_sorted = (0.0, 0.0)
-        case = CASE_NONE
-    rate = max(0.0, float(_sum_kernel(p_sorted[0], p_sorted[1], h1, h2)))
-    return PowerAllocation(p=_restore(p_sorted, swapped), case_label=case, achieved_rate=rate)
+    return _sum_allocation(*_sorted_two(gains, pmax))
+
+
+def _checked_jam_root(h1: float, h2: float, m1: float) -> tuple[float, float]:
+    disc, root = _jam_root(h1, h2, m1)
+    if not math.isfinite(disc):
+        raise ValidationError(
+            f"gains {(h1, h2)} with transmit power limit {m1} too large: "
+            "the jamming-root discriminant overflows the float range"
+        )
+    return disc, float(root)
 
 
 def jam_roots(gains: Sequence[float], pmax1: float) -> JamAuxiliaries:
     """Roots of the jamming-power stationarity parabola for given gains and
     full transmit power of user 1.  Requires distinct gains (equal gains make
     jamming irrelevant and are handled by the caller)."""
-    h1, h2 = _check_pair(gains, "gains")
+    h1, h2 = _as_rate_tuple(gains, "gains", 2)
     if not (math.isfinite(pmax1) and pmax1 >= 0.0):
         raise ValidationError(f"pmax1 must be finite and nonnegative, got {pmax1!r}")
     if h2 == h1:
         raise ValidationError("root formulas require distinct gains (h2 != h1)")
     if h2 == 0.0:
         raise ValidationError("root formulas require a nonzero jammer gain h2")
-    disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * pmax1)
-    if not math.isfinite(disc):
-        raise ValidationError(
-            f"gains {(h1, h2)} with transmit power limit {pmax1} too large: "
-            "the jamming-root discriminant overflows the float range"
-        )
+    disc, root_p = _checked_jam_root(h1, h2, pmax1)
     if disc < 0.0:
         root_p = root_p_bar = None
         p2_eval = 0.0
     else:
-        den = h2 * (h2 - h1)
-        sq = math.sqrt(disc)
-        root_p = (-h2 * (1.0 - h1) + sq) / den
-        root_p_bar = (-h2 * (1.0 - h1) - sq) / den
+        root_p_bar = float(_jam_root(h1, h2, pmax1, sign=-1.0)[1])
+        if not (math.isfinite(root_p) and math.isfinite(root_p_bar)):
+            raise ValidationError(
+                f"gains {(h1, h2)} with transmit power limit {pmax1} put the jamming "
+                "roots outside the float range"
+            )
         if root_p < root_p_bar:
             root_p, root_p_bar = root_p_bar, root_p
         p2_eval = max(root_p, 0.0)
@@ -236,46 +255,28 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     the sum-rate solver's answer is returned.  Equal gains make jamming
     ineffective: the sum-rate answer (gains < 1) or silence (gains >= 1).
     """
-    (h1, h2), (m1, m2), swapped = _sorted_two(gains, pmax)
-    if h1 == h2:
-        if h1 >= 1.0:
-            return PowerAllocation(
-                p=(0.0, 0.0),
-                case_label=CASE_NO_JAM,
-                achieved_rate=0.0,
-                capacity_expr_rate=_capacity_expr(0.0, 0.0, h1, h2),
-            )
-        return optimal_powers_sum(gains, pmax)
-    if h2 <= 1.0:
-        threshold = (1.0 + h1 * m1) / (1.0 + m1)
-        if h2 < threshold:
-            return optimal_powers_sum(gains, pmax)
-        p_sorted = (m1, 0.0)
-        case = CASE_NO_JAM
+    h, m, swapped = _sorted_two(gains, pmax)
+    (h1, h2), (m1, m2) = h, m
+    if h1 == h2 >= 1.0:
+        p_sorted, case = (0.0, 0.0), CASE_NO_JAM
+    elif h1 == h2 or (h2 <= 1.0 and h2 < _threshold(h1, m1)):
+        return _sum_allocation(h, m, swapped)
+    elif h2 <= 1.0:
+        p_sorted, case = (m1, 0.0), CASE_NO_JAM
     elif h1 <= 1.0:
-        aux = jam_roots((h1, h2), m1)
-        p2 = max(0.0, min(aux.root_p, m2)) if aux.root_p is not None else 0.0
+        # h2 > 1 and h1 >= 0, so the discriminant is nonnegative (or NaN
+        # after an overflow, which _checked_jam_root rejects)
+        p2 = max(0.0, min(_checked_jam_root(h1, h2, m1)[1], m2))
         p_sorted = (m1, p2)
-        if p2 == 0.0:
-            case = CASE_NO_JAM
-        elif p2 == m2:
-            case = CASE_JAM_AT_MAX
-        else:
-            case = CASE_JAM_AT_ROOT
+        case = CASE_NO_JAM if p2 == 0.0 else CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
+    elif (h1 - 1.0) / (h2 - h1) < m2:
+        p2 = min(_checked_jam_root(h1, h2, m1)[1], m2)
+        p_sorted = (m1, p2)
+        case = CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
     else:
-        if (h1 - 1.0) / (h2 - h1) < m2:
-            aux = jam_roots((h1, h2), m1)
-            p2 = min(aux.root_p, m2)
-            p_sorted = (m1, p2)
-            case = CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
-        else:
-            p_sorted = (0.0, 0.0)
-            case = CASE_NONE
-    rate = max(0.0, float(_jam_kernel(p_sorted[0], p_sorted[1], h1, h2)))
-    return PowerAllocation(
-        p=_restore(p_sorted, swapped),
-        case_label=case,
-        achieved_rate=rate,
+        p_sorted, case = (0.0, 0.0), CASE_NONE
+    return _allocation(
+        _jam_kernel, p_sorted, case, h, m, swapped,
         capacity_expr_rate=_capacity_expr(p_sorted[0], p_sorted[1], h1, h2),
     )
 
@@ -307,7 +308,6 @@ def grid_oracle(
     gains: Sequence[float],
     pmax: Sequence[float],
     resolution: int = 201,
-    refine_points: int | None = None,
 ) -> PowerAllocation:
     """Exhaustive grid search over the power box, independent of the closed
     forms it verifies.
@@ -315,23 +315,19 @@ def grid_oracle(
     Evaluates the chosen objective on a uniform resolution x resolution grid
     over [0, pmax1] x [0, pmax2], then runs one local refinement pass: the
     window one coarse step each side of the incumbent is re-gridded with
-    ``refine_points`` points per axis (defaults to ``resolution``, i.e. a
-    step 100x finer, which keeps the value error of interior optima below
-    1e-7 on the instance scales used here).  Ties break toward the smaller
-    lexicographic power pair.  No relabeling is applied: for the jamming
-    objective the caller decides who jams by the argument order.
+    ``resolution`` points per axis (a step 100x finer at the default, which
+    keeps the value error of interior optima below 1e-7 on the instance
+    scales used here).  Ties break toward the smaller lexicographic power
+    pair.  No relabeling is applied: for the jamming objective the caller
+    decides who jams by the argument order.
     """
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
         raise ValidationError(f"objective must be SUM or JAM, got {objective!r}")
-    h1, h2 = _check_pair(gains, "gains")
-    m1, m2 = _check_pair(pmax, "pmax")
+    h1, h2 = _as_rate_tuple(gains, "gains", 2)
+    m1, m2 = _as_rate_tuple(pmax, "pmax", 2)
     if not isinstance(resolution, int) or resolution < MIN_ORACLE_RESOLUTION:
         raise ValidationError(f"resolution must be an integer >= {MIN_ORACLE_RESOLUTION}")
-    if refine_points is None:
-        refine_points = resolution
-    elif not isinstance(refine_points, int) or refine_points < 2:
-        raise ValidationError("refine_points must be an integer >= 2")
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
 
     def best_on(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -352,8 +348,8 @@ def grid_oracle(
 
     step1 = m1 / (resolution - 1)
     step2 = m2 / (resolution - 1)
-    fine_x = np.linspace(max(0.0, p1 - step1), min(m1, p1 + step1), refine_points)
-    fine_y = np.linspace(max(0.0, p2 - step2), min(m2, p2 + step2), refine_points)
+    fine_x = np.linspace(max(0.0, p1 - step1), min(m1, p1 + step1), resolution)
+    fine_y = np.linspace(max(0.0, p2 - step2), min(m2, p2 + step2), resolution)
     fval, fp1, fp2 = best_on(fine_x, fine_y)
     if fval > val:
         val, p1, p2 = fval, fp1, fp2

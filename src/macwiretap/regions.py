@@ -23,7 +23,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import StandardChannel, check_degraded
+from .channel import StandardChannel, _as_rate_tuple, check_degraded
 from .errors import NonDegradedError, ValidationError
 from .rates import _clamp0, _g_arr, cw, enumerate_subsets, g, subset_label
 
@@ -51,18 +51,6 @@ COORDS_TOTAL = "total"
 
 ALPHA_SUM_TOL = 1e-12
 POWER_FEAS_TOL = 1e-12
-
-
-def _as_rate_tuple(values: Any, name: str) -> tuple[float, ...]:
-    if isinstance(values, str):
-        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a sequence of numbers: {exc}") from exc
-    if any(not math.isfinite(v) or v < 0.0 for v in out):
-        raise ValidationError(f"{name} entries must be finite and nonnegative, got {out}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -310,7 +298,6 @@ def outer_region_at(
     std: StandardChannel,
     powers: Sequence[float],
     kind: str,
-    degraded_tol: float = 1e-9,
 ) -> RateConstraintSet:
     """Converse region at fixed power; valid only when the eavesdropper is
     degraded.  kind INDIVIDUAL bounds each user's secret rate by its
@@ -319,13 +306,13 @@ def outer_region_at(
     kind = str(kind).upper().replace("-", "_").replace("OUTER_", "")
     if kind not in (KIND_INDIVIDUAL, KIND_COLLECTIVE):
         raise ValidationError(f"outer bound kind must be INDIVIDUAL or COLLECTIVE, got {kind!r}")
-    _require_degraded(std, degraded_tol, "outer bounds hold only for a degraded "
-                      "eavesdropper (equal gains below 1)")
+    _require_degraded(std, "outer bounds hold only for a degraded eavesdropper "
+                      "(equal gains below 1)")
     return _region_at(std, f"OUTER_{kind}", powers)
 
 
-def _require_degraded(std: StandardChannel, tol: float, what: str) -> None:
-    report = check_degraded(std, tol)
+def _require_degraded(std: StandardChannel, what: str) -> None:
+    report = check_degraded(std)
     if not report.is_degraded:
         raise NonDegradedError(
             f"{what}; got gains {std.h} with spread {report.max_gain_spread:.3g}"
@@ -607,7 +594,6 @@ def region_boundary_2d(
     delta: float = 1.0,
     power_grid_res: int = 101,
     alpha_grid_res: int = 101,
-    degraded_tol: float = 1e-9,
 ) -> RegionBoundary2D:
     """Convex closure of the union of fixed-power regions of the given kind
     over a uniform power grid (and a time-share grid for the time-division
@@ -624,9 +610,7 @@ def region_boundary_2d(
     if power_grid_res < 2 or alpha_grid_res < 2:
         raise ValidationError("grid resolutions must be at least 2")
     if kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE):
-        _require_degraded(
-            std, degraded_tol, "outer-bound boundaries require a degraded eavesdropper"
-        )
+        _require_degraded(std, "outer-bound boundaries require a degraded eavesdropper")
     x, y, generator_count = _boundary_candidates(std, kind, delta, power_grid_res, alpha_grid_res)
     return RegionBoundary2D(vertices=tuple(_upper_right_hull(x, y)), generator_count=generator_count)
 

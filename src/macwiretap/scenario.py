@@ -27,7 +27,9 @@ from .optimizer import (
     CASE_NONE,
     CASE_ONE_TRANSMITS,
     _jam_kernel,
+    _jam_root,
     _sum_kernel,
+    _threshold,
     optimal_powers_jam,
     optimal_powers_sum,
 )
@@ -74,6 +76,12 @@ class ScenarioConfig:
         width, height = _as_floats(self.area, "area", 2)
         if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
             raise ValidationError(f"area must be positive and finite, got {self.area!r}")
+        # the last cell centre is (n - 0.5) * side / n
+        if not all(math.isfinite((n - 0.5) * side) for n, side in zip(grid, (width, height))):
+            raise ValidationError(
+                f"area {(width, height)} with grid {tuple(grid)} too large: "
+                "the cell centres overflow the float range"
+            )
         object.__setattr__(self, "area", (width, height))
         object.__setattr__(self, "base_station", _as_point(self.base_station, "base_station"))
         if isinstance(self.users, str) or not isinstance(self.users, Sequence):
@@ -328,8 +336,8 @@ def _solve(h_a, h_b, m_a, m_b):
     so every value is bitwise the scalar one.
 
     Returns (P1, P2, unclamped jam rate, unclamped sum rate, case codes,
-    roots_ok); ``roots_ok`` is false where the scalar ``jam_roots`` would
-    evaluate a non-finite root and so raise.
+    roots_ok); ``roots_ok`` is false where the scalar solver would evaluate
+    a non-finite root and so raise.
     """
     swapped = h_a > h_b
     h1, h2 = np.where(swapped, h_b, h_a), np.where(swapped, h_a, h_b)
@@ -337,7 +345,7 @@ def _solve(h_a, h_b, m_a, m_b):
 
     # optimal_powers_sum
     below = h1 < 1.0
-    threshold = (1.0 + h1 * m1) / (1.0 + m1)
+    threshold = _threshold(h1, m1)
     both = below & (h2 < threshold)
     s1 = np.where(below, m1, 0.0)
     s2 = np.where(both, m2, 0.0)
@@ -349,15 +357,15 @@ def _solve(h_a, h_b, m_a, m_b):
     # sum-rate threshold defer to the sum-rate answer
     equal = h1 == h2
     defer = np.where(equal, below, (h2 <= 1.0) & (h2 < threshold))
-    # the two branches that call jam_roots: h1 <= 1 < h2 jams at the root
-    # clamped to [0, m2]; 1 < h1 < h2 jams at min(root, m2) when worthwhile
+    # the two branches that read the jamming root: h1 <= 1 < h2 jams at the
+    # root clamped to [0, m2]; 1 < h1 < h2 jams at min(root, m2) when
+    # worthwhile.  On both h2 > 1 and h1 >= 0, so the discriminant is never
+    # negative
     root_lo = ~equal & (h2 > 1.0) & (h1 <= 1.0)
     root_hi = ~equal & (h1 > 1.0) & ((h1 - 1.0) / (h2 - h1) < m2)
-    disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * m1)
-    root = (-h2 * (1.0 - h1) + np.sqrt(disc)) / (h2 * (h2 - h1))
-    real = ~(disc < 0.0)
+    root = _jam_root(h1, h2, m1)[1]
     capped = np.where(m2 < root, m2, root)  # min(root, m2), ties to root
-    j2 = np.where(root_lo, np.where(real & (capped > 0.0), capped, 0.0),
+    j2 = np.where(root_lo, np.where(capped > 0.0, capped, 0.0),
                   np.where(root_hi, capped, 0.0))
     j1 = np.where(root_lo | root_hi | (~equal & (h2 <= 1.0)), m1, 0.0)
     active = root_hi | (root_lo & (j2 != 0.0))
@@ -370,7 +378,7 @@ def _solve(h_a, h_b, m_a, m_b):
 
     p1 = np.where(defer, s1, j1)
     p2 = np.where(defer, s2, j2)
-    roots_ok = ~(root_lo | root_hi) | (root_lo & ~real) | np.isfinite(root)
+    roots_ok = ~(root_lo | root_hi) | np.isfinite(root)
     return (
         np.where(swapped, p2, p1),
         np.where(swapped, p1, p2),
@@ -417,10 +425,10 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
         p1, p2, jam, nojam, case, ok = _solve(h_a, h_b, m_a, m_b)
         # vouch only for cells on which the scalar path cannot raise or warn:
         # h and pmax finite (a zero gains_main makes h non-finite), every jam
-        # root it evaluates finite, the cell inside the area, outputs finite
+        # root it evaluates finite, outputs finite.  The config keeps every
+        # cell centre inside the area
         for column in (h_a, h_b, m_a, m_b, p1, p2, jam, nojam):
             ok &= np.isfinite(column)
-        ok &= (0.0 <= x) & (x <= width) & (0.0 <= y) & (y <= height)
         jam, nojam = _clamp0(jam), _clamp0(nojam)
     case = case.astype(np.int8)
     for i in np.flatnonzero(~ok).tolist():

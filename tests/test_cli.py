@@ -203,7 +203,7 @@ def test_jam_verify_handles_both_transmit_fallback(capsys):
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    def bogus_oracle(objective, gains, pmax, resolution=201, refine_points=None):
+    def bogus_oracle(objective, gains, pmax, resolution=201):
         return PowerAllocation(p=(0.0, 0.0), case_label="NONE", achieved_rate=1.0)
 
     monkeypatch.setattr("macwiretap.cli.grid_oracle", bogus_oracle)
@@ -305,9 +305,17 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
          "discriminant overflows the float range\n"),
         ({"power_limits": [1e300, 1e300]}, 0,
          "292aa1f0ecc91c5d4a24e46dbb5f725195cf8538987c61df9b4fc2d27e01d207"),
-        # the cell centre (i + 0.5) * width / nx overflows
+        # the cell centre (i + 0.5) * width / nx overflows: the config is
+        # rejected at the edge
         ({"area": [1.7e308, 1.7e308], "grid": [2, 2]}, 2,
-         "error: cell (inf, 4.25e+307): eaves_pos must be finite, got (inf, 4.25e+307)\n"),
+         "error: area (1.7e+308, 1.7e+308) with grid (2, 2) too large: the cell centres "
+         "overflow the float range\n"),
+        # the secrecy rate g(P1 + P2) overflows: the first such cell names it
+        ({"users": [[49.5, 50.0], [50.5, 50.0]], "base_station": [50.0, 50.0],
+          "power_limits": [1.7976931348623157e308, 1.7976931348623157e308],
+          "pathloss_exponent": 250, "grid": [3, 3]}, 2,
+         "error: cell (16.6667, 16.6667): gains (0.0, 0.0) with pmax (1.7976931348623157e+308, "
+         "1.7976931348623157e+308) too large: the secrecy rate overflows the float range\n"),
         # a user at the base station: min_distance ** -2 overflows
         ({"users": [[50.0, 50.0], [25.0, 70.0]], "min_distance": 1e-200}, 2,
          "error: cell (8.33333, 8.33333): path-loss gain max(distance, min_distance) "
@@ -370,6 +378,11 @@ def test_overflowing_powers_exit_2_and_never_warn(capsys):
         (["jam", "--h", "0.5,3", "--pmax", "1e308,1e308", "--verify"], "gains"),
         (["sumopt", "--h", "1e308,1", "--pmax", "1e308,1", "--verify"], "gains"),
         (["sumopt", "--h", "0.1,0.2", "--pmax", "1e308,1e308", "--verify"], "gains"),
+        # the secrecy rate itself overflows at the closed-form allocation
+        (["sumopt", "--h", "0,0", "--pmax", "1.7976931348623157e308,1.7976931348623157e308"],
+         "gains"),
+        (["jam", "--h", "0,0", "--pmax", "1.7976931348623157e308,1.7976931348623157e308"],
+         "gains"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -581,3 +594,96 @@ def test_region_boundaries_at_float_extremes_exit_cleanly(kind, h, equal_gains, 
             json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+# every CLI path once, pinned as sha256 of json.dumps([exit code, stdout,
+# stderr]); the files are written to the working directory, and COLUMNS
+# fixes the width of argparse's usage line
+_PIN_SCENARIO = {
+    "grid": [3, 2], "area": [100.0, 100.0], "base_station": [50.0, 50.0],
+    "users": [[20.0, 35.0], [25.0, 70.0]], "power_limits": [6000.0, 6000.0],
+    "noise_var_main": 1.0, "noise_var_tap": 1.0,
+}
+_PIN_CHANNEL = {
+    "num_users": 2, "gains_main": [4, 1], "gains_tap": [1, 1],
+    "noise_var_main": 2, "noise_var_tap": 1, "power_limits": [1, 1],
+}
+_PIN_H_PMAX = ["--h", "0.5,0.5", "--pmax", "2,4"]
+_PIN_ARGV = {
+    # one ordinary call of every subcommand
+    "standardize": ["standardize", "--config", "channel.json"],
+    "region": ["region", "--kind", "individual", "--h", "0.3,0.7", "--pmax", "12,5",
+               "--delta", "0.8", "--res", "21"],
+    "region_csv": ["region", "--kind", "union-i-t", *_PIN_H_PMAX, "--res", "11", "--alpha-res", "5",
+                   "--format", "csv"],
+    "sumopt": ["sumopt", "--h", "0.25,0.3", "--pmax", "10,10", "--verify", "--res", "21"],
+    "jam": ["jam", "--h", "0.5,2", "--pmax", "10,10"],
+    "tdma": ["tdma", *_PIN_H_PMAX, "--power", "1,3"],
+    "split": ["split", "--kind", "individual", *_PIN_H_PMAX, "--power", "1,3", "--secret", "0.1,0.2"],
+    "scenario": ["scenario", "--config", "scenario.json"],
+    "split_open": ["split", "--kind", "collective", *_PIN_H_PMAX, "--power", "1,3", "--secret", "0.1,0",
+                   "--open", "0.2,0.1"],
+    # fixed-power sets of every kind
+    "region_power_tdma": ["region", "--kind", "tdma", *_PIN_H_PMAX, "--power", "1,3"],
+    "region_power_tdma_alpha": ["region", "--kind", "tdma", *_PIN_H_PMAX, "--power", "1,3",
+                                "--alpha", "0.5,0.5"],
+    "region_power_outer_individual": ["region", "--kind", "outer-individual", *_PIN_H_PMAX,
+                                      "--power", "1,3"],
+    "region_power_outer_collective": ["region", "--kind", "outer-collective", *_PIN_H_PMAX,
+                                      "--power", "1,3"],
+    "region_power_union_i_t": ["region", "--kind", "union-i-t", *_PIN_H_PMAX, "--power", "1,3"],
+    # --delta on fixed-power sets
+    "region_power_delta": ["region", "--kind", "individual", *_PIN_H_PMAX, "--power", "1,3",
+                           "--delta", "0.5"],
+    "region_power_tdma_delta": ["region", "--kind", "tdma", *_PIN_H_PMAX, "--power", "1,3",
+                                "--delta", "0.5"],
+    "tdma_delta": ["tdma", *_PIN_H_PMAX, "--power", "1,3", "--alpha", "0.4,0.6", "--delta", "0.5"],
+    # malformed requests
+    "unequal_lengths": ["region", "--kind", "individual", "--h", "0.5,0.5,0.5",
+                        "--pmax", "2,4"],
+    "sumopt_three_users": ["sumopt", "--h", "0.1,0.2,0.3", "--pmax", "1,1,1"],
+    "non_integer_res": ["region", "--kind", "individual", *_PIN_H_PMAX, "--res", "2.5"],
+    "scenario_not_object": ["scenario", "--config", "list.json"],
+    "standardize_not_object": ["standardize", "--config", "list.json"],
+    "scenario_unreadable": ["scenario", "--config", "missing/scenario.json"],
+    "standardize_unreadable": ["standardize", "--config", "missing/channel.json"],
+}
+_PIN_SHA256 = {
+    "standardize": "c62252f5b238ed01627998318dfa38f7be0f57a58c287a5b6ba5860e40dc7dcf",
+    "region": "d18777b89b8a596317a2cfeb1f680e00ead977189e59b8921dc72e1358cbe7e1",
+    "region_csv": "52a20d7ff501bdb4f7df08be90827d2dbff32c5dcd5639a0bf0678576b8f0b64",
+    "sumopt": "4648fcd12aca91a5badd4e61bf5463cbf6fa66654c3a8295d768972d73371b7e",
+    "jam": "1ff918ac7df456a101a2999fdeb11cf47540ec8ecd7e3e90f430b9c423140938",
+    "tdma": "8da62a81531ec6bb491280da9fb5c3455ffeb3b790c6b0b7be3c2b03124db0e7",
+    "split": "34dcedd87a557f14e2a643e9736abd45f4a5aa27e7aacf61e39b644070e816c6",
+    "scenario": "6bb73d4046e2bd7c187b948a7dabeebb9d08b02fa194b4a4a5b87f0504265b0b",
+    "split_open": "af3e9c8eb9989ce61f3ed1ea633066605604c59a02e89251366e83f4ceaa4cbf",
+    "region_power_tdma": "aa26211862b7e585e2b8e990490184ddbb9a511a27618764483c6072e1052a97",
+    "region_power_tdma_alpha": "88901158a993ad7bd3ef2c86725996ad066260239ebcf62660e5a95daa01e69f",
+    "region_power_outer_individual": "827710a121a3aa2d280a07815c7c77bfb07a509f9d37fa2c8e0e16edb7e621dd",
+    "region_power_outer_collective": "254b2e03cd842e4b744cba2ae6ef3c56fb1830cd36ba21a3fa101ab0e2f34593",
+    "region_power_union_i_t": "4bd1255f35e4b924b2ce2f215a25992d40b024abbc84dc2f5ef4fcdee75cf58c",
+    "region_power_delta": "37056b21f931d6670987866b125dd6f809e00cb2f396c297ade58d6b69f96a8c",
+    "region_power_tdma_delta": "2d336e7f2ca7d4cbae81f5fb25864a4b111c7aa553a51d20bdaa7c4c53d0dfb2",
+    "tdma_delta": "d8cdb66f1cdd680e6bcde74ca0902c0cb292e862a0dc90a583e1be26789a9958",
+    "unequal_lengths": "1e21b0b98f8bb0337c9251a1a4c96ac024d2e1943d22aa5a35a0e9b0cbb386fe",
+    "sumopt_three_users": "92a74fb728b2696b7b01b424068374d1482b2bdc0ed9d6646311d400127afe61",
+    "non_integer_res": "cdba2fe43a1b6c91e08aa9720143eee895834bedf335840b5cd0d42711891c2e",
+    "scenario_not_object": "b80b95fa977f54ce1f548482c0ff62f56357acf68f3cd81074dea84449af2257",
+    "standardize_not_object": "b80b95fa977f54ce1f548482c0ff62f56357acf68f3cd81074dea84449af2257",
+    "scenario_unreadable": "5b1b1cfff40ec8b74574306394d81d7303951b66ca2f2a76325b0c444b6ee7f5",
+    "standardize_unreadable": "762b6da21b15828b01a97ab27df24e5823df9ab582772664e67070fd4522a798",
+}
+
+
+def test_every_cli_path_keeps_its_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "scenario.json").write_text(json.dumps(_PIN_SCENARIO))
+    (tmp_path / "channel.json").write_text(json.dumps(_PIN_CHANNEL))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    got = {}
+    for name, argv in _PIN_ARGV.items():
+        code, out, err = run_cli(capsys, *argv)
+        got[name] = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    assert got == _PIN_SHA256

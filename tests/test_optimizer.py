@@ -209,6 +209,33 @@ def test_optimal_powers_jam_edge_gains():
     assert broke.p == (0.0, 0.0) and broke.case_label == "NONE"
 
 
+FLOAT_MAX = 1.7976931348623157e308
+
+
+def test_jam_roots_name_the_gains_when_the_roots_leave_the_float_range():
+    cases = [
+        # h2 * (h2 - h1) underflows to zero: the roots divide by it
+        ((9.201269777422218e-91, 5.02599592e-315), 0.0),
+        # a subnormal h2 * (h2 - h1) sends a root out of the float range
+        ((0.008115576931043955, 2.90799594927e-313), FLOAT_MAX),
+    ]
+    for gains, pmax1 in cases:
+        with pytest.raises(ValidationError, match=r"^gains .* put the jamming roots outside"):
+            jam_roots(gains, pmax1)
+
+
+def test_solvers_reject_an_overflowing_secrecy_rate():
+    # g(P1 + P2) overflows at the both-transmit allocation
+    for solver in (optimal_powers_sum, optimal_powers_jam):
+        with pytest.raises(ValidationError, match="the secrecy rate overflows"):
+            solver((0.0, 0.0), (FLOAT_MAX, FLOAT_MAX))
+    # h1 * P1 overflows inside the jamming objective, whose true value is
+    # finite and positive; clamping its -inf to zero would hide that
+    with pytest.raises(ValidationError, match=r"^gains \(1\.41.*, 1\.13.*\) with pmax"):
+        optimal_powers_jam((1.4112098634870498, 1.1372276019244711),
+                           (1.6577117771685576e78, FLOAT_MAX))
+
+
 def test_tdma_optimal_alpha():
     assert tdma_optimal_alpha((1.0, 3.0)) == pytest.approx((0.25, 0.75), abs=1e-15)
     assert tdma_optimal_alpha((2.0, 2.0)) == (0.5, 0.5)

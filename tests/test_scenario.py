@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import macwiretap.scenario as scenario
 from macwiretap.channel import standardize
@@ -63,6 +65,28 @@ def test_config_validation():
         with pytest.raises(ValidationError, match="grid"):
             ScenarioConfig.from_dict({**data, "grid": grid})
     assert ScenarioConfig.from_dict({**data, "grid": [24.0, 3]}).grid == (24, 3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    side=st.one_of(
+        st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]),
+        st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    ),
+    n=st.integers(1, 1000),
+)
+def test_accepted_cell_centres_lie_in_the_area(side, n):
+    # the config rejects an area and grid whose last cell centre overflows;
+    # every centre of an accepted one, (i + 0.5) * side / n as ``sweep``
+    # computes it, lies in [0, side], so the sweep needs no in-area check
+    try:
+        small_config(area=(side, 1.0), grid=(n, 1), base_station=(0.0, 0.0),
+                     users=((0.0, 0.0), (0.0, 0.0)))
+    except ValidationError as exc:
+        assert not math.isfinite((n - 0.5) * side)
+        assert "area" in str(exc) and "grid" in str(exc)
+        return
+    assert all(0.0 <= (i + 0.5) * side / n <= side for i in range(n))
 
 
 def test_config_json_round_trip():
