@@ -5,10 +5,13 @@ messages and (b) the weaker-secrecy user jamming the eavesdropper with
 Gaussian noise, plus an exhaustive grid-search oracle used to verify the
 closed forms independently.
 
-Both closed-form solvers accept gains in any order; they relabel internally
-so the first user is the one with the smaller eavesdropper gain (the "better"
-user) and restore the caller's order on output.  The jamming objective itself
-is direction-sensitive: user 1 transmits, user 2 is noise to both receivers.
+The case logic of both allocations lives in one function, ``_solve``, which
+works elementwise on arrays (the scenario sweep) and on 0-d values (the
+two public solvers).  It accepts gains in any order and relabels so the
+first user is the one with the smaller eavesdropper gain (the "better"
+user), restoring the caller's order on output.  The jamming objective
+itself is direction-sensitive: user 1 transmits, user 2 is noise to both
+receivers.
 """
 
 from __future__ import annotations
@@ -119,13 +122,96 @@ def _threshold(h1, m1):
 
 def _jam_root(h1, h2, m1, sign: float = 1.0):
     """(discriminant, root) of the jamming-power stationarity parabola at
-    full transmit power m1, elementwise and unchecked.  The root is
+    full transmit power m1, elementwise and unchecked; call it under
+    ``np.errstate(all="ignore")``.  The root is
     (-h2(1-h1) + sign*sqrt(disc)) / (h2(h2-h1)): the larger one for the
     default sign when h2 > h1, and inf or NaN where the division leaves the
     float range or the discriminant is negative or overflows."""
-    with np.errstate(all="ignore"):
-        disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * m1)
-        return disc, (-h2 * (1.0 - h1) + sign * np.sqrt(disc)) / (h2 * (h2 - h1))
+    disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * m1)
+    return disc, (-h2 * (1.0 - h1) + sign * np.sqrt(disc)) / (h2 * (h2 - h1))
+
+
+def _root_overflow(h1: float, h2: float, m1: float) -> ValidationError:
+    return ValidationError(
+        f"gains {(h1, h2)} with transmit power limit {m1} too large: "
+        "the jamming-root discriminant overflows the float range"
+    )
+
+
+# case labels in the order of the codes that ``_solve`` returns
+CASE_LABELS = (
+    CASE_BOTH_TRANSMIT, CASE_ONE_TRANSMITS, CASE_NONE,
+    CASE_JAM_AT_ROOT, CASE_JAM_AT_MAX, CASE_NO_JAM,
+)
+_CODE = {label: code for code, label in enumerate(CASE_LABELS)}
+
+
+def _pick(cond, a, b):
+    """``np.where``, except that a 0-d result comes back as a numpy scalar,
+    whose arithmetic costs a fraction of a 0-d array's."""
+    return np.where(cond, a, b)[()]
+
+
+def _solve(h_a, h_b, m_a, m_b):
+    """Both closed-form allocations of standardized two-user channels,
+    elementwise over arrays that broadcast together or on 0-d values; call
+    it under ``np.errstate(all="ignore")``.
+
+    Returns ((P1, P2, rate, case code) of the sum-rate allocation,
+    (P1, P2, rate, case code) of the jamming allocation, roots_ok), powers
+    in the given user order, rates unclamped, codes indexing
+    ``CASE_LABELS``.  ``roots_ok`` is false where the jamming allocation
+    reads a root whose discriminant is not finite.
+    """
+    swapped = h_a > h_b
+    h1, h2 = _pick(swapped, h_b, h_a), _pick(swapped, h_a, h_b)
+    m1, m2 = _pick(swapped, m_b, m_a), _pick(swapped, m_a, m_b)
+
+    # sum rate: both users transmit at full power when h1 < 1 and h2 lies
+    # below the threshold, only user 1 when h1 < 1 otherwise, nobody else
+    below = h1 < 1.0
+    under = h2 < _threshold(h1, m1)
+    both = below & under
+    s1 = _pick(below, m1, 0.0)
+    s2 = _pick(both, m2, 0.0)
+    sum_case = _pick(both, _CODE[CASE_BOTH_TRANSMIT],
+                     _pick(below, _CODE[CASE_ONE_TRANSMITS], _CODE[CASE_NONE]))
+    sum_rate = _sum_kernel(s1, s2, h1, h2)
+
+    # jamming: equal gains below one and distinct gains below the sum-rate
+    # threshold defer to the sum-rate answer; equal gains at or above one
+    # stay silent.  With distinct gains user 1 transmits at full power when
+    # h1 <= 1, and user 2 then jams at the root clamped to [0, m2] when
+    # h2 > 1; when 1 < h1 both act only if jamming is worthwhile, user 2 at
+    # min(root, m2).  Wherever the root is read, h2 > 1 and h1 >= 0, so the
+    # discriminant is never negative
+    distinct = h1 != h2
+    weak = h2 <= 1.0
+    defer = _pick(distinct, weak & under, below)
+    lo = distinct & (h1 <= 1.0)
+    strong = distinct & (h1 > 1.0)
+    root_lo = lo & (h2 > 1.0)
+    root_hi = strong & ((h1 - 1.0) / (h2 - h1) < m2)
+    disc, root = _jam_root(h1, h2, m1)
+    capped = _pick(m2 < root, m2, root)  # min(root, m2), ties to root
+    jams = root_hi | (root_lo & (capped > 0.0))
+    j2 = _pick(jams, capped, 0.0)
+    j1 = _pick(lo | root_hi, m1, 0.0)
+    jam_case = _pick(
+        jams,
+        _pick(j2 == m2, _CODE[CASE_JAM_AT_MAX], _CODE[CASE_JAM_AT_ROOT]),
+        _pick(strong, _CODE[CASE_NONE], _CODE[CASE_NO_JAM]),
+    )
+    jam_rate = _jam_kernel(j1, j2, h1, h2)
+
+    p1 = _pick(defer, s1, j1)
+    p2 = _pick(defer, s2, j2)
+    return (
+        (_pick(swapped, s2, s1), _pick(swapped, s1, s2), sum_rate, sum_case),
+        (_pick(swapped, p2, p1), _pick(swapped, p1, p2),
+         _pick(defer, sum_rate, jam_rate), _pick(defer, sum_case, jam_case)),
+        ~(root_lo | root_hi) | np.isfinite(disc),
+    )
 
 
 def sum_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
@@ -155,30 +241,44 @@ def _restore(pair: tuple[float, float], swapped: bool) -> tuple[float, float]:
     return (pair[1], pair[0]) if swapped else pair
 
 
-def _allocation(kernel, p_sorted, case: str, h, m, swapped: bool, **extra) -> PowerAllocation:
-    """The allocation in the caller's order, its objective clamped at zero;
-    a non-finite objective is rejected."""
-    rate = float(kernel(p_sorted[0], p_sorted[1], h[0], h[1]))
-    if not math.isfinite(rate):
-        raise ValidationError(
-            f"gains {_restore(h, swapped)} with pmax {_restore(m, swapped)} too large: "
-            "the secrecy rate overflows the float range"
-        )
-    return PowerAllocation(
-        p=_restore(p_sorted, swapped), case_label=case, achieved_rate=max(0.0, rate), **extra
-    )
+def _capacity_expr(p1: float, p2: float, h1: float, h2: float) -> float | None:
+    arg = ((1.0 - h1) * p1 + (1.0 - h2) * p2) / (1.0 + h1 * p1 + h2 * p2)
+    if arg <= -1.0:
+        return None
+    return 0.5 * math.log2(1.0 + arg)
 
 
-def _sum_allocation(h, m, swapped: bool) -> PowerAllocation:
-    (h1, h2), (m1, m2) = h, m
-    if h1 < 1.0:
-        if h2 < _threshold(h1, m1):
-            p_sorted, case = (m1, m2), CASE_BOTH_TRANSMIT
+def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation]:
+    """One 0-d ``_solve`` of a two-user channel, as the allocation of each
+    of ``objectives`` (OBJECTIVE_SUM, OBJECTIVE_JAM) in turn: the powers in
+    the caller's order and the objective clamped at zero.  An allocation
+    whose jamming root or objective leaves the float range is rejected."""
+    h, m, swapped = _sorted_two(gains, pmax)
+    with np.errstate(all="ignore"):
+        nojam, jam, roots_ok = _solve(*h, *m)
+    out = []
+    for objective in objectives:
+        extra = {}
+        if objective == OBJECTIVE_SUM:
+            p1, p2, rate, code = nojam
         else:
-            p_sorted, case = (m1, 0.0), CASE_ONE_TRANSMITS
-    else:
-        p_sorted, case = (0.0, 0.0), CASE_NONE
-    return _allocation(_sum_kernel, p_sorted, case, h, m, swapped)
+            if not roots_ok:
+                raise _root_overflow(*h, m[0])
+            p1, p2, rate, code = jam
+            # a request that deferred to the sum-rate answer returns it as is
+            if code not in (_CODE[CASE_BOTH_TRANSMIT], _CODE[CASE_ONE_TRANSMITS]):
+                extra["capacity_expr_rate"] = _capacity_expr(float(p1), float(p2), *h)
+        rate = float(rate)
+        if not math.isfinite(rate):
+            raise ValidationError(
+                f"gains {_restore(h, swapped)} with pmax {_restore(m, swapped)} too large: "
+                "the secrecy rate overflows the float range"
+            )
+        out.append(PowerAllocation(
+            p=_restore((float(p1), float(p2)), swapped), case_label=CASE_LABELS[code],
+            achieved_rate=max(0.0, rate), **extra,
+        ))
+    return out
 
 
 def optimal_powers_sum(gains: Sequence[float], pmax: Sequence[float]) -> PowerAllocation:
@@ -189,17 +289,7 @@ def optimal_powers_sum(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     only the better user transmits when h1 < 1 and h2 is at or above it;
     nobody transmits otherwise.
     """
-    return _sum_allocation(*_sorted_two(gains, pmax))
-
-
-def _checked_jam_root(h1: float, h2: float, m1: float) -> tuple[float, float]:
-    disc, root = _jam_root(h1, h2, m1)
-    if not math.isfinite(disc):
-        raise ValidationError(
-            f"gains {(h1, h2)} with transmit power limit {m1} too large: "
-            "the jamming-root discriminant overflows the float range"
-        )
-    return disc, float(root)
+    return _allocations(gains, pmax, (OBJECTIVE_SUM,))[0]
 
 
 def jam_roots(gains: Sequence[float], pmax1: float) -> JamAuxiliaries:
@@ -213,20 +303,24 @@ def jam_roots(gains: Sequence[float], pmax1: float) -> JamAuxiliaries:
         raise ValidationError("root formulas require distinct gains (h2 != h1)")
     if h2 == 0.0:
         raise ValidationError("root formulas require a nonzero jammer gain h2")
-    disc, root_p = _checked_jam_root(h1, h2, pmax1)
-    if disc < 0.0:
-        root_p = root_p_bar = None
-        p2_eval = 0.0
-    else:
-        root_p_bar = float(_jam_root(h1, h2, pmax1, sign=-1.0)[1])
-        if not (math.isfinite(root_p) and math.isfinite(root_p_bar)):
-            raise ValidationError(
-                f"gains {(h1, h2)} with transmit power limit {pmax1} put the jamming "
-                "roots outside the float range"
-            )
-        if root_p < root_p_bar:
-            root_p, root_p_bar = root_p_bar, root_p
-        p2_eval = max(root_p, 0.0)
+    with np.errstate(all="ignore"):
+        disc, root_p = _jam_root(h1, h2, pmax1)
+        if not math.isfinite(disc):
+            raise _root_overflow(h1, h2, pmax1)
+        root_p = float(root_p)
+        if disc < 0.0:
+            root_p = root_p_bar = None
+            p2_eval = 0.0
+        else:
+            root_p_bar = float(_jam_root(h1, h2, pmax1, sign=-1.0)[1])
+            if not (math.isfinite(root_p) and math.isfinite(root_p_bar)):
+                raise ValidationError(
+                    f"gains {(h1, h2)} with transmit power limit {pmax1} put the jamming "
+                    "roots outside the float range"
+                )
+            if root_p < root_p_bar:
+                root_p, root_p_bar = root_p_bar, root_p
+            p2_eval = max(root_p, 0.0)
     return JamAuxiliaries(
         rho=rho((pmax1, p2_eval), (h1, h2)),
         phi2=phi(p2_eval, h2),
@@ -234,13 +328,6 @@ def jam_roots(gains: Sequence[float], pmax1: float) -> JamAuxiliaries:
         root_p=root_p,
         root_p_bar=root_p_bar,
     )
-
-
-def _capacity_expr(p1: float, p2: float, h1: float, h2: float) -> float | None:
-    arg = ((1.0 - h1) * p1 + (1.0 - h2) * p2) / (1.0 + h1 * p1 + h2 * p2)
-    if arg <= -1.0:
-        return None
-    return 0.5 * math.log2(1.0 + arg)
 
 
 def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAllocation:
@@ -255,30 +342,7 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     the sum-rate solver's answer is returned.  Equal gains make jamming
     ineffective: the sum-rate answer (gains < 1) or silence (gains >= 1).
     """
-    h, m, swapped = _sorted_two(gains, pmax)
-    (h1, h2), (m1, m2) = h, m
-    if h1 == h2 >= 1.0:
-        p_sorted, case = (0.0, 0.0), CASE_NO_JAM
-    elif h1 == h2 or (h2 <= 1.0 and h2 < _threshold(h1, m1)):
-        return _sum_allocation(h, m, swapped)
-    elif h2 <= 1.0:
-        p_sorted, case = (m1, 0.0), CASE_NO_JAM
-    elif h1 <= 1.0:
-        # h2 > 1 and h1 >= 0, so the discriminant is nonnegative (or NaN
-        # after an overflow, which _checked_jam_root rejects)
-        p2 = max(0.0, min(_checked_jam_root(h1, h2, m1)[1], m2))
-        p_sorted = (m1, p2)
-        case = CASE_NO_JAM if p2 == 0.0 else CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
-    elif (h1 - 1.0) / (h2 - h1) < m2:
-        p2 = min(_checked_jam_root(h1, h2, m1)[1], m2)
-        p_sorted = (m1, p2)
-        case = CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
-    else:
-        p_sorted, case = (0.0, 0.0), CASE_NONE
-    return _allocation(
-        _jam_kernel, p_sorted, case, h, m, swapped,
-        capacity_expr_rate=_capacity_expr(p_sorted[0], p_sorted[1], h1, h2),
-    )
+    return _allocations(gains, pmax, (OBJECTIVE_JAM,))[0]
 
 
 def tdma_optimal_alpha(powers: Sequence[float]) -> tuple[float, ...]:

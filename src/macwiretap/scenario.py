@@ -20,18 +20,14 @@ import numpy as np
 from .channel import RawChannelConfig, _as_floats, _as_number, _as_whole, standardize
 from .errors import ValidationError
 from .optimizer import (
-    CASE_BOTH_TRANSMIT,
     CASE_JAM_AT_MAX,
     CASE_JAM_AT_ROOT,
-    CASE_NO_JAM,
-    CASE_NONE,
-    CASE_ONE_TRANSMITS,
-    _jam_kernel,
-    _jam_root,
-    _sum_kernel,
-    _threshold,
-    optimal_powers_jam,
-    optimal_powers_sum,
+    CASE_LABELS,
+    OBJECTIVE_JAM,
+    OBJECTIVE_SUM,
+    _CODE,
+    _allocations,
+    _solve,
 )
 from .rates import _clamp0
 
@@ -165,12 +161,6 @@ class CellRecord:
     case: str
 
 
-# case labels in the order of the codes stored in ``ScenarioResult.case``
-CASE_LABELS = (
-    CASE_BOTH_TRANSMIT, CASE_ONE_TRANSMITS, CASE_NONE,
-    CASE_JAM_AT_ROOT, CASE_JAM_AT_MAX, CASE_NO_JAM,
-)
-_CODE = {label: code for code, label in enumerate(CASE_LABELS)}
 _JAMMING = (_CODE[CASE_JAM_AT_ROOT], _CODE[CASE_JAM_AT_MAX])
 
 _CSV_HEADER = "x,y,P1,P2,sumrate_jam,sumrate_nojam,case\n"
@@ -315,8 +305,7 @@ def gains_at(config: ScenarioConfig, eaves_pos: Sequence[float]) -> RawChannelCo
 def _cell(config: ScenarioConfig, x: float, y: float) -> CellRecord:
     try:
         std = standardize(gains_at(config, (x, y)))
-        nojam = optimal_powers_sum(std.h, std.pmax)
-        jam = optimal_powers_jam(std.h, std.pmax)
+        nojam, jam = _allocations(std.h, std.pmax, (OBJECTIVE_SUM, OBJECTIVE_JAM))
     except ValidationError as exc:
         raise ValidationError(f"cell ({x:g}, {y:g}): {exc}") from exc
     return CellRecord(
@@ -330,72 +319,13 @@ def _cell(config: ScenarioConfig, x: float, y: float) -> CellRecord:
     )
 
 
-def _solve(h_a, h_b, m_a, m_b):
-    """``optimal_powers_sum`` and ``optimal_powers_jam`` over arrays of
-    standardized channels, branch for branch and operation for operation,
-    so every value is bitwise the scalar one.
-
-    Returns (P1, P2, unclamped jam rate, unclamped sum rate, case codes,
-    roots_ok); ``roots_ok`` is false where the scalar solver would evaluate
-    a non-finite root and so raise.
-    """
-    swapped = h_a > h_b
-    h1, h2 = np.where(swapped, h_b, h_a), np.where(swapped, h_a, h_b)
-    m1, m2 = np.where(swapped, m_b, m_a), np.where(swapped, m_a, m_b)
-
-    # optimal_powers_sum
-    below = h1 < 1.0
-    threshold = _threshold(h1, m1)
-    both = below & (h2 < threshold)
-    s1 = np.where(below, m1, 0.0)
-    s2 = np.where(both, m2, 0.0)
-    sum_case = np.where(both, _CODE[CASE_BOTH_TRANSMIT],
-                        np.where(below, _CODE[CASE_ONE_TRANSMITS], _CODE[CASE_NONE]))
-    sum_rate = _sum_kernel(s1, s2, h1, h2)
-
-    # optimal_powers_jam: equal gains below one and distinct gains below the
-    # sum-rate threshold defer to the sum-rate answer
-    equal = h1 == h2
-    defer = np.where(equal, below, (h2 <= 1.0) & (h2 < threshold))
-    # the two branches that read the jamming root: h1 <= 1 < h2 jams at the
-    # root clamped to [0, m2]; 1 < h1 < h2 jams at min(root, m2) when
-    # worthwhile.  On both h2 > 1 and h1 >= 0, so the discriminant is never
-    # negative
-    root_lo = ~equal & (h2 > 1.0) & (h1 <= 1.0)
-    root_hi = ~equal & (h1 > 1.0) & ((h1 - 1.0) / (h2 - h1) < m2)
-    root = _jam_root(h1, h2, m1)[1]
-    capped = np.where(m2 < root, m2, root)  # min(root, m2), ties to root
-    j2 = np.where(root_lo, np.where(capped > 0.0, capped, 0.0),
-                  np.where(root_hi, capped, 0.0))
-    j1 = np.where(root_lo | root_hi | (~equal & (h2 <= 1.0)), m1, 0.0)
-    active = root_hi | (root_lo & (j2 != 0.0))
-    jam_case = np.where(
-        active,
-        np.where(j2 == m2, _CODE[CASE_JAM_AT_MAX], _CODE[CASE_JAM_AT_ROOT]),
-        np.where(~equal & (h1 > 1.0), _CODE[CASE_NONE], _CODE[CASE_NO_JAM]),
-    )
-    jam_rate = _jam_kernel(j1, j2, h1, h2)
-
-    p1 = np.where(defer, s1, j1)
-    p2 = np.where(defer, s2, j2)
-    roots_ok = ~(root_lo | root_hi) | np.isfinite(root)
-    return (
-        np.where(swapped, p2, p1),
-        np.where(swapped, p1, p2),
-        np.where(defer, sum_rate, jam_rate),
-        sum_rate,
-        np.where(defer, sum_case, jam_case),
-        roots_ok,
-    )
-
-
 def sweep(config: ScenarioConfig) -> ScenarioResult:
     """Evaluate every grid cell (cell centers, row-major: y outer, x inner).
 
-    The whole grid is solved in one array pass.  Any cell that the pass
-    cannot vouch for (a value the scalar path would reject, or any
-    non-finite result) is re-solved by the scalar ``_cell``, in row-major
-    order, so a bad cell raises exactly the error the scalar path raises.
+    The whole grid is solved in one array pass of ``optimizer._solve``, the
+    code that the per-cell ``_cell`` runs on 0-d values.  At the first cell
+    the pass cannot vouch for (a value the solvers reject, or any non-finite
+    result), ``_cell`` raises that cell's error.
     """
     nx, ny = config.grid
     width, height = config.area
@@ -412,7 +342,7 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
         ]
         gains_tap = [_gain_grid(config, user, x, y) for user in config.users]
     except (ValidationError, OverflowError):
-        # a gain out of float range: the scalar path raises at the first bad cell
+        # a gain out of float range: ``_cell`` raises at the first bad cell
         for cy in ys:
             for cx in xs:
                 _cell(config, cx, cy)
@@ -422,20 +352,21 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
     m_a, m_b = (g / nvm * limit for g, limit in zip(gains_main, config.power_limits))
     with np.errstate(all="ignore"):
         h_a, h_b = (tap * nvm / (g * nvt) for tap, g in zip(gains_tap, gains_main))
-        p1, p2, jam, nojam, case, ok = _solve(h_a, h_b, m_a, m_b)
-        # vouch only for cells on which the scalar path cannot raise or warn:
-        # h and pmax finite (a zero gains_main makes h non-finite), every jam
-        # root it evaluates finite, outputs finite.  The config keeps every
-        # cell centre inside the area
+        (_, _, nojam, _), (p1, p2, jam, case), ok = _solve(h_a, h_b, m_a, m_b)
+        # vouch only for cells on which ``_cell`` cannot raise or warn:
+        # h and pmax finite (a zero gains_main makes h non-finite), every
+        # jamming-root discriminant it reads finite, outputs finite.  The
+        # config keeps every cell centre inside the area
         for column in (h_a, h_b, m_a, m_b, p1, p2, jam, nojam):
             ok &= np.isfinite(column)
         jam, nojam = _clamp0(jam), _clamp0(nojam)
-    case = case.astype(np.int8)
-    for i in np.flatnonzero(~ok).tolist():
-        rec = _cell(config, float(x[i]), float(y[i]))
-        p1[i], p2[i], jam[i], nojam[i] = rec.p1, rec.p2, rec.sumrate_jam, rec.sumrate_nojam
-        case[i] = _CODE[rec.case]
-    return ScenarioResult(config, x, y, p1, p2, jam, nojam, case)
+    if not ok.all():
+        # ``_cell`` runs the same solve on the same values, so it raises
+        i = int(np.argmin(ok))
+        cx, cy = float(x[i]), float(y[i])
+        _cell(config, cx, cy)
+        raise RuntimeError(f"cell ({cx:g}, {cy:g}): the array solve rejected a cell that _cell accepts")
+    return ScenarioResult(config, x, y, p1, p2, jam, nojam, case.astype(np.int8))
 
 
 def _gain_grid(config: ScenarioConfig, user: Point, x: np.ndarray, y: np.ndarray) -> np.ndarray:

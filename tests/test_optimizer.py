@@ -1,7 +1,10 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
+import reference_solver
 from conftest import jam_derivative_numerator, jam_mode_value, random_instances
 from hypothesis import given
 from hypothesis import strategies as st
@@ -234,6 +237,62 @@ def test_solvers_reject_an_overflowing_secrecy_rate():
     with pytest.raises(ValidationError, match=r"^gains \(1\.41.*, 1\.13.*\) with pmax"):
         optimal_powers_jam((1.4112098634870498, 1.1372276019244711),
                            (1.6577117771685576e78, FLOAT_MAX))
+
+
+def _solver_draws(rng: random.Random, n: int):
+    """Seeded (gains, pmax) pairs: gains log-uniform on [1e-3, 1e3] and pmax
+    on [1e-3, 1e5], with a tenth each of equal gains, a gain of exactly
+    one, h2 exactly at the sum-rate threshold, and float extremes; half of
+    them in swapped user order."""
+    def loguniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    extremes = (0.0, -0.0, 5e-324, 1e-310, 1e-160, 1e150, 1e154, 1e200, FLOAT_MAX)
+    for k in range(n):
+        h = [loguniform(1e-3, 1e3), loguniform(1e-3, 1e3)]
+        m = [loguniform(1e-3, 1e5), loguniform(1e-3, 1e5)]
+        kind = k % 10
+        if kind == 0:
+            h[1] = h[0]
+        elif kind == 1:
+            h[rng.randrange(2)] = 1.0
+        elif kind == 2:
+            h[0] = loguniform(1e-3, 1.0)
+            h[1] = reference_solver._threshold(h[0], m[0])
+        elif kind == 3:
+            h = [rng.choice(extremes + (h[0],)), rng.choice(extremes + (h[1],))]
+            m = [rng.choice(extremes + (m[0],)), rng.choice(extremes + (m[1],))]
+        if rng.random() < 0.5:
+            h.reverse()
+            m.reverse()
+        yield tuple(h), tuple(m)
+
+
+def _outcome(solver, gains, pmax) -> str:
+    # repr keeps -0.0 apart from 0.0
+    try:
+        return repr(solver(gains, pmax))
+    except Exception as exc:  # the type and the message are compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_solvers_match_the_scalar_reference_on_a_seeded_corpus():
+    outcomes = Counter()
+    for gains, pmax in _solver_draws(random.Random(RNG_SEED), 20_000):
+        for solver, reference in (
+            (optimal_powers_sum, reference_solver.optimal_powers_sum),
+            (optimal_powers_jam, reference_solver.optimal_powers_jam),
+        ):
+            got = _outcome(solver, gains, pmax)
+            assert got == _outcome(reference, gains, pmax), (solver.__name__, gains, pmax)
+            outcomes[got.split("case_label='")[1].split("'")[0] if "case_label" in got
+                     else got.split(" too large: ")[-1]] += 1
+    # every case and both overflow messages are drawn
+    assert set(outcomes) >= {
+        "BOTH_TRANSMIT", "ONE_TRANSMITS", "NONE", "JAM_AT_ROOT", "JAM_AT_MAX", "NO_JAM",
+        "the secrecy rate overflows the float range",
+        "the jamming-root discriminant overflows the float range",
+    }, outcomes
 
 
 def test_tdma_optimal_alpha():

@@ -13,15 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import macwiretap.scenario as scenario
+import reference_solver
 from macwiretap.channel import standardize
 from macwiretap.errors import ValidationError
 from macwiretap.rates import g
-from macwiretap.scenario import ScenarioConfig, _cell, gains_at, sweep
+from macwiretap.scenario import ScenarioConfig, gains_at, sweep
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "example_scenario.json"
 
-# sha256 of the example config's CSV as written by the per-cell scalar sweep
-# (standardize + optimal_powers_sum + optimal_powers_jam at every cell)
+# sha256 of the example config's CSV: standardize, then the tests-side
+# scalar solvers in reference_solver.py at every cell (see scalar_csv)
 EXAMPLE_CSV_SHA256 = "f8d0fa89fb26ae55bf0eaf523a01f2bef8e3079a5bd9a06e1ef546afa74a19ed"
 
 
@@ -209,17 +210,26 @@ def csv_text(result) -> str:
     return buf.getvalue()
 
 
+def reference_cell(config: ScenarioConfig, x: float, y: float):
+    """(sum-rate allocation, jamming allocation) of one cell from the
+    tests-side scalar solvers."""
+    std = standardize(gains_at(config, (x, y)))
+    return (reference_solver.optimal_powers_sum(std.h, std.pmax),
+            reference_solver.optimal_powers_jam(std.h, std.pmax))
+
+
 def scalar_csv(config: ScenarioConfig) -> str:
-    """The CSV built row by row from the per-cell scalar reference ``_cell``."""
+    """The CSV built row by row from the tests-side scalar solvers."""
     nx, ny = config.grid
     width, height = config.area
     lines = ["x,y,P1,P2,sumrate_jam,sumrate_nojam,case\n"]
     for j in range(ny):
         for i in range(nx):
-            r = _cell(config, (i + 0.5) * width / nx, (j + 0.5) * height / ny)
+            x, y = (i + 0.5) * width / nx, (j + 0.5) * height / ny
+            nojam, jam = reference_cell(config, x, y)
             lines.append(
-                f"{r.x:.12g},{r.y:.12g},{r.p1:.12g},{r.p2:.12g},"
-                f"{r.sumrate_jam:.12g},{r.sumrate_nojam:.12g},{r.case}\n"
+                f"{x:.12g},{y:.12g},{jam.p[0]:.12g},{jam.p[1]:.12g},"
+                f"{jam.achieved_rate:.12g},{nojam.achieved_rate:.12g},{jam.case_label}\n"
             )
     return "".join(lines)
 
@@ -264,19 +274,39 @@ def test_sweep_matches_scalar_cells_on_random_geometries():
     assert {"BOTH_TRANSMIT", "NO_JAM", "JAM_AT_ROOT", "JAM_AT_MAX", "NONE"} <= set(cases)
 
 
-def test_sweep_resolves_unvouched_cells_with_the_scalar_reference(monkeypatch):
-    # cells the array pass does not vouch for are re-solved by ``_cell``:
-    # poison every third cell and mark it unvouched; the CSV must not change
+@pytest.mark.parametrize("overrides, cell, reason", [
+    # the jamming-root discriminant overflows at this cell only
+    (dict(grid=(6, 6), pathloss_exponent=150.0, noise_var_tap=1e-10), (25.0, 75.0),
+     "the jamming-root discriminant overflows"),
+    # the secrecy rate overflows at every cell but the centre
+    (dict(grid=(3, 3), users=((49.5, 50.0), (50.5, 50.0)), pathloss_exponent=250.0,
+          power_limits=(1.7976931348623157e308, 1.7976931348623157e308)),
+     (100.0 / 6, 100.0 / 6), "the secrecy rate overflows"),
+], ids=["root-discriminant", "secrecy-rate"])
+def test_an_unvouched_cell_raises_its_own_error(overrides, cell, reason):
+    # the sweep stops at the first cell it cannot vouch for, with the
+    # message the scalar solvers give for that cell
+    cfg = small_config(**overrides)
+    with pytest.raises(ValidationError) as raised:
+        sweep(cfg)
+    with pytest.raises(ValidationError, match=reason) as expected:
+        reference_cell(cfg, *cell)
+    assert str(raised.value) == f"cell ({cell[0]:g}, {cell[1]:g}): {expected.value}"
+
+
+def test_sweep_never_patches_a_cell_the_solvers_accept(monkeypatch):
+    # an unvouched cell is one ``_cell`` rejects; a poisoned ``ok`` mask on
+    # good cells is an internal fault, reported at its first cell
     solve = scenario._solve
 
     def poisoned(*args):
-        p1, p2, jam, nojam, case, ok = solve(*args)
-        p1[::3], jam[::3], case[::3], ok[::3] = np.nan, np.nan, 0, False
-        return p1, p2, jam, nojam, case, ok
+        nojam, (p1, p2, jam, case), ok = solve(*args)
+        p1[1::3], jam[1::3], case[1::3], ok[1::3] = np.nan, np.nan, 0, False
+        return nojam, (p1, p2, jam, case), ok
 
-    cfg = small_config(grid=(7, 5))
     monkeypatch.setattr(scenario, "_solve", poisoned)
-    assert csv_text(sweep(cfg)) == scalar_csv(cfg)
+    with pytest.raises(RuntimeError, match=r"^cell \(37\.5, 10\): the array solve rejected"):
+        sweep(small_config(grid=(4, 5)))
 
 
 def test_records_follow_the_columns():
