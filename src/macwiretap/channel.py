@@ -16,18 +16,22 @@ from typing import Any
 from .errors import ValidationError
 
 DEGRADED_TOL_DEFAULT = 1e-9
+# float() reads these, but a config may not give a number as one ("1.0", true)
+_NOT_NUMBERS = frozenset((str, bytes, bool))
 
 
 def _as_number(value: Any, name: str) -> float:
     try:
+        if type(value) in _NOT_NUMBERS:
+            raise TypeError
         return float(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a number, got {value!r}") from exc
 
 
 def _as_whole(value: Any) -> int:
-    """An int, or an integral float such as 24.0; not a bool."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An int, or an integral float such as 24.0; not a bool or a string."""
+    if type(value) in _NOT_NUMBERS or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -46,6 +50,14 @@ def _as_floats(values: Any, name: str, length: int | None = None) -> tuple[float
     return out
 
 
+def _as_config_floats(values: Any, name: str, length: int) -> tuple[float, ...]:
+    """``_as_floats``, refusing a string or a bool that float() would read."""
+    out = _as_floats(values, name, length)
+    if not _NOT_NUMBERS.isdisjoint(map(type, values)):
+        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
+    return out
+
+
 def _as_rate_tuple(values: Any, name: str, length: int | None = None) -> tuple[float, ...]:
     """``_as_floats``, each finite and nonnegative."""
     out = _as_floats(values, name, length)
@@ -55,7 +67,7 @@ def _as_rate_tuple(values: Any, name: str, length: int | None = None) -> tuple[f
 
 
 def _as_float_tuple(values: Any, name: str, length: int) -> tuple[float, ...]:
-    out = _as_floats(values, name, length)
+    out = _as_config_floats(values, name, length)
     if any(not math.isfinite(v) for v in out):
         raise ValidationError(f"{name} must contain only finite values, got {out}")
     return out
@@ -91,9 +103,10 @@ class RawChannelConfig:
         if any(v < 0.0 for v in self.power_limits):
             raise ValidationError(f"power_limits must be nonnegative, got {self.power_limits}")
         for name in ("noise_var_main", "noise_var_tap"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            v = _as_number(getattr(self, name), name)
+            if not (math.isfinite(v) and v > 0.0):
                 raise ValidationError(f"{name} must be a finite positive number, got {v!r}")
+            object.__setattr__(self, name, v)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RawChannelConfig":
@@ -114,8 +127,8 @@ class RawChannelConfig:
             num_users=num_users,
             gains_main=data["gains_main"],
             gains_tap=data["gains_tap"],
-            noise_var_main=_as_number(data["noise_var_main"], "noise_var_main"),
-            noise_var_tap=_as_number(data["noise_var_tap"], "noise_var_tap"),
+            noise_var_main=data["noise_var_main"],
+            noise_var_tap=data["noise_var_tap"],
             power_limits=data["power_limits"],
         )
 

@@ -4,20 +4,21 @@ sum rate with and without cooperative jamming at every position.
 
 Gains follow gain = max(distance, min_distance) ** (-pathloss_exponent);
 receiver-side gains use each user's distance to the base station, tap-side
-gains the distance to the eavesdropper position.  Powers in the per-cell
-results are the jamming-solution allocation in standardized units.
+gains the distance to the eavesdropper position: two scalar constants, and
+numpy ``hypot``/``power`` on the sweep's grid and on ``gains_at``'s 0-d
+values alike.  Powers in the per-cell results are the jamming-solution
+allocation in standardized units.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Sequence, TextIO
 
 import numpy as np
 
-from .channel import RawChannelConfig, _as_floats, _as_number, _as_whole, standardize
+from .channel import RawChannelConfig, _as_config_floats, _as_number, _as_whole, standardize
 from .errors import ValidationError
 from .optimizer import (
     CASE_JAM_AT_MAX,
@@ -37,7 +38,7 @@ Point = tuple[float, float]
 
 
 def _as_point(value: Any, name: str) -> Point:
-    x, y = _as_floats(value, name, 2)
+    x, y = _as_config_floats(value, name, 2)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return (x, y)
@@ -69,7 +70,7 @@ class ScenarioConfig:
             and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in grid)
         ):
             raise ValidationError(f"grid must be a pair of positive integers, got {self.grid!r}")
-        width, height = _as_floats(self.area, "area", 2)
+        width, height = _as_config_floats(self.area, "area", 2)
         if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
             raise ValidationError(f"area must be positive and finite, got {self.area!r}")
         # the last cell centre is (n - 0.5) * side / n
@@ -92,18 +93,15 @@ class ScenarioConfig:
         ]:
             if not (0.0 <= pos[0] <= width and 0.0 <= pos[1] <= height):
                 raise ValidationError(f"{name} position {pos} lies outside the area {self.area}")
-        limits = _as_floats(self.power_limits, "power_limits", 2)
+        limits = _as_config_floats(self.power_limits, "power_limits", 2)
         if any(not math.isfinite(v) or v < 0 for v in limits):
             raise ValidationError(f"power_limits must be two nonnegative numbers, got {self.power_limits!r}")
         object.__setattr__(self, "power_limits", limits)
-        for name in ("noise_var_main", "noise_var_tap"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+        for name in ("noise_var_main", "noise_var_tap", "pathloss_exponent", "min_distance"):
+            v = _as_number(getattr(self, name), name)
+            if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be a finite positive number, got {v!r}")
-        if not (math.isfinite(self.pathloss_exponent) and self.pathloss_exponent > 0):
-            raise ValidationError(f"pathloss_exponent must be positive, got {self.pathloss_exponent!r}")
-        if not (math.isfinite(self.min_distance) and self.min_distance > 0):
-            raise ValidationError(f"min_distance must be positive, got {self.min_distance!r}")
+            object.__setattr__(self, name, v)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
@@ -126,10 +124,10 @@ class ScenarioConfig:
             base_station=data["base_station"],
             users=data["users"],
             power_limits=data["power_limits"],
-            noise_var_main=_as_number(data["noise_var_main"], "noise_var_main"),
-            noise_var_tap=_as_number(data["noise_var_tap"], "noise_var_tap"),
-            pathloss_exponent=_as_number(data.get("pathloss_exponent", 2.0), "pathloss_exponent"),
-            min_distance=_as_number(data.get("min_distance", 1.0), "min_distance"),
+            noise_var_main=data["noise_var_main"],
+            noise_var_tap=data["noise_var_tap"],
+            pathloss_exponent=data.get("pathloss_exponent", 2.0),
+            min_distance=data.get("min_distance", 1.0),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -267,14 +265,24 @@ def _formatted_distinct(column: np.ndarray) -> list[str]:
     return _formatted(bits.view(np.float64))[inverse].tolist()
 
 
-def _pathloss_gain(distance: float, exponent: float, min_distance: float) -> float:
+def _tap_gains(config: ScenarioConfig, user: Point, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Path-loss gains of one user at the points ``x``, ``y``; inf where one
+    overflows.  The sweep passes the whole grid and ``gains_at`` 0-d arrays:
+    the same ufunc loops, so the same bits."""
+    ux, uy = user
+    with np.errstate(over="ignore"):
+        distance = np.maximum(np.hypot(ux - x, uy - y), config.min_distance)
+        return np.power(distance, -config.pathloss_exponent)
+
+
+def _receiver_gain(config: ScenarioConfig, user: Point) -> float:
+    """Path-loss gain of one user at the base station, a scalar constant of
+    the config; inf where it overflows."""
+    (ux, uy), (bx, by) = user, config.base_station
     try:
-        return max(distance, min_distance) ** (-exponent)
-    except OverflowError as exc:
-        raise ValidationError(
-            f"path-loss gain max(distance, min_distance) ** -pathloss_exponent overflows: "
-            f"distance {distance!r}, min_distance {min_distance!r}, pathloss_exponent {exponent!r}"
-        ) from exc
+        return max(math.hypot(ux - bx, uy - by), config.min_distance) ** -config.pathloss_exponent
+    except OverflowError:
+        return math.inf
 
 
 def gains_at(config: ScenarioConfig, eaves_pos: Sequence[float]) -> RawChannelConfig:
@@ -283,15 +291,16 @@ def gains_at(config: ScenarioConfig, eaves_pos: Sequence[float]) -> RawChannelCo
     width, height = config.area
     if not (0.0 <= ex <= width and 0.0 <= ey <= height):
         raise ValidationError(f"eavesdropper position ({ex}, {ey}) lies outside the area {config.area}")
-    bx, by = config.base_station
-    gains_main = tuple(
-        _pathloss_gain(math.hypot(ux - bx, uy - by), config.pathloss_exponent, config.min_distance)
-        for ux, uy in config.users
-    )
-    gains_tap = tuple(
-        _pathloss_gain(math.hypot(ux - ex, uy - ey), config.pathloss_exponent, config.min_distance)
-        for ux, uy in config.users
-    )
+    gains_main = tuple(_receiver_gain(config, user) for user in config.users)
+    gains_tap = tuple(_tap_gains(config, u, np.array(ex), np.array(ey)).item() for u in config.users)
+    ends = (config.base_station,) * 2 + ((ex, ey),) * 2  # the far end of each gain's link
+    for gain, (ux, uy), (px, py) in zip(gains_main + gains_tap, config.users * 2, ends):
+        if not math.isfinite(gain):
+            raise ValidationError(
+                "path-loss gain max(distance, min_distance) ** -pathloss_exponent overflows: "
+                f"distance {math.hypot(ux - px, uy - py)!r}, min_distance {config.min_distance!r}, "
+                f"pathloss_exponent {config.pathloss_exponent!r}"
+            )
     return RawChannelConfig(
         num_users=2,
         gains_main=gains_main,
@@ -322,41 +331,27 @@ def _cell(config: ScenarioConfig, x: float, y: float) -> CellRecord:
 def sweep(config: ScenarioConfig) -> ScenarioResult:
     """Evaluate every grid cell (cell centers, row-major: y outer, x inner).
 
-    The whole grid is solved in one array pass of ``optimizer._solve``, the
-    code that the per-cell ``_cell`` runs on 0-d values.  At the first cell
-    the pass cannot vouch for (a value the solvers reject, or any non-finite
+    The tap gains and the solve run in one array pass each, ``_tap_gains``
+    and ``optimizer._solve``, the code that the per-cell ``_cell`` runs on
+    0-d values through ``gains_at``.  At the first cell the pass cannot vouch
+    for (an overflowing gain, a value the solvers reject, or any non-finite
     result), ``_cell`` raises that cell's error.
     """
     nx, ny = config.grid
     width, height = config.area
-    xs = [(i + 0.5) * width / nx for i in range(nx)]
-    ys = [(j + 0.5) * height / ny for j in range(ny)]
-    x = np.tile(np.array(xs), ny)
-    y = np.repeat(np.array(ys), nx)
-    bx, by = config.base_station
-    exponent, dmin = config.pathloss_exponent, config.min_distance
-    try:
-        gains_main = [
-            _pathloss_gain(math.hypot(ux - bx, uy - by), exponent, dmin)
-            for ux, uy in config.users
-        ]
-        gains_tap = [_gain_grid(config, user, x, y) for user in config.users]
-    except (ValidationError, OverflowError):
-        # a gain out of float range: ``_cell`` raises at the first bad cell
-        for cy in ys:
-            for cx in xs:
-                _cell(config, cx, cy)
-        raise
-
+    x = np.tile((np.arange(nx) + 0.5) * width / nx, ny)
+    y = np.repeat((np.arange(ny) + 0.5) * height / ny, nx)
+    gains_main = [_receiver_gain(config, user) for user in config.users]
+    gains_tap = [_tap_gains(config, user, x, y) for user in config.users]
     nvm, nvt = config.noise_var_main, config.noise_var_tap
     m_a, m_b = (g / nvm * limit for g, limit in zip(gains_main, config.power_limits))
     with np.errstate(all="ignore"):
         h_a, h_b = (tap * nvm / (g * nvt) for tap, g in zip(gains_tap, gains_main))
         (_, _, nojam, _), (p1, p2, jam, case), ok = _solve(h_a, h_b, m_a, m_b)
         # vouch only for cells on which ``_cell`` cannot raise or warn:
-        # h and pmax finite (a zero gains_main makes h non-finite), every
-        # jamming-root discriminant it reads finite, outputs finite.  The
-        # config keeps every cell centre inside the area
+        # h and pmax finite (a zero or overflowing gain makes one of them
+        # non-finite), every jamming-root discriminant it reads finite,
+        # outputs finite.  The config keeps every cell centre inside the area
         for column in (h_a, h_b, m_a, m_b, p1, p2, jam, nojam):
             ok &= np.isfinite(column)
         jam, nojam = _clamp0(jam), _clamp0(nojam)
@@ -368,13 +363,3 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
         raise RuntimeError(f"cell ({cx:g}, {cy:g}): the array solve rejected a cell that _cell accepts")
     return ScenarioResult(config, x, y, p1, p2, jam, nojam, case.astype(np.int8))
 
-
-def _gain_grid(config: ScenarioConfig, user: Point, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Tap gains of one user at the cell centres ``x``, ``y``, each computed
-    as ``gains_at`` computes it: ``math.hypot`` and ``pow`` stay scalar,
-    because their numpy forms differ in the last ulp.  Raises
-    ``OverflowError`` where a gain leaves the float range."""
-    ux, uy = user
-    distances = map(max, map(math.hypot, (ux - x).tolist(), (uy - y).tolist()),
-                    repeat(config.min_distance))
-    return np.fromiter(map(pow, distances, repeat(-config.pathloss_exponent)), np.float64, len(x))

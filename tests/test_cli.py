@@ -291,6 +291,45 @@ def test_scenario_bad_config_exits_2(capsys, tmp_path):
         assert err.startswith("error: ") and key in err, (key, err)
 
 
+_CHANNEL_CONFIG = {
+    "num_users": 2, "gains_main": [4, 1], "gains_tap": [1, 1],
+    "noise_var_main": 2, "noise_var_tap": 1, "power_limits": [1, 1],
+}
+
+
+@pytest.mark.parametrize("command, key, value, field", [
+    ("scenario", "noise_var_tap", "1.0", "noise_var_tap"),
+    ("scenario", "noise_var_main", False, "noise_var_main"),
+    ("scenario", "pathloss_exponent", "3", "pathloss_exponent"),
+    ("scenario", "min_distance", True, "min_distance"),
+    ("scenario", "area", [True, 100], "area"),
+    ("scenario", "base_station", [50.0, "50"], "base_station"),
+    ("scenario", "users", [["20", 35.0], [25.0, 70.0]], "users[0]"),
+    ("scenario", "power_limits", [6000.0, True], "power_limits"),
+    ("scenario", "grid", ["24", 24], "grid"),
+    ("standardize", "noise_var_tap", "1", "noise_var_tap"),
+    ("standardize", "noise_var_main", True, "noise_var_main"),
+    ("standardize", "gains_main", [4, "1"], "gains_main"),
+    ("standardize", "gains_tap", [True, 1], "gains_tap"),
+    ("standardize", "power_limits", [1, "1"], "power_limits"),
+    ("standardize", "num_users", "2", "num_users"),
+])
+def test_config_strings_and_bools_are_not_numbers(capsys, tmp_path, command, key, value, field):
+    # JSON strings and booleans that float() would read are refused at the
+    # edge, with a message naming the field
+    if command == "scenario":
+        data = {**json.loads(EXAMPLE_CONFIG.read_text()), "grid": [3, 3]}
+    else:
+        data = dict(_CHANNEL_CONFIG)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    assert run_cli(capsys, command, "--config", str(cfg))[0] == 0
+    cfg.write_text(json.dumps({**data, key: value}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} must be "), err
+
+
 def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
     # numeric extremes on a 6x6 grid: each keeps the exit code and the
     # stderr line (or the CSV) that the per-cell scalar sweep produced, and

@@ -411,29 +411,59 @@ def test_csv_matches_the_rowwise_format_on_hand_built_columns():
     assert all(row.split(",")[4:6] == ["-0", "0"] for row in rows)
 
 
-def test_gain_grid_is_bitwise_the_scalar_tap_gain():
+def gain_configs():
+    """31 configs; min_distance up to the area size, so many cells are
+    clamped to it, and users on cell centres (distance zero)."""
     rng = random.Random(13)
     configs = [random_geometry(rng) for _ in range(30)]
-    # min_distance up to the area size, so many cells are clamped to it
     configs = [dataclasses.replace(c, min_distance=rng.uniform(0.1, 120.0)) for c in configs]
-    # users on cell centres: distance zero
     configs.append(small_config(grid=(4, 4), users=((12.5, 37.5), (87.5, 87.5)), min_distance=1e-3))
+    return configs
+
+
+def sweep_tap_gains(monkeypatch, cfg):
+    """(x, y, [tap gains of each user]) as the sweep computes them."""
+    seen = []
+
+    def spy(*args):
+        seen.append(tap_gains(*args))
+        return seen[-1]
+
+    tap_gains = scenario._tap_gains
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario, "_tap_gains", spy)
+        result = sweep(cfg)
+    return result.x, result.y, seen
+
+
+def test_sweep_tap_gains_are_bitwise_gains_at(monkeypatch):
     clamped = 0
-    for cfg in configs:
-        nx, ny = cfg.grid
-        width, height = cfg.area
-        centres = [((i + 0.5) * width / nx, (j + 0.5) * height / ny)
-                   for j in range(ny) for i in range(nx)]
-        x = np.array([c[0] for c in centres])
-        y = np.array([c[1] for c in centres])
-        for u, user in enumerate(cfg.users):
-            expected = np.array([gains_at(cfg, c).gains_tap[u] for c in centres])
-            assert scenario._gain_grid(cfg, user, x, y).tobytes() == expected.tobytes(), cfg
-            clamped += int(np.count_nonzero(expected == cfg.min_distance ** -cfg.pathloss_exponent))
+    for cfg in gain_configs():
+        x, y, gains = sweep_tap_gains(monkeypatch, cfg)
+        assert len(gains) == 2
+        expected = np.array([gains_at(cfg, c).gains_tap for c in zip(x.tolist(), y.tolist())])
+        assert np.stack(gains, axis=1).tobytes() == expected.tobytes(), cfg
+        clamped += int(np.count_nonzero(expected == cfg.min_distance ** -cfg.pathloss_exponent))
     assert clamped > 0
 
 
-def test_gain_grid_raises_overflow_and_sweep_names_the_first_bad_cell():
+def test_tap_gains_agree_with_the_scalar_pathloss_formula(monkeypatch):
+    # numpy's hypot and power may differ from math.hypot and pow in the last
+    # ulps; both paths stay within 1e-14 relative of the scalar formula
+    worst = 0.0
+    for cfg in gain_configs():
+        x, y, gains = sweep_tap_gains(monkeypatch, cfg)
+        for k, (cx, cy) in enumerate(zip(x.tolist(), y.tolist())):
+            tap = gains_at(cfg, (cx, cy)).gains_tap
+            for u, (ux, uy) in enumerate(cfg.users):
+                d = max(math.hypot(ux - cx, uy - cy), cfg.min_distance)
+                reference = pow(d, -cfg.pathloss_exponent)
+                for got in (float(gains[u][k]), tap[u]):
+                    worst = max(worst, abs(got - reference) / reference)
+    assert 0.0 < worst <= 1e-14
+
+
+def test_tap_gain_overflow_is_inf_and_gains_at_names_it():
     # a user on the centre of cell (25, 25) with min_distance 1e-3: the tap
     # gain 1e-3 ** -300 leaves the float range before any other cell fails
     cfg = small_config(
@@ -441,7 +471,57 @@ def test_gain_grid_raises_overflow_and_sweep_names_the_first_bad_cell():
         min_distance=1e-3, pathloss_exponent=300.0,
     )
     x, y = np.array([25.0, 75.0, 25.0, 75.0]), np.array([25.0, 25.0, 75.0, 75.0])
-    with pytest.raises(OverflowError):
-        scenario._gain_grid(cfg, cfg.users[0], x, y)
-    with pytest.raises(ValidationError, match=r"^cell \(25, 25\): path-loss gain"):
+    gains = scenario._tap_gains(cfg, cfg.users[0], x, y)
+    assert gains[0] == math.inf and np.isfinite(gains[1:]).all()
+    message = ("path-loss gain max(distance, min_distance) ** -pathloss_exponent overflows: "
+               "distance 0.0, min_distance 0.001, pathloss_exponent 300.0")
+    with pytest.raises(ValidationError) as raised:
+        gains_at(cfg, (25.0, 25.0))
+    assert str(raised.value) == message
+    with pytest.raises(ValidationError) as raised:
         sweep(cfg)
+    assert str(raised.value) == "cell (25, 25): " + message
+
+
+def count_cell_calls(monkeypatch):
+    calls = []
+    cell = scenario._cell
+
+    def counting(*args):
+        calls.append(args[1:])
+        return cell(*args)
+
+    monkeypatch.setattr(scenario, "_cell", counting)
+    return calls
+
+
+def test_a_gain_overflow_in_the_last_cell_costs_one_scalar_cell(monkeypatch):
+    # the only overflowing gain sits at the last of 10,000 cells; the finite
+    # mask finds it, and only that cell runs through ``_cell``
+    cfg = small_config(grid=(100, 100), users=((20.0, 35.0), (99.5, 99.5)),
+                       pathloss_exponent=4.0, min_distance=1e-100)
+    calls = count_cell_calls(monkeypatch)
+    with pytest.raises(ValidationError) as raised:
+        sweep(cfg)
+    assert calls == [(99.5, 99.5)]
+    assert str(raised.value) == (
+        "cell (99.5, 99.5): path-loss gain max(distance, min_distance) ** -pathloss_exponent "
+        "overflows: distance 0.0, min_distance 1e-100, pathloss_exponent 4.0"
+    )
+
+
+def test_an_earlier_cell_fails_before_a_gain_overflow(monkeypatch):
+    # the tap gain overflows at the last cell, a user's centre; the
+    # jamming-root discriminant overflows earlier, at (25, 41.6667)
+    last = 5.5 * 100.0 / 6
+    cfg = small_config(grid=(6, 6), users=((20.0, 35.0), (last, last)), pathloss_exponent=150.0,
+                       noise_var_tap=1e-20, min_distance=1e-3)
+    assert scenario._tap_gains(cfg, cfg.users[1], np.array(last), np.array(last)) == math.inf
+    calls = count_cell_calls(monkeypatch)
+    with pytest.raises(ValidationError) as raised:
+        sweep(cfg)
+    cell = (25.0, 2.5 * 100.0 / 6)
+    assert calls == [cell]
+    with pytest.raises(ValidationError, match="the jamming-root discriminant overflows") as expected:
+        reference_cell(cfg, *cell)
+    assert str(raised.value) == f"cell ({cell[0]:g}, {cell[1]:g}): {expected.value}"
