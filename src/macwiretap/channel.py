@@ -10,67 +10,88 @@ limits ``pmax_k``.  Rate quantities are invariant under the transformation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from .errors import ValidationError
 
 DEGRADED_TOL_DEFAULT = 1e-9
-# float() reads these, but a config may not give a number as one ("1.0", true)
-_NOT_NUMBERS = frozenset((str, bytes, bool))
+# float() reads these, but no caller may give a number as one ("1.0", True)
+_NOT_NUMBERS = frozenset((str, bytes, bool, np.str_, np.bytes_, np.bool_))
+_MAX = sys.float_info.max
 
 
-def _as_number(value: Any, name: str) -> float:
-    try:
-        if type(value) in _NOT_NUMBERS:
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
+class _Rule(NamedTuple):
+    """What an outside number must be: at least ``lowest``, at most the
+    largest finite float, and integral if ``whole``.  ``one`` and ``many``
+    are the words of the refusal."""
+
+    one: str
+    many: str
+    lowest: float
+    whole: bool = False
+
+    def admits(self, v: float) -> bool:
+        return self.lowest <= v <= _MAX and (not self.whole or v.is_integer())
 
 
-def _as_whole(value: Any) -> int:
-    """An int, or an integral float such as 24.0; not a bool or a string."""
-    if type(value) in _NOT_NUMBERS or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
+FINITE = _Rule("a finite number", "finite numbers", -_MAX)
+NONNEGATIVE = _Rule("a finite nonnegative number", "finite nonnegative numbers", 0.0)
+POSITIVE = _Rule("a finite positive number", "finite positive numbers", math.ulp(0.0))
+# an int or an integral float such as 24.0, returned as an int
+WHOLE = _Rule("a positive integer", "positive integers", 1.0, whole=True)
 
 
-def _as_floats(values: Any, name: str, length: int | None = None) -> tuple[float, ...]:
-    """Numbers, exactly ``length`` of them if given; a string is not read as a
-    sequence of digits."""
-    if isinstance(values, str):
-        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a sequence of numbers: {exc}") from exc
-    if length is not None and len(out) != length:
-        raise ValidationError(f"{name} must have length {length}, got {len(out)}")
-    return out
+def _as_number(value: Any, name: str, rule: _Rule = FINITE) -> float:
+    """An outside number as a float (an int under ``WHOLE``) that meets
+    ``rule``; a str, bytes or bool is refused even though float() reads it."""
+    what = "a number"
+    if type(value) not in _NOT_NUMBERS:
+        try:
+            v = float(value)
+        except OverflowError:  # an int past the float range
+            v = math.inf
+        except (TypeError, ValueError):
+            v = None
+        if v is not None:
+            if rule.admits(v):
+                return int(v) if rule.whole else v
+            what = rule.one
+    raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
-def _as_config_floats(values: Any, name: str, length: int) -> tuple[float, ...]:
-    """``_as_floats``, refusing a string or a bool that float() would read."""
-    out = _as_floats(values, name, length)
-    if not _NOT_NUMBERS.isdisjoint(map(type, values)):
-        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
-    return out
+def _as_numbers(values: Any, name: str, length: int | None = None, rule: _Rule = FINITE) -> tuple[float, ...]:
+    """Outside numbers, exactly ``length`` of them if given, as a tuple of
+    floats (ints under ``WHOLE``) that each meet ``rule``; a string is not
+    read as a sequence of digits, and no entry may be a str, bytes or bool."""
+    what = "a sequence of numbers"
+    if type(values) not in _NOT_NUMBERS:
+        try:
+            items = tuple(values)
+            out = tuple(map(float, items))
+        except OverflowError:  # an int past the float range
+            out, what = None, rule.many
+        except (TypeError, ValueError):
+            out = None
+        if out is not None and _NOT_NUMBERS.isdisjoint(map(type, items)):
+            if length is not None and len(out) != length:
+                what = f"{length} numbers"
+            elif not all(map(rule.admits, out)):
+                what = rule.many
+            else:
+                return tuple(map(int, out)) if rule.whole else out
+    raise ValidationError(f"{name} must be {what}, got {values!r}")
 
 
-def _as_rate_tuple(values: Any, name: str, length: int | None = None) -> tuple[float, ...]:
-    """``_as_floats``, each finite and nonnegative."""
-    out = _as_floats(values, name, length)
-    if any(not math.isfinite(v) or v < 0.0 for v in out):
-        raise ValidationError(f"{name} entries must be finite and nonnegative, got {out}")
-    return out
-
-
-def _as_float_tuple(values: Any, name: str, length: int) -> tuple[float, ...]:
-    out = _as_config_floats(values, name, length)
-    if any(not math.isfinite(v) for v in out):
-        raise ValidationError(f"{name} must contain only finite values, got {out}")
-    return out
+def _standard_form(gain_main, gain_tap, power_limit, noise_var_main, noise_var_tap):
+    """(h, pmax) of one user, elementwise on floats or arrays:
+    h = gain_tap * noise_var_main / (gain_main * noise_var_tap) and
+    pmax = gain_main / noise_var_main * power_limit."""
+    return (gain_tap * noise_var_main / (gain_main * noise_var_tap),
+            gain_main / noise_var_main * power_limit)
 
 
 @dataclass(frozen=True)
@@ -90,23 +111,13 @@ class RawChannelConfig:
     power_limits: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_users, int) or self.num_users < 1:
-            raise ValidationError(f"num_users must be a positive integer, got {self.num_users!r}")
-        k = self.num_users
-        object.__setattr__(self, "gains_main", _as_float_tuple(self.gains_main, "gains_main", k))
-        object.__setattr__(self, "gains_tap", _as_float_tuple(self.gains_tap, "gains_tap", k))
-        object.__setattr__(self, "power_limits", _as_float_tuple(self.power_limits, "power_limits", k))
-        if any(v <= 0.0 for v in self.gains_main):
-            raise ValidationError(f"gains_main must be strictly positive, got {self.gains_main}")
-        if any(v < 0.0 for v in self.gains_tap):
-            raise ValidationError(f"gains_tap must be nonnegative, got {self.gains_tap}")
-        if any(v < 0.0 for v in self.power_limits):
-            raise ValidationError(f"power_limits must be nonnegative, got {self.power_limits}")
+        k = _as_number(self.num_users, "num_users", WHOLE)
+        object.__setattr__(self, "num_users", k)
+        for name, rule in (("gains_main", POSITIVE), ("gains_tap", NONNEGATIVE),
+                           ("power_limits", NONNEGATIVE)):
+            object.__setattr__(self, name, _as_numbers(getattr(self, name), name, k, rule))
         for name in ("noise_var_main", "noise_var_tap"):
-            v = _as_number(getattr(self, name), name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be a finite positive number, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _as_number(getattr(self, name), name, POSITIVE))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RawChannelConfig":
@@ -119,12 +130,8 @@ class RawChannelConfig:
         missing = required - set(data)
         if missing:
             raise ValidationError(f"missing channel config keys: {sorted(missing)}")
-        try:
-            num_users = _as_whole(data["num_users"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"num_users must be an integer: {exc}") from exc
         return cls(
-            num_users=num_users,
+            num_users=data["num_users"],
             gains_main=data["gains_main"],
             gains_tap=data["gains_tap"],
             noise_var_main=data["noise_var_main"],
@@ -153,15 +160,10 @@ class StandardChannel:
     pmax: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_users, int) or self.num_users < 1:
-            raise ValidationError(f"num_users must be a positive integer, got {self.num_users!r}")
-        k = self.num_users
-        object.__setattr__(self, "h", _as_float_tuple(self.h, "h", k))
-        object.__setattr__(self, "pmax", _as_float_tuple(self.pmax, "pmax", k))
-        if any(v < 0.0 for v in self.h):
-            raise ValidationError(f"standardized gains must be nonnegative, got {self.h}")
-        if any(v < 0.0 for v in self.pmax):
-            raise ValidationError(f"standardized power limits must be nonnegative, got {self.pmax}")
+        k = _as_number(self.num_users, "num_users", WHOLE)
+        object.__setattr__(self, "num_users", k)
+        object.__setattr__(self, "h", _as_numbers(self.h, "h", k, NONNEGATIVE))
+        object.__setattr__(self, "pmax", _as_numbers(self.pmax, "pmax", k, NONNEGATIVE))
 
     def to_dict(self) -> dict[str, Any]:
         return {"num_users": self.num_users, "h": list(self.h), "pmax": list(self.pmax)}
@@ -195,25 +197,20 @@ def standardize(raw: RawChannelConfig) -> StandardChannel:
     pmax_k = gains_main_k / noise_var_main * power_limits_k
     """
     try:
-        h = tuple(
-            raw.gains_tap[k] * raw.noise_var_main / (raw.gains_main[k] * raw.noise_var_tap)
-            for k in range(raw.num_users)
-        )
+        h, pmax = zip(*(
+            _standard_form(*gains_limit, raw.noise_var_main, raw.noise_var_tap)
+            for gains_limit in zip(raw.gains_main, raw.gains_tap, raw.power_limits)
+        ))
     except ZeroDivisionError as exc:
         raise ValidationError(f"gains_main {raw.gains_main} times noise_var_tap "
                               f"{raw.noise_var_tap} underflows to zero, so h is undefined") from exc
-    pmax = tuple(
-        raw.gains_main[k] / raw.noise_var_main * raw.power_limits[k]
-        for k in range(raw.num_users)
-    )
     return StandardChannel(num_users=raw.num_users, h=h, pmax=pmax)
 
 
 def check_degraded(std: StandardChannel, tol: float = DEGRADED_TOL_DEFAULT) -> DegradednessReport:
     """Test whether the eavesdropper sees a degraded copy of the receiver's
     signal: all standardized gains equal (within ``tol``) and below one."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be a positive number, got {tol!r}")
+    tol = _as_number(tol, "tol", POSITIVE)
     spread = max(std.h) - min(std.h)
     mean_h = sum(std.h) / std.num_users
     degraded = spread <= tol and mean_h < 1.0

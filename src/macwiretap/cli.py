@@ -19,14 +19,24 @@ from . import __version__
 from .channel import RawChannelConfig, StandardChannel, check_degraded, standardize
 from .errors import ValidationError
 from .optimizer import (
+    CASE_BOTH_TRANSMIT,
     MIN_ORACLE_RESOLUTION,
+    OBJECTIVE_JAM,
+    OBJECTIVE_SUM,
+    _sorted_two,
     grid_oracle,
     optimal_powers_jam,
     optimal_powers_sum,
     tdma_optimal_alpha,
 )
 from .regions import (
+    KIND_COLLECTIVE,
+    KIND_INDIVIDUAL,
+    KIND_OUTER_COLLECTIVE,
+    KIND_OUTER_INDIVIDUAL,
+    KIND_TDMA,
     RateVector,
+    _as_kind,
     collective_region_at,
     delta_region,
     individual_region_at,
@@ -160,20 +170,20 @@ def _region_kind_arg(text: str) -> str:
 
 def _cmd_region(args: argparse.Namespace) -> int:
     std = _std_channel(args)
-    kind = args.kind.upper().replace("-", "_")
+    kind = _as_kind(args.kind)
     echo = _echo(args)
     if args.power is not None:
         if args.format == "csv":
             raise ValidationError("constraint sets serialize to JSON; csv is for boundaries")
-        if kind == "INDIVIDUAL":
+        if kind == KIND_INDIVIDUAL:
             region = individual_region_at(std, args.power)
-        elif kind == "COLLECTIVE":
+        elif kind == KIND_COLLECTIVE:
             region = collective_region_at(std, args.power)
-        elif kind == "TDMA":
+        elif kind == KIND_TDMA:
             alpha = args.alpha if args.alpha else tdma_optimal_alpha(args.power)
             region = tdma_region_at(std, args.power, alpha)
-        elif kind in ("OUTER_INDIVIDUAL", "OUTER_COLLECTIVE"):
-            region = outer_region_at(std, args.power, kind.replace("OUTER_", ""))
+        elif kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE):
+            region = outer_region_at(std, args.power, kind)
         else:
             raise ValidationError(f"fixed-power constraint sets are not defined for kind {args.kind}")
         if args.delta is not None:
@@ -213,12 +223,11 @@ def _cmd_power_opt(args: argparse.Namespace) -> int:
     result: dict[str, Any] = {"allocation": alloc.to_dict()}
     exit_code = EXIT_OK
     if args.verify:
-        order = sorted(range(2), key=lambda i: args.h[i])
-        h_sorted = tuple(args.h[i] for i in order)
-        m_sorted = tuple(args.pmax[i] for i in order)
+        h_sorted, m_sorted, _ = _sorted_two(args.h, args.pmax)
         # a jamming request that fell back to both-transmit solved the
         # sum-rate problem, so that is the objective to verify against
-        objective = "SUM" if which == "sumopt" or alloc.case_label == "BOTH_TRANSMIT" else "JAM"
+        both = which == "sumopt" or alloc.case_label == CASE_BOTH_TRANSMIT
+        objective = OBJECTIVE_SUM if both else OBJECTIVE_JAM
         oracle = grid_oracle(objective, h_sorted, m_sorted, resolution=args.res)
         gap = abs(alloc.achieved_rate - oracle.achieved_rate)
         result["oracle"] = oracle.to_dict()
@@ -232,17 +241,13 @@ def _cmd_power_opt(args: argparse.Namespace) -> int:
 
 def _cmd_tdma(args: argparse.Namespace) -> int:
     std = _std_channel(args)
-    alpha = args.alpha if args.alpha else tdma_optimal_alpha(args.power)
-    region = tdma_region_at(std, args.power, alpha)
+    optimal = tdma_optimal_alpha(args.power)
+    region = tdma_region_at(std, args.power, args.alpha if args.alpha else optimal)
     if args.delta is not None:
         payload = delta_region(region, args.delta).to_json_dict()
     else:
         payload = region.to_json_dict()
-    _emit(
-        "tdma",
-        _echo(args),
-        {"optimal_alpha": list(tdma_optimal_alpha(args.power)), "region": payload},
-    )
+    _emit("tdma", _echo(args), {"optimal_alpha": list(optimal), "region": payload})
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _as_rate_tuple
+from .channel import NONNEGATIVE, _as_number, _as_numbers
 from .errors import ValidationError
 from .rates import _g_arr
 
@@ -92,18 +92,15 @@ class JamAuxiliaries:
 def rho(powers: Sequence[float], gains: Sequence[float]) -> float:
     """Ratio (1 + h1*P1 + h2*P2) / (1 + P1 + P2); the sum-rate objective is
     -0.5*log2 of it, so maximizing the rate minimizes this ratio."""
-    p1, p2 = _as_rate_tuple(powers, "powers", 2)
-    h1, h2 = _as_rate_tuple(gains, "gains", 2)
+    p1, p2 = _as_numbers(powers, "powers", 2, NONNEGATIVE)
+    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
     return (1.0 + h1 * p1 + h2 * p2) / (1.0 + p1 + p2)
 
 
 def phi(p: float, h_j: float) -> float:
     """Jamming-advantage ratio (1 + h_j*p) / (1 + p); jamming with power p
     helps only when this exceeds one, i.e. when h_j > 1 and p > 0."""
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValidationError(f"jamming power must be finite and nonnegative, got {p!r}")
-    if not (math.isfinite(h_j) and h_j >= 0.0):
-        raise ValidationError(f"gain must be finite and nonnegative, got {h_j!r}")
+    p, h_j = _as_number(p, "p", NONNEGATIVE), _as_number(h_j, "h_j", NONNEGATIVE)
     return (1.0 + h_j * p) / (1.0 + p)
 
 
@@ -216,22 +213,24 @@ def _solve(h_a, h_b, m_a, m_b):
 
 def sum_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
     """Secrecy sum rate g(P1+P2) - g(h1*P1 + h2*P2); may be negative."""
-    p1, p2 = _as_rate_tuple(powers, "powers", 2)
-    h1, h2 = _as_rate_tuple(gains, "gains", 2)
+    p1, p2 = _as_numbers(powers, "powers", 2, NONNEGATIVE)
+    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
     return float(_sum_kernel(p1, p2, h1, h2))
 
 
 def jam_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
     """Single-user secrecy rate when user 2 jams: user 2's power is noise to
     both receivers.  May be negative."""
-    p1, p2 = _as_rate_tuple(powers, "powers", 2)
-    h1, h2 = _as_rate_tuple(gains, "gains", 2)
+    p1, p2 = _as_numbers(powers, "powers", 2, NONNEGATIVE)
+    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
     return float(_jam_kernel(p1, p2, h1, h2))
 
 
 def _sorted_two(gains, pmax):
-    h = _as_rate_tuple(gains, "gains", 2)
-    m = _as_rate_tuple(pmax, "pmax", 2)
+    """Two-user gains and power limits, parsed and ordered by gain (ties
+    keep the given order), and whether the order was swapped."""
+    h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
+    m = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
     if h[0] <= h[1]:
         return h, m, False
     return (h[1], h[0]), (m[1], m[0]), True
@@ -296,9 +295,8 @@ def jam_roots(gains: Sequence[float], pmax1: float) -> JamAuxiliaries:
     """Roots of the jamming-power stationarity parabola for given gains and
     full transmit power of user 1.  Requires distinct gains (equal gains make
     jamming irrelevant and are handled by the caller)."""
-    h1, h2 = _as_rate_tuple(gains, "gains", 2)
-    if not (math.isfinite(pmax1) and pmax1 >= 0.0):
-        raise ValidationError(f"pmax1 must be finite and nonnegative, got {pmax1!r}")
+    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
+    pmax1 = _as_number(pmax1, "pmax1", NONNEGATIVE)
     if h2 == h1:
         raise ValidationError("root formulas require distinct gains (h2 != h1)")
     if h2 == 0.0:
@@ -348,7 +346,7 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
 def tdma_optimal_alpha(powers: Sequence[float]) -> tuple[float, ...]:
     """Time shares proportional to powers; optimal for the single-user
     time-sharing scheme and summing to one."""
-    p = _as_rate_tuple(powers, "powers")
+    p = _as_numbers(powers, "powers", rule=NONNEGATIVE)
     total = sum(p)
     if total <= 0.0:
         raise ValidationError("time shares undefined for all-zero powers")
@@ -388,8 +386,8 @@ def grid_oracle(
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
         raise ValidationError(f"objective must be SUM or JAM, got {objective!r}")
-    h1, h2 = _as_rate_tuple(gains, "gains", 2)
-    m1, m2 = _as_rate_tuple(pmax, "pmax", 2)
+    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
+    m1, m2 = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
     if not isinstance(resolution, int) or resolution < MIN_ORACLE_RESOLUTION:
         raise ValidationError(f"resolution must be an integer >= {MIN_ORACLE_RESOLUTION}")
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel

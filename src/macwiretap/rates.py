@@ -13,6 +13,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from .channel import FINITE, NONNEGATIVE, WHOLE, _as_number
 from .errors import ValidationError
 
 # 2**K subsets are materialized; beyond this the constraint sets explode.
@@ -24,11 +25,7 @@ PowerVector = Sequence[float]
 
 def g(x: float) -> float:
     """Gaussian channel rate 0.5*log2(1+x) for an SNR-like argument x >= 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise ValidationError(f"g() requires a finite number, got {x!r}")
-    if x < 0:
-        raise ValidationError(f"g() requires a nonnegative argument, got {x}")
-    return 0.5 * math.log2(1.0 + x)
+    return 0.5 * math.log2(1.0 + _as_number(x, "x", NONNEGATIVE))
 
 
 def _g_arr(x: np.ndarray) -> np.ndarray:
@@ -44,8 +41,7 @@ def _clamp0(x):
 
 def pos_part(x: float) -> float:
     """max(x, 0)."""
-    if not math.isfinite(x):
-        raise ValidationError(f"pos_part() requires a finite number, got {x!r}")
+    x = _as_number(x, "x", FINITE)
     return x if x > 0.0 else 0.0
 
 
@@ -92,8 +88,7 @@ def enumerate_subsets(num_users: int) -> list[frozenset[int]]:
     The fixed order makes constraint-set serializations reproducible
     byte-for-byte.
     """
-    if not isinstance(num_users, int) or num_users < 1:
-        raise ValidationError(f"num_users must be a positive integer, got {num_users!r}")
+    num_users = _as_number(num_users, "num_users", WHOLE)
     if num_users > MAX_SUBSET_USERS:
         raise ValidationError(
             f"subset enumeration guarded at K <= {MAX_SUBSET_USERS}, got {num_users}"

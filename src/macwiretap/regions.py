@@ -23,7 +23,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import StandardChannel, _as_rate_tuple, check_degraded
+from .channel import NONNEGATIVE, StandardChannel, _as_number, _as_numbers, check_degraded
 from .errors import NonDegradedError, ValidationError
 from .rates import _clamp0, _g_arr, cw, enumerate_subsets, g, subset_label
 
@@ -52,6 +52,22 @@ COORDS_TOTAL = "total"
 ALPHA_SUM_TOL = 1e-12
 POWER_FEAS_TOL = 1e-12
 
+def _as_kind(kind: Any, kinds: tuple[str, ...] = BOUNDARY_KINDS) -> str:
+    """A region kind in any case and with '-' for '_' ("outer-individual"
+    is OUTER_INDIVIDUAL), refused unless it is one of ``kinds``."""
+    out = str(kind).upper().replace("-", "_")
+    if out not in kinds:
+        raise ValidationError(f"kind must be one of {kinds}, got {kind!r}")
+    return out
+
+
+def _as_delta(delta: Any) -> float:
+    """The secret fraction of a fractional-secrecy region, in (0, 1]."""
+    out = _as_number(delta, "delta")
+    if not 0.0 < out <= 1.0:
+        raise ValidationError(f"delta must lie in (0, 1], got {delta!r}")
+    return out
+
 
 @dataclass(frozen=True)
 class RateVector:
@@ -61,8 +77,8 @@ class RateVector:
     open: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "secret", _as_rate_tuple(self.secret, "secret"))
-        object.__setattr__(self, "open", _as_rate_tuple(self.open, "open"))
+        object.__setattr__(self, "secret", _as_numbers(self.secret, "secret", rule=NONNEGATIVE))
+        object.__setattr__(self, "open", _as_numbers(self.open, "open", rule=NONNEGATIVE))
         if len(self.secret) != len(self.open):
             raise ValidationError("secret and open rate vectors must have equal length")
 
@@ -79,9 +95,11 @@ class DeltaRateVector:
     delta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "total", _as_rate_tuple(self.total, "total"))
-        if not (math.isfinite(self.delta) and 0.0 <= self.delta <= 1.0):
+        object.__setattr__(self, "total", _as_numbers(self.total, "total", rule=NONNEGATIVE))
+        delta = _as_number(self.delta, "delta", NONNEGATIVE)
+        if delta > 1.0:
             raise ValidationError(f"delta must lie in [0, 1], got {self.delta!r}")
+        object.__setattr__(self, "delta", delta)
 
     @property
     def num_users(self) -> int:
@@ -192,9 +210,7 @@ class RateSplitResult(NamedTuple):
 
 
 def _check_power(std: StandardChannel, powers: Sequence[float]) -> tuple[float, ...]:
-    p = _as_rate_tuple(powers, "powers")
-    if len(p) != std.num_users:
-        raise ValidationError(f"powers must have length {std.num_users}, got {len(p)}")
+    p = _as_numbers(powers, "powers", std.num_users, NONNEGATIVE)
     for k, (v, limit) in enumerate(zip(p, std.pmax), start=1):
         if v > limit + POWER_FEAS_TOL * max(1.0, limit):
             raise ValidationError(f"power {v} of user {k} exceeds limit {limit}")
@@ -280,11 +296,9 @@ def tdma_region_at(
     active a fraction alpha_k of the time with boosted power p_k/alpha_k.
     A zero share forces both of that user's bounds to zero."""
     p = _check_power(std, powers)
-    a = _as_rate_tuple(alpha, "alpha")
-    if len(a) != std.num_users:
-        raise ValidationError(f"alpha must have length {std.num_users}, got {len(a)}")
+    a = _as_numbers(alpha, "alpha", std.num_users, NONNEGATIVE)
     if any(v > 1.0 for v in a) or abs(sum(a) - 1.0) > ALPHA_SUM_TOL:
-        raise ValidationError(f"time shares must lie in [0,1] and sum to 1, got {a}")
+        raise ValidationError(f"alpha must lie in [0, 1] and sum to 1, got {a}")
     secrecy, total = _tdma_bound(np.array(std.h), np.array(p), np.array(a))
     _require_finite(total, f"powers {p} over time shares {a}")
     rows = []
@@ -303,12 +317,10 @@ def outer_region_at(
     degraded.  kind INDIVIDUAL bounds each user's secret rate by its
     single-user rate difference; kind COLLECTIVE bounds the secret-rate sum
     by the full-set rate difference.  Both keep all MAC rows."""
-    kind = str(kind).upper().replace("-", "_").replace("OUTER_", "")
-    if kind not in (KIND_INDIVIDUAL, KIND_COLLECTIVE):
-        raise ValidationError(f"outer bound kind must be INDIVIDUAL or COLLECTIVE, got {kind!r}")
+    kind = _as_kind(kind, (KIND_INDIVIDUAL, KIND_COLLECTIVE, KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE))
     _require_degraded(std, "outer bounds hold only for a degraded eavesdropper "
                       "(equal gains below 1)")
-    return _region_at(std, f"OUTER_{kind}", powers)
+    return _region_at(std, "OUTER_" + kind.removeprefix("OUTER_"), powers)
 
 
 def _require_degraded(std: StandardChannel, what: str) -> None:
@@ -325,14 +337,7 @@ def delta_region(base: RateConstraintSet, delta: float) -> RateConstraintSet:
     1/delta, MAC rows are unchanged.  delta = 0 is rejected: that limit is an
     ordinary MAC with no secrecy rows, so callers use the MAC rows directly.
     """
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta)):
-        raise ValidationError(f"delta must be a finite number, got {delta!r}")
-    if delta == 0.0:
-        raise ValidationError(
-            "delta = 0 has no secrecy constraint; use the MAC rows of the base region"
-        )
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"delta must lie in (0, 1], got {delta}")
+    delta = _as_delta(delta)
     if base.coordinates != COORDS_SECRET_OPEN:
         raise ValidationError("delta_region expects a base region over (secret, open) rates")
     rows = tuple(
@@ -345,7 +350,7 @@ def delta_region(base: RateConstraintSet, delta: float) -> RateConstraintSet:
         base.power,
         rows,
         coordinates=COORDS_TOTAL,
-        delta=float(delta),
+        delta=delta,
         alpha=base.alpha,
     )
 
@@ -389,10 +394,10 @@ def membership(
 def sum_capacity_degraded(h: float, total_power: float) -> float:
     """Secrecy sum capacity of the degraded channel with common gain h < 1:
     g((1-h) * P / (1 + h * P)) where P is the total power."""
-    if not (math.isfinite(h) and 0.0 <= h < 1.0):
-        raise ValidationError(f"degraded sum capacity requires 0 <= h < 1, got {h!r}")
-    if not (math.isfinite(total_power) and total_power >= 0.0):
-        raise ValidationError(f"total power must be finite and nonnegative, got {total_power!r}")
+    h = _as_number(h, "h", NONNEGATIVE)
+    if h >= 1.0:
+        raise ValidationError(f"h must lie below 1 for a degraded channel, got {h!r}")
+    total_power = _as_number(total_power, "total_power", NONNEGATIVE)
     return g((1.0 - h) * total_power / (1.0 + h * total_power))
 
 
@@ -602,11 +607,8 @@ def region_boundary_2d(
     and time-division families."""
     if std.num_users != 2:
         raise ValidationError("boundary computation supports exactly two users")
-    kind = str(kind).upper().replace("-", "_")
-    if kind not in BOUNDARY_KINDS:
-        raise ValidationError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
-    if delta == 0.0 or not (math.isfinite(delta) and 0.0 < delta <= 1.0):
-        raise ValidationError(f"delta must lie in (0, 1], got {delta!r}")
+    kind = _as_kind(kind)
+    delta = _as_delta(delta)
     if power_grid_res < 2 or alpha_grid_res < 2:
         raise ValidationError("grid resolutions must be at least 2")
     if kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE):

@@ -6,8 +6,9 @@ Gains follow gain = max(distance, min_distance) ** (-pathloss_exponent);
 receiver-side gains use each user's distance to the base station, tap-side
 gains the distance to the eavesdropper position: two scalar constants, and
 numpy ``hypot``/``power`` on the sweep's grid and on ``gains_at``'s 0-d
-values alike.  Powers in the per-cell results are the jamming-solution
-allocation in standardized units.
+values alike.  Every link no longer than min_distance, on either side, gets
+the same libm ``min_distance ** -pathloss_exponent``.  Powers in the
+per-cell results are the jamming-solution allocation in standardized units.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ from typing import Any, Sequence, TextIO
 
 import numpy as np
 
-from .channel import RawChannelConfig, _as_config_floats, _as_number, _as_whole, standardize
+from .channel import (
+    NONNEGATIVE,
+    POSITIVE,
+    WHOLE,
+    RawChannelConfig,
+    _as_number,
+    _as_numbers,
+    _standard_form,
+    standardize,
+)
 from .errors import ValidationError
 from .optimizer import (
     CASE_JAM_AT_MAX,
@@ -35,13 +45,6 @@ from .rates import _clamp0
 ZERO_RATE_THRESHOLD = 1e-9
 
 Point = tuple[float, float]
-
-
-def _as_point(value: Any, name: str) -> Point:
-    x, y = _as_config_floats(value, name, 2)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return (x, y)
 
 
 @dataclass(frozen=True)
@@ -63,45 +66,33 @@ class ScenarioConfig:
     min_distance: float = 1.0
 
     def __post_init__(self) -> None:
-        grid = self.grid
-        if not (
-            isinstance(grid, Sequence)
-            and len(grid) == 2
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in grid)
-        ):
-            raise ValidationError(f"grid must be a pair of positive integers, got {self.grid!r}")
-        width, height = _as_config_floats(self.area, "area", 2)
-        if not (width > 0 and height > 0 and math.isfinite(width) and math.isfinite(height)):
-            raise ValidationError(f"area must be positive and finite, got {self.area!r}")
+        grid = _as_numbers(self.grid, "grid", 2, WHOLE)
+        width, height = _as_numbers(self.area, "area", 2, POSITIVE)
         # the last cell centre is (n - 0.5) * side / n
         if not all(math.isfinite((n - 0.5) * side) for n, side in zip(grid, (width, height))):
             raise ValidationError(
-                f"area {(width, height)} with grid {tuple(grid)} too large: "
+                f"area {(width, height)} with grid {grid} too large: "
                 "the cell centres overflow the float range"
             )
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "area", (width, height))
-        object.__setattr__(self, "base_station", _as_point(self.base_station, "base_station"))
+        object.__setattr__(self, "base_station", _as_numbers(self.base_station, "base_station", 2))
         if isinstance(self.users, str) or not isinstance(self.users, Sequence):
             raise ValidationError(f"users must be a list of (x, y) pairs, got {self.users!r}")
         if len(self.users) != 2:
             raise ValidationError(f"exactly two users are supported, got {len(self.users)}")
         object.__setattr__(
-            self, "users", tuple(_as_point(u, f"users[{i}]") for i, u in enumerate(self.users))
+            self, "users", tuple(_as_numbers(u, f"users[{i}]", 2) for i, u in enumerate(self.users))
         )
         for name, pos in [("base_station", self.base_station)] + [
             (f"users[{i}]", u) for i, u in enumerate(self.users)
         ]:
             if not (0.0 <= pos[0] <= width and 0.0 <= pos[1] <= height):
                 raise ValidationError(f"{name} position {pos} lies outside the area {self.area}")
-        limits = _as_config_floats(self.power_limits, "power_limits", 2)
-        if any(not math.isfinite(v) or v < 0 for v in limits):
-            raise ValidationError(f"power_limits must be two nonnegative numbers, got {self.power_limits!r}")
+        limits = _as_numbers(self.power_limits, "power_limits", 2, NONNEGATIVE)
         object.__setattr__(self, "power_limits", limits)
         for name in ("noise_var_main", "noise_var_tap", "pathloss_exponent", "min_distance"):
-            v = _as_number(getattr(self, name), name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be a finite positive number, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _as_number(getattr(self, name), name, POSITIVE))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
@@ -112,14 +103,8 @@ class ScenarioConfig:
         missing = required - set(data)
         if missing:
             raise ValidationError(f"missing scenario config keys: {sorted(missing)}")
-        if isinstance(data["grid"], str):
-            raise ValidationError(f"grid must be two integers, got {data['grid']!r}")
-        try:
-            grid = tuple(_as_whole(v) for v in data["grid"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"grid must be two integers: {exc}") from exc
         return cls(
-            grid=grid,  # type: ignore[arg-type]
+            grid=data["grid"],
             area=data["area"],
             base_station=data["base_station"],
             users=data["users"],
@@ -268,39 +253,55 @@ def _formatted_distinct(column: np.ndarray) -> list[str]:
 def _tap_gains(config: ScenarioConfig, user: Point, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Path-loss gains of one user at the points ``x``, ``y``; inf where one
     overflows.  The sweep passes the whole grid and ``gains_at`` 0-d arrays:
-    the same ufunc loops, so the same bits."""
+    the same ufunc loops, so the same bits.  A link no longer than
+    min_distance gets ``_scalar_gain``'s clamped value, the receiver gain's
+    bits, where numpy's ``power`` could round it an ulp apart."""
     ux, uy = user
     with np.errstate(over="ignore"):
-        distance = np.maximum(np.hypot(ux - x, uy - y), config.min_distance)
-        return np.power(distance, -config.pathloss_exponent)
+        distance = np.hypot(ux - x, uy - y)
+        return np.where(
+            distance <= config.min_distance, _scalar_gain(config, 0.0),
+            np.power(np.maximum(distance, config.min_distance), -config.pathloss_exponent),
+        )
 
 
-def _receiver_gain(config: ScenarioConfig, user: Point) -> float:
-    """Path-loss gain of one user at the base station, a scalar constant of
-    the config; inf where it overflows."""
-    (ux, uy), (bx, by) = user, config.base_station
+def _scalar_gain(config: ScenarioConfig, distance: float) -> float:
+    """Path-loss gain of a link of the given length with libm's ``pow``; inf
+    where it overflows."""
     try:
-        return max(math.hypot(ux - bx, uy - by), config.min_distance) ** -config.pathloss_exponent
+        return max(distance, config.min_distance) ** -config.pathloss_exponent
     except OverflowError:
         return math.inf
 
 
+def _receiver_gain(config: ScenarioConfig, user: Point) -> float:
+    """Path-loss gain of one user at the base station, a scalar constant of
+    the config."""
+    (ux, uy), (bx, by) = user, config.base_station
+    return _scalar_gain(config, math.hypot(ux - bx, uy - by))
+
+
 def gains_at(config: ScenarioConfig, eaves_pos: Sequence[float]) -> RawChannelConfig:
     """Physical channel when the eavesdropper sits at the given position."""
-    ex, ey = _as_point(eaves_pos, "eaves_pos")
+    ex, ey = _as_numbers(eaves_pos, "eaves_pos", 2)
     width, height = config.area
     if not (0.0 <= ex <= width and 0.0 <= ey <= height):
         raise ValidationError(f"eavesdropper position ({ex}, {ey}) lies outside the area {config.area}")
     gains_main = tuple(_receiver_gain(config, user) for user in config.users)
     gains_tap = tuple(_tap_gains(config, u, np.array(ex), np.array(ey)).item() for u in config.users)
-    ends = (config.base_station,) * 2 + ((ex, ey),) * 2  # the far end of each gain's link
-    for gain, (ux, uy), (px, py) in zip(gains_main + gains_tap, config.users * 2, ends):
-        if not math.isfinite(gain):
-            raise ValidationError(
-                "path-loss gain max(distance, min_distance) ** -pathloss_exponent overflows: "
-                f"distance {math.hypot(ux - px, uy - py)!r}, min_distance {config.min_distance!r}, "
-                f"pathloss_exponent {config.pathloss_exponent!r}"
-            )
+    gains = gains_main + gains_tap
+    faults = [(k, "overflows") for k, gain in enumerate(gains) if not math.isfinite(gain)]
+    # a tap gain may vanish, a receiver gain may not
+    faults += [(k, "underflows to zero") for k, gain in enumerate(gains_main) if gain == 0.0]
+    if faults:
+        k, fault = faults[0]
+        ends = (config.base_station,) * 2 + ((ex, ey),) * 2  # the far end of each gain's link
+        (ux, uy), (px, py) = config.users[k % 2], ends[k]
+        raise ValidationError(
+            f"path-loss gain max(distance, min_distance) ** -pathloss_exponent {fault}: "
+            f"distance {math.hypot(ux - px, uy - py)!r}, min_distance {config.min_distance!r}, "
+            f"pathloss_exponent {config.pathloss_exponent!r}"
+        )
     return RawChannelConfig(
         num_users=2,
         gains_main=gains_main,
@@ -343,10 +344,11 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
     y = np.repeat((np.arange(ny) + 0.5) * height / ny, nx)
     gains_main = [_receiver_gain(config, user) for user in config.users]
     gains_tap = [_tap_gains(config, user, x, y) for user in config.users]
-    nvm, nvt = config.noise_var_main, config.noise_var_tap
-    m_a, m_b = (g / nvm * limit for g, limit in zip(gains_main, config.power_limits))
     with np.errstate(all="ignore"):
-        h_a, h_b = (tap * nvm / (g * nvt) for tap, g in zip(gains_tap, gains_main))
+        (h_a, m_a), (h_b, m_b) = (
+            _standard_form(*gains_limit, config.noise_var_main, config.noise_var_tap)
+            for gains_limit in zip(gains_main, gains_tap, config.power_limits)
+        )
         (_, _, nojam, _), (p1, p2, jam, case), ok = _solve(h_a, h_b, m_a, m_b)
         # vouch only for cells on which ``_cell`` cannot raise or warn:
         # h and pmax finite (a zero or overflowing gain makes one of them

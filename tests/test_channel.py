@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import macwiretap as mw
 from macwiretap.channel import RawChannelConfig, StandardChannel, check_degraded, standardize
 from macwiretap.errors import ValidationError
 from macwiretap.rates import cm, g
@@ -151,3 +153,105 @@ def test_scale_consistency(gm, gt, nm, nt, pl, scale):
     )
     assert scaled.h == pytest.approx(std.h, rel=1e-12, abs=1e-15)
     assert scaled.pmax == pytest.approx(std.pmax, rel=1e-12, abs=1e-15)
+
+
+_STD = StandardChannel(num_users=2, h=(0.5, 0.5), pmax=(2.0, 2.0))
+_RAW = dict(num_users=2, gains_main=(4.0, 1.0), gains_tap=(1.0, 1.0), noise_var_main=2.0,
+            noise_var_tap=1.0, power_limits=(1.0, 1.0))
+_SCENARIO = dict(grid=(3, 3), area=(100.0, 100.0), base_station=(50.0, 50.0),
+                 users=((20.0, 35.0), (25.0, 70.0)), power_limits=(1.0, 1.0),
+                 noise_var_main=1.0, noise_var_tap=1.0)
+
+
+def _entry(field, call, valid, negatives=False, length=True):
+    """An entry point that takes an outside number: the field it names,
+    the call on one value of that field, a value it accepts, whether its
+    rule admits -1, and whether a sequence field has a fixed length."""
+    return field, call, valid, negatives, length
+
+
+ENTRIES = {
+    "optimal_powers_sum": _entry("gains", lambda v: mw.optimal_powers_sum(v, (1.0, 1.0)), (0.5, 0.2)),
+    "optimal_powers_jam": _entry("pmax", lambda v: mw.optimal_powers_jam((0.5, 2.0), v), (1.0, 1.0)),
+    "grid_oracle": _entry("gains", lambda v: mw.grid_oracle("SUM", v, (1.0, 1.0), 11), (0.5, 0.2)),
+    "rho": _entry("powers", lambda v: mw.rho(v, (0.5, 0.2)), (1.0, 1.0)),
+    "sum_objective": _entry("gains", lambda v: mw.sum_objective((1.0, 1.0), v), (0.5, 0.2)),
+    "jam_roots-gains": _entry("gains", lambda v: mw.jam_roots(v, 1.0), (0.5, 2.0)),
+    "jam_roots-pmax1": _entry("pmax1", lambda v: mw.jam_roots((0.5, 2.0), v), 1.0),
+    "phi-p": _entry("p", lambda v: mw.phi(v, 2.0), 1.0),
+    "phi-h_j": _entry("h_j", lambda v: mw.phi(1.0, v), 2.0),
+    "tdma_optimal_alpha": _entry("powers", mw.tdma_optimal_alpha, (1.0, 1.0), length=False),
+    "RateVector": _entry("secret", lambda v: mw.RateVector(v, (0.0, 0.0)), (0.1, 0.1)),
+    "DeltaRateVector-total": _entry("total", lambda v: mw.DeltaRateVector(v, 0.5), (0.1,), length=False),
+    "DeltaRateVector-delta": _entry("delta", lambda v: mw.DeltaRateVector((0.1,), v), 0.5),
+    "individual_region_at": _entry("powers", lambda v: mw.individual_region_at(_STD, v), (1.0, 1.0)),
+    "tdma_region_at": _entry("alpha", lambda v: mw.tdma_region_at(_STD, (1.0, 1.0), v), (0.5, 0.5)),
+    "delta_region": _entry(
+        "delta", lambda v: mw.delta_region(mw.individual_region_at(_STD, (1.0, 1.0)), v), 0.5),
+    "region_boundary_2d": _entry(
+        "delta", lambda v: mw.region_boundary_2d(_STD, "individual", v, 5, 5), 0.5),
+    "sum_capacity_degraded-h": _entry("h", lambda v: mw.sum_capacity_degraded(v, 1.0), 0.5),
+    "sum_capacity_degraded-total_power": _entry(
+        "total_power", lambda v: mw.sum_capacity_degraded(0.5, v), 1.0),
+    "check_degraded": _entry("tol", lambda v: check_degraded(_STD, v), 1e-9),
+    "g": _entry("x", g, 1.0),
+    "pos_part": _entry("x", mw.pos_part, 1.0, negatives=True),
+    "RawChannelConfig-num_users": _entry(
+        "num_users", lambda v: RawChannelConfig(**{**_RAW, "num_users": v}), 2),
+    "RawChannelConfig-gains_main": _entry(
+        "gains_main", lambda v: RawChannelConfig(**{**_RAW, "gains_main": v}), (4.0, 1.0)),
+    "RawChannelConfig-noise_var_tap": _entry(
+        "noise_var_tap", lambda v: RawChannelConfig(**{**_RAW, "noise_var_tap": v}), 1.0),
+    "StandardChannel-h": _entry("h", lambda v: StandardChannel(2, v, (1.0, 1.0)), (0.5, 0.2)),
+    "StandardChannel-num_users": _entry("num_users", lambda v: StandardChannel(v, (0.5,), (1.0,)), 1),
+    "ScenarioConfig-grid": _entry("grid", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "grid": v}), (3, 3)),
+    "ScenarioConfig-area": _entry(
+        "area", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "area": v}), (100.0, 100.0)),
+    # -1 puts the base station outside the area, a geometry fault, not a sign
+    "ScenarioConfig-base_station": _entry(
+        "base_station", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "base_station": v}), (50.0, 50.0),
+        negatives=True),
+    "ScenarioConfig-power_limits": _entry(
+        "power_limits", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "power_limits": v}), (1.0, 1.0)),
+    "ScenarioConfig-min_distance": _entry(
+        "min_distance", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "min_distance": v}), 1.0),
+    "gains_at": _entry(
+        "eaves_pos", lambda v: mw.gains_at(mw.ScenarioConfig(**_SCENARIO), v), (10.0, 10.0),
+        negatives=True),
+}
+
+
+def _outside_values():
+    for name, (_, _, valid, negatives, length) in ENTRIES.items():
+        bad = {"str": "0.5", "bool": True, "numpy-str": np.str_("0.5"), "numpy-bool": np.True_,
+               "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+        if not negatives:
+            bad["negative"] = -1
+        for label, value in bad.items():
+            # a sequence field gets the value as its first entry
+            yield pytest.param(name, (value,) + valid[1:] if isinstance(valid, tuple) else value,
+                               id=f"{name}-{label}")
+        if isinstance(valid, tuple) and length:
+            yield pytest.param(name, valid + valid[:1], id=f"{name}-length")
+
+
+@pytest.mark.parametrize("entry, value", _outside_values())
+def test_every_entry_refuses_an_outside_value_naming_its_field(entry, value):
+    # one rule for the library API and the configs: a string or a bool is
+    # not a number, NaN and infinities are refused, and so is a sign or a
+    # length that the field does not admit
+    field, call, valid, _, _ = ENTRIES[entry]
+    call(valid)
+    with pytest.raises(ValidationError) as raised:
+        call(value)
+    assert str(raised.value).startswith(f"{field} "), str(raised.value)
+
+
+def test_parsed_numbers_come_back_as_floats():
+    assert type(mw.DeltaRateVector([1.0], 1).delta) is float
+    assert type(RawChannelConfig(**{**_RAW, "noise_var_main": 2}).noise_var_main) is float
+    assert RawChannelConfig(**{**_RAW, "num_users": 2.0}).num_users == 2
+    assert mw.ScenarioConfig(**{**_SCENARIO, "grid": (3.0, 3)}).grid == (3, 3)
+    # an int past the float range is not a finite number
+    with pytest.raises(ValidationError, match=r"^noise_var_tap must be a finite positive number"):
+        RawChannelConfig(**{**_RAW, "noise_var_tap": 10**400})

@@ -313,6 +313,15 @@ _CHANNEL_CONFIG = {
     ("standardize", "gains_tap", [True, 1], "gains_tap"),
     ("standardize", "power_limits", [1, "1"], "power_limits"),
     ("standardize", "num_users", "2", "num_users"),
+    ("scenario", "users", [[20.0, 35.0], [25.0, False]], "users[1]"),
+    ("scenario", "grid", [3, True], "grid"),
+    ("scenario", "min_distance", "0.5", "min_distance"),
+    ("standardize", "gains_main", [4, True], "gains_main"),
+    ("standardize", "num_users", False, "num_users"),
+    # a JSON integer past the float range, which float() cannot read
+    ("scenario", "noise_var_tap", 10**400, "noise_var_tap"),
+    ("scenario", "power_limits", [1.0, -10**400], "power_limits"),
+    ("standardize", "gains_tap", [1, 10**400], "gains_tap"),
 ])
 def test_config_strings_and_bools_are_not_numbers(capsys, tmp_path, command, key, value, field):
     # JSON strings and booleans that float() would read are refused at the
@@ -335,8 +344,11 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
     # stderr line (or the CSV) that the per-cell scalar sweep produced, and
     # none lets a RuntimeWarning through to stderr
     cases = [
+        # the receiver gain 33.5 ** -300 underflows to zero
         ({"pathloss_exponent": 300}, 2,
-         "error: cell (8.33333, 8.33333): gains_main must be strictly positive, got (0.0, 0.0)\n"),
+         "error: cell (8.33333, 8.33333): path-loss gain max(distance, min_distance) "
+         "** -pathloss_exponent underflows to zero: distance 33.54101966249684, "
+         "min_distance 1.0, pathloss_exponent 300.0\n"),
         # the jamming-root discriminant grows with the cube of a gain
         ({"pathloss_exponent": 150, "noise_var_tap": 1e-10}, 2,
          "error: cell (25, 75): gains (0.010530204003645497, 9.094718346467746e+130) with "

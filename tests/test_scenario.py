@@ -525,3 +525,19 @@ def test_an_earlier_cell_fails_before_a_gain_overflow(monkeypatch):
     with pytest.raises(ValidationError, match="the jamming-root discriminant overflows") as expected:
         reference_cell(cfg, *cell)
     assert str(raised.value) == f"cell ({cell[0]:g}, {cell[1]:g}): {expected.value}"
+
+
+def test_a_clamped_tap_gain_is_bitwise_the_clamped_receiver_gain():
+    # every link is shorter than min_distance, so each gain is
+    # min_distance ** -4 and h = noise_var_main / noise_var_tap = 1 exactly;
+    # numpy's power can round that gain an ulp below libm's **, which would
+    # make h 0.9999999999999999 and every cell both-transmit
+    cfg = small_config(
+        grid=(5, 3), base_station=(92.287, 78.849), users=((77.117, 70.946), (98.941, 22.403)),
+        power_limits=(0.0, 1.69e-234), pathloss_exponent=4.0, min_distance=7579786.075000084,
+    )
+    raw = gains_at(cfg, (10.0, 50.0))
+    assert raw.gains_tap == raw.gains_main == (7579786.075000084 ** -4.0,) * 2
+    assert standardize(raw).h == (1.0, 1.0)
+    result = sweep(cfg)
+    assert Counter(r.case for r in result.records) == Counter({"NO_JAM": 15})
