@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -86,6 +86,19 @@ def _as_numbers(values: Any, name: str, length: int | None = None, rule: _Rule =
     raise ValidationError(f"{name} must be {what}, got {values!r}")
 
 
+def _config_fields(cls: type, data: dict[str, Any], what: str) -> dict[str, Any]:
+    """``data`` as the keyword arguments of the config dataclass ``cls``:
+    every field without a default must be a key, and every key a field."""
+    names = {f.name: f.default is MISSING for f in fields(cls)}
+    missing = {name for name, required in names.items() if required} - set(data)
+    if missing:
+        raise ValidationError(f"missing {what} config keys: {sorted(missing)}")
+    unknown = set(data) - set(names)
+    if unknown:
+        raise ValidationError(f"unknown {what} config keys: {sorted(unknown, key=str)}")
+    return data
+
+
 def _standard_form(gain_main, gain_tap, power_limit, noise_var_main, noise_var_tap):
     """(h, pmax) of one user, elementwise on floats or arrays:
     h = gain_tap * noise_var_main / (gain_main * noise_var_tap) and
@@ -123,21 +136,7 @@ class RawChannelConfig:
     def from_dict(cls, data: dict[str, Any]) -> "RawChannelConfig":
         """Build from a JSON-style dict with keys num_users, gains_main,
         gains_tap, noise_var_main, noise_var_tap, power_limits."""
-        required = {
-            "num_users", "gains_main", "gains_tap",
-            "noise_var_main", "noise_var_tap", "power_limits",
-        }
-        missing = required - set(data)
-        if missing:
-            raise ValidationError(f"missing channel config keys: {sorted(missing)}")
-        return cls(
-            num_users=data["num_users"],
-            gains_main=data["gains_main"],
-            gains_tap=data["gains_tap"],
-            noise_var_main=data["noise_var_main"],
-            noise_var_tap=data["noise_var_tap"],
-            power_limits=data["power_limits"],
-        )
+        return cls(**_config_fields(cls, data, "channel"))
 
     def to_dict(self) -> dict[str, Any]:
         return {

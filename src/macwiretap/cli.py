@@ -3,7 +3,8 @@
 Every subcommand prints a JSON envelope {command, version, inputs_echo,
 result}; result floats are rounded to 12 significant digits and the echo is
 verbatim, so identical inputs on the same version produce byte-identical
-output.  Exit codes: 0 success, 2 input or validation error, 3
+output.  Exit codes: 0 success, 1 internal error (a fault of the program,
+reported on one stderr line), 2 input or validation error, 3
 self-verification failure (--verify gap above tolerance).
 """
 
@@ -30,17 +31,14 @@ from .optimizer import (
     tdma_optimal_alpha,
 )
 from .regions import (
-    KIND_COLLECTIVE,
-    KIND_INDIVIDUAL,
-    KIND_OUTER_COLLECTIVE,
-    KIND_OUTER_INDIVIDUAL,
+    BOUNDARY_KINDS,
     KIND_TDMA,
+    KIND_UNION_I_T,
+    RateConstraintSet,
     RateVector,
     _as_kind,
-    collective_region_at,
+    _region_at,
     delta_region,
-    individual_region_at,
-    outer_region_at,
     rate_split_collective,
     rate_split_individual,
     region_boundary_2d,
@@ -55,6 +53,7 @@ VERIFY_GAP_TOL = 1e-6
 MAX_GRID_RES = 2001
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 
@@ -168,6 +167,18 @@ def _region_kind_arg(text: str) -> str:
     return text.strip().lower()
 
 
+def _constraint_set(std: StandardChannel, kind: str, args: argparse.Namespace) -> RateConstraintSet:
+    """The fixed-power set of ``kind`` at ``--power``, over total rates
+    when ``--delta`` is given; tdma time shares default to the optimum."""
+    if kind == KIND_TDMA:
+        region = tdma_region_at(std, args.power, args.alpha or tdma_optimal_alpha(args.power))
+    elif kind == KIND_UNION_I_T:
+        raise ValidationError(f"fixed-power constraint sets are not defined for kind {args.kind}")
+    else:
+        region = _region_at(std, kind, args.power)
+    return region if args.delta is None else delta_region(region, args.delta)
+
+
 def _cmd_region(args: argparse.Namespace) -> int:
     std = _std_channel(args)
     kind = _as_kind(args.kind)
@@ -175,20 +186,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     if args.power is not None:
         if args.format == "csv":
             raise ValidationError("constraint sets serialize to JSON; csv is for boundaries")
-        if kind == KIND_INDIVIDUAL:
-            region = individual_region_at(std, args.power)
-        elif kind == KIND_COLLECTIVE:
-            region = collective_region_at(std, args.power)
-        elif kind == KIND_TDMA:
-            alpha = args.alpha if args.alpha else tdma_optimal_alpha(args.power)
-            region = tdma_region_at(std, args.power, alpha)
-        elif kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE):
-            region = outer_region_at(std, args.power, kind)
-        else:
-            raise ValidationError(f"fixed-power constraint sets are not defined for kind {args.kind}")
-        if args.delta is not None:
-            region = delta_region(region, args.delta)
-        _emit("region", echo, {"constraint_set": region.to_json_dict()})
+        _emit("region", echo, {"constraint_set": _constraint_set(std, kind, args).to_json_dict()})
         return EXIT_OK
     boundary = region_boundary_2d(
         std,
@@ -242,12 +240,8 @@ def _cmd_power_opt(args: argparse.Namespace) -> int:
 def _cmd_tdma(args: argparse.Namespace) -> int:
     std = _std_channel(args)
     optimal = tdma_optimal_alpha(args.power)
-    region = tdma_region_at(std, args.power, args.alpha if args.alpha else optimal)
-    if args.delta is not None:
-        payload = delta_region(region, args.delta).to_json_dict()
-    else:
-        payload = region.to_json_dict()
-    _emit("tdma", _echo(args), {"optimal_alpha": list(optimal), "region": payload})
+    region = _constraint_set(std, KIND_TDMA, args)
+    _emit("tdma", _echo(args), {"optimal_alpha": list(optimal), "region": region.to_json_dict()})
     return EXIT_OK
 
 
@@ -316,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         type=_region_kind_arg,
         required=True,
-        choices=["individual", "collective", "tdma", "outer-individual", "outer-collective", "union-i-t"],
+        choices=[kind.lower().replace("_", "-") for kind in BOUNDARY_KINDS],
     )
     p.add_argument("--h", type=_floats_arg, required=True, help="standardized eavesdropper gains")
     p.add_argument("--pmax", type=_floats_arg, required=True, help="standardized power limits")
@@ -379,6 +373,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # a fault of the program, never of the input
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

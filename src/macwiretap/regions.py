@@ -16,7 +16,7 @@ hull.  Randomization-rate witnesses come from per-user formulas
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add, sub
 from typing import Any, NamedTuple, Sequence
@@ -96,10 +96,7 @@ class DeltaRateVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "total", _as_numbers(self.total, "total", rule=NONNEGATIVE))
-        delta = _as_number(self.delta, "delta", NONNEGATIVE)
-        if delta > 1.0:
-            raise ValidationError(f"delta must lie in [0, 1], got {self.delta!r}")
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", _as_delta(self.delta))
 
     @property
     def num_users(self) -> int:
@@ -129,15 +126,6 @@ class ConstraintRow:
     def subset_mask(self) -> int:
         return sum(1 << (k - 1) for k in self.subset)
 
-    def coefficients(self, num_users: int, coordinates: str) -> tuple[float, ...]:
-        """Explicit coefficient vector: over (secret_1..K, open_1..K) for
-        secret/open coordinates, over (total_1..K) for total coordinates."""
-        if coordinates == COORDS_TOTAL:
-            return tuple(1.0 if k in self.subset else 0.0 for k in range(1, num_users + 1))
-        sec = tuple(1.0 if k in self.subset else 0.0 for k in range(1, num_users + 1))
-        opn = sec if self.kind == ROW_MAC else tuple(0.0 for _ in range(num_users))
-        return sec + opn
-
 
 def _row_sort_key(row: ConstraintRow):
     return (0 if row.kind == ROW_SECRECY else 1, len(row.subset), sorted(row.subset))
@@ -145,23 +133,27 @@ def _row_sort_key(row: ConstraintRow):
 
 @dataclass(frozen=True)
 class RateConstraintSet:
-    """A region at fixed power: rows, region kind, and coordinate system."""
+    """A region at fixed power: rows, region kind, and the secret fraction
+    ``delta`` of a fractional-secrecy region (None for an ordinary one)."""
 
     kind: str
     num_users: int
     power: tuple[float, ...]
     rows: tuple[ConstraintRow, ...]
-    coordinates: str = COORDS_SECRET_OPEN
     delta: float | None = None
     alpha: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.coordinates not in (COORDS_SECRET_OPEN, COORDS_TOTAL):
-            raise ValidationError(f"unknown coordinate system {self.coordinates!r}")
         for row in self.rows:
             if any(k > self.num_users for k in row.subset):
                 raise ValidationError(f"row {row.label} references a user beyond K={self.num_users}")
         object.__setattr__(self, "rows", tuple(sorted(self.rows, key=_row_sort_key)))
+
+    @property
+    def coordinates(self) -> str:
+        """Per-user total rates for a fractional-secrecy region, per-user
+        (secret, open) rate pairs otherwise."""
+        return COORDS_SECRET_OPEN if self.delta is None else COORDS_TOTAL
 
     def secrecy_rows(self) -> tuple[ConstraintRow, ...]:
         return tuple(r for r in self.rows if r.kind == ROW_SECRECY)
@@ -252,6 +244,12 @@ def _require_finite(values: Any, what: str) -> None:
 
 
 def _region_at(std: StandardChannel, kind: str, powers: Sequence[float]) -> RateConstraintSet:
+    """The fixed-power region of an INDIVIDUAL, COLLECTIVE or OUTER kind;
+    an outer kind is refused for a non-degraded channel before the powers
+    are checked."""
+    if kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE):
+        _require_degraded(std, "outer bounds hold only for a degraded eavesdropper "
+                          "(equal gains below 1)")
     p = _check_power(std, powers)
     bounds = _subset_bounds(kind, std.h, p)
     _require_finite([mac for _, _, mac in bounds], f"powers {p}")
@@ -280,12 +278,14 @@ def collective_region_at(std: StandardChannel, powers: Sequence[float]) -> RateC
 def _tdma_bound(h: Any, p: Any, a: Any) -> tuple[Any, Any]:
     """(secrecy, total) rate bounds of a user with gain h sending at power
     p/a for a share a of the time, zero for a zero share; elementwise over
-    broadcastable arrays and unchecked, like ``_subset_bounds``."""
+    broadcastable arrays and unchecked, like ``_subset_bounds``.  ``p`` or
+    ``a`` must be a numpy array: a zero share then divides to inf or nan,
+    which the ``np.where`` discards, where Python floats would raise
+    ZeroDivisionError."""
     with np.errstate(all="ignore"):
-        den = a + h * p
-        arg = np.where(den > 0.0, (1.0 - h) * p / np.where(den > 0.0, den, 1.0), 0.0)
+        arg = (1.0 - h) * p / (a + h * p)
         secrecy = np.where((a > 0.0) & (arg > 0.0), a * _g_arr(_clamp0(arg)), 0.0)
-        total = np.where(a > 0.0, a * _g_arr(p / np.where(a > 0.0, a, 1.0)), 0.0)
+        total = np.where(a > 0.0, a * _g_arr(p / a), 0.0)
     return secrecy, total
 
 
@@ -318,8 +318,6 @@ def outer_region_at(
     single-user rate difference; kind COLLECTIVE bounds the secret-rate sum
     by the full-set rate difference.  Both keep all MAC rows."""
     kind = _as_kind(kind, (KIND_INDIVIDUAL, KIND_COLLECTIVE, KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE))
-    _require_degraded(std, "outer bounds hold only for a degraded eavesdropper "
-                      "(equal gains below 1)")
     return _region_at(std, "OUTER_" + kind.removeprefix("OUTER_"), powers)
 
 
@@ -344,15 +342,7 @@ def delta_region(base: RateConstraintSet, delta: float) -> RateConstraintSet:
         ConstraintRow(r.subset, r.kind, r.rhs / delta if r.kind == ROW_SECRECY else r.rhs)
         for r in base.rows
     )
-    return RateConstraintSet(
-        base.kind,
-        base.num_users,
-        base.power,
-        rows,
-        coordinates=COORDS_TOTAL,
-        delta=delta,
-        alpha=base.alpha,
-    )
+    return replace(base, rows=rows, delta=delta)
 
 
 def membership(
@@ -361,34 +351,28 @@ def membership(
     tol: float = 1e-9,
 ) -> MembershipResult:
     """Check all rows within ``tol``; on failure report the first violated
-    row's label in the region's canonical row order."""
+    row's label in the region's canonical row order.  A RateVector's MAC
+    rows count its secret and open rates, a DeltaRateVector's rows its
+    total rates."""
     if isinstance(rates, RateVector):
-        if region.coordinates != COORDS_SECRET_OPEN:
-            raise ValidationError("this region is over total rates; pass a DeltaRateVector")
-        if rates.num_users != region.num_users:
-            raise ValidationError(
-                f"rate vector has {rates.num_users} users, region has {region.num_users}"
-            )
-        secret, opn = rates.secret, rates.open
-        for row in region.rows:
-            total = sum(secret[k - 1] for k in row.subset)
-            if row.kind == ROW_MAC:
-                total += sum(opn[k - 1] for k in row.subset)
-            if total > row.rhs + tol:
-                return MembershipResult(False, row.label)
-        return MembershipResult(True, None)
-    if isinstance(rates, DeltaRateVector):
-        if region.coordinates != COORDS_TOTAL:
-            raise ValidationError("this region is over (secret, open) rates; pass a RateVector")
-        if rates.num_users != region.num_users:
-            raise ValidationError(
-                f"rate vector has {rates.num_users} users, region has {region.num_users}"
-            )
-        for row in region.rows:
-            if sum(rates.total[k - 1] for k in row.subset) > row.rhs + tol:
-                return MembershipResult(False, row.label)
-        return MembershipResult(True, None)
-    raise ValidationError(f"unsupported rate vector type {type(rates).__name__}")
+        coordinates, secret, opn = COORDS_SECRET_OPEN, rates.secret, rates.open
+        mismatch = "this region is over total rates; pass a DeltaRateVector"
+    elif isinstance(rates, DeltaRateVector):
+        coordinates, secret, opn = COORDS_TOTAL, rates.total, None
+        mismatch = "this region is over (secret, open) rates; pass a RateVector"
+    else:
+        raise ValidationError(f"unsupported rate vector type {type(rates).__name__}")
+    if region.coordinates != coordinates:
+        raise ValidationError(mismatch)
+    if rates.num_users != region.num_users:
+        raise ValidationError(f"rate vector has {rates.num_users} users, region has {region.num_users}")
+    for row in region.rows:
+        total = sum(secret[k - 1] for k in row.subset)
+        if opn is not None and row.kind == ROW_MAC:
+            total += sum(opn[k - 1] for k in row.subset)
+        if total > row.rhs + tol:
+            return MembershipResult(False, row.label)
+    return MembershipResult(True, None)
 
 
 def sum_capacity_degraded(h: float, total_power: float) -> float:

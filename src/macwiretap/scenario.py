@@ -26,6 +26,7 @@ from .channel import (
     RawChannelConfig,
     _as_number,
     _as_numbers,
+    _config_fields,
     _standard_form,
     standardize,
 )
@@ -96,24 +97,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
-        required = {
-            "grid", "area", "base_station", "users",
-            "power_limits", "noise_var_main", "noise_var_tap",
-        }
-        missing = required - set(data)
-        if missing:
-            raise ValidationError(f"missing scenario config keys: {sorted(missing)}")
-        return cls(
-            grid=data["grid"],
-            area=data["area"],
-            base_station=data["base_station"],
-            users=data["users"],
-            power_limits=data["power_limits"],
-            noise_var_main=data["noise_var_main"],
-            noise_var_tap=data["noise_var_tap"],
-            pathloss_exponent=data.get("pathloss_exponent", 2.0),
-            min_distance=data.get("min_distance", 1.0),
-        )
+        return cls(**_config_fields(cls, data, "scenario"))
 
     def to_dict(self) -> dict[str, Any]:
         return {

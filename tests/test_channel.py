@@ -163,11 +163,12 @@ _SCENARIO = dict(grid=(3, 3), area=(100.0, 100.0), base_station=(50.0, 50.0),
                  noise_var_main=1.0, noise_var_tap=1.0)
 
 
-def _entry(field, call, valid, negatives=False, length=True):
+def _entry(field, call, valid, negatives=False, length=True, zero=True):
     """An entry point that takes an outside number: the field it names,
     the call on one value of that field, a value it accepts, whether its
-    rule admits -1, and whether a sequence field has a fixed length."""
-    return field, call, valid, negatives, length
+    rule admits -1, whether a sequence field has a fixed length, and
+    whether its rule admits 0."""
+    return field, call, valid, negatives, length, zero
 
 
 ENTRIES = {
@@ -183,13 +184,14 @@ ENTRIES = {
     "tdma_optimal_alpha": _entry("powers", mw.tdma_optimal_alpha, (1.0, 1.0), length=False),
     "RateVector": _entry("secret", lambda v: mw.RateVector(v, (0.0, 0.0)), (0.1, 0.1)),
     "DeltaRateVector-total": _entry("total", lambda v: mw.DeltaRateVector(v, 0.5), (0.1,), length=False),
-    "DeltaRateVector-delta": _entry("delta", lambda v: mw.DeltaRateVector((0.1,), v), 0.5),
+    "DeltaRateVector-delta": _entry("delta", lambda v: mw.DeltaRateVector((0.1,), v), 0.5, zero=False),
     "individual_region_at": _entry("powers", lambda v: mw.individual_region_at(_STD, v), (1.0, 1.0)),
     "tdma_region_at": _entry("alpha", lambda v: mw.tdma_region_at(_STD, (1.0, 1.0), v), (0.5, 0.5)),
     "delta_region": _entry(
-        "delta", lambda v: mw.delta_region(mw.individual_region_at(_STD, (1.0, 1.0)), v), 0.5),
+        "delta", lambda v: mw.delta_region(mw.individual_region_at(_STD, (1.0, 1.0)), v), 0.5,
+        zero=False),
     "region_boundary_2d": _entry(
-        "delta", lambda v: mw.region_boundary_2d(_STD, "individual", v, 5, 5), 0.5),
+        "delta", lambda v: mw.region_boundary_2d(_STD, "individual", v, 5, 5), 0.5, zero=False),
     "sum_capacity_degraded-h": _entry("h", lambda v: mw.sum_capacity_degraded(v, 1.0), 0.5),
     "sum_capacity_degraded-total_power": _entry(
         "total_power", lambda v: mw.sum_capacity_degraded(0.5, v), 1.0),
@@ -222,11 +224,13 @@ ENTRIES = {
 
 
 def _outside_values():
-    for name, (_, _, valid, negatives, length) in ENTRIES.items():
+    for name, (_, _, valid, negatives, length, zero) in ENTRIES.items():
         bad = {"str": "0.5", "bool": True, "numpy-str": np.str_("0.5"), "numpy-bool": np.True_,
                "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
         if not negatives:
             bad["negative"] = -1
+        if not zero:
+            bad["zero"] = 0.0
         for label, value in bad.items():
             # a sequence field gets the value as its first entry
             yield pytest.param(name, (value,) + valid[1:] if isinstance(valid, tuple) else value,
@@ -240,7 +244,7 @@ def test_every_entry_refuses_an_outside_value_naming_its_field(entry, value):
     # one rule for the library API and the configs: a string or a bool is
     # not a number, NaN and infinities are refused, and so is a sign or a
     # length that the field does not admit
-    field, call, valid, _, _ = ENTRIES[entry]
+    field, call, valid, *_ = ENTRIES[entry]
     call(valid)
     with pytest.raises(ValidationError) as raised:
         call(value)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwiretap.cli import MAX_GRID_RES, _emit, build_parser, main
+import macwiretap as mw
+from macwiretap.cli import MAX_GRID_RES, _emit, _round12, build_parser, main
 from macwiretap.optimizer import MIN_ORACLE_RESOLUTION, PowerAllocation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,6 +161,37 @@ def test_region_fixed_power_constraint_set(capsys):
     assert labels[0] == "SECRECY{1}"
     by_label = {r["label"]: r["rhs"] for r in rows}
     assert by_label["SECRECY{1,2}"] == pytest.approx(math.log2(5.0) / 2.0 - 1.0, abs=1e-9)
+
+
+def test_constraint_sets_match_the_library(capsys):
+    # every fixed-power set the CLI prints, of every kind, K = 1..5, with
+    # and without --delta, is the library's set rounded to 12 digits
+    rng = random.Random(4127)
+    library = {
+        "individual": mw.individual_region_at,
+        "collective": mw.collective_region_at,
+        "outer-individual": lambda std, p: mw.outer_region_at(std, p, "INDIVIDUAL"),
+        "outer-collective": lambda std, p: mw.outer_region_at(std, p, "COLLECTIVE"),
+        "tdma": lambda std, p: mw.tdma_region_at(std, p, mw.tdma_optimal_alpha(p)),
+    }
+    for k in range(1, 6):
+        for kind, build in library.items():
+            h = [rng.uniform(0.05, 0.95)] * k if kind.startswith("outer") else [
+                rng.uniform(0.0, 2.0) for _ in range(k)]
+            pmax = [rng.uniform(0.5, 20.0) for _ in range(k)]
+            power = [rng.uniform(0.1, 1.0) * m for m in pmax]
+            std = mw.StandardChannel(k, h, pmax)
+            for delta in (None, rng.uniform(0.1, 1.0)):
+                flags = ["--h", ",".join(map(repr, h)), "--pmax", ",".join(map(repr, pmax)),
+                         "--power", ",".join(map(repr, power))]
+                flags += [] if delta is None else ["--delta", repr(delta)]
+                expected = build(std, power)
+                expected = _round12((expected if delta is None else mw.delta_region(expected, delta))
+                                    .to_json_dict())
+                env = run_json(capsys, "region", "--kind", kind, *flags)
+                assert env["result"]["constraint_set"] == expected, (kind, k, delta)
+                if kind == "tdma":
+                    assert run_json(capsys, "tdma", *flags)["result"]["region"] == expected, (k, delta)
 
 
 def test_region_outer_non_degraded_exits_2(capsys):
@@ -339,6 +372,19 @@ def test_config_strings_and_bools_are_not_numbers(capsys, tmp_path, command, key
     assert err.startswith(f"error: {field} must be "), err
 
 
+@pytest.mark.parametrize("command, key, what", [
+    ("scenario", "pathloss_exponant", "scenario"),
+    ("standardize", "noise_var_tapp", "channel"),
+])
+def test_config_keys_naming_no_field_exit_2(capsys, tmp_path, command, key, what):
+    # a misspelt key would otherwise leave its field at the default or drop it
+    data = json.loads(EXAMPLE_CONFIG.read_text()) if command == "scenario" else dict(_CHANNEL_CONFIG)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**data, key: 4.0}))
+    assert run_cli(capsys, command, "--config", str(cfg)) == (
+        2, "", f"error: unknown {what} config keys: ['{key}']\n")
+
+
 def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
     # numeric extremes on a 6x6 grid: each keeps the exit code and the
     # stderr line (or the CSV) that the per-cell scalar sweep produced, and
@@ -503,6 +549,17 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["jam", "--nope"])
     assert exc.value.code == 2
+
+
+def test_an_internal_fault_exits_1_on_one_line(capsys, monkeypatch):
+    def broken(args):
+        return 1 / 0
+
+    monkeypatch.setattr("macwiretap.cli._cmd_tdma", broken)
+    monkeypatch.setattr("macwiretap.cli.build_parser", build_parser.__wrapped__)
+    code, out, err = run_cli(capsys, "tdma", "--h", "0.5,0.5", "--pmax", "2,4", "--power", "1,3")
+    assert (code, out) == (1, "")
+    assert err == "error: internal error: ZeroDivisionError: division by zero\n"
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

@@ -185,6 +185,18 @@ def test_membership_coordinate_guards():
         membership(RateVector((0.1, 0.1), (0.0, 0.0)), scaled)
 
 
+def _first_violated(point, region, tol):
+    """Reference membership: the label of the first row whose subset sum of
+    the point's rates (total rates, or secret rates plus open rates on MAC
+    rows) exceeds its rhs by more than tol, or None."""
+    def used(row):
+        if isinstance(point, DeltaRateVector):
+            return sum(point.total[k - 1] for k in row.subset)
+        return sum(point.secret[k - 1] + (point.open[k - 1] if row.kind == "MAC" else 0.0) for k in row.subset)
+
+    return next((r.label for r in region.rows if used(r) > r.rhs + tol), None)
+
+
 def test_individual_membership_implies_collective():
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(100):
@@ -200,6 +212,17 @@ def test_individual_membership_implies_collective():
         )
         if membership(rates, inner, tol=1e-12).ok:
             assert membership(rates, outer, tol=1e-9).ok
+        # both vector types agree with the reference sum, row for row, on a
+        # box around the region's smallest positive bound, so both outcomes occur
+        delta = rng.uniform(0.1, 1.0)
+        for region in (inner, outer, delta_region(inner, delta), delta_region(outer, delta)):
+            side = 2.0 * min((r.rhs for r in region.rows if r.rhs > 0.0), default=0.0)
+            if region.delta is None:
+                point = RateVector(tuple(rng.uniform(0.0, side, 2)), tuple(rng.uniform(0.0, side, 2)))
+            else:
+                point = DeltaRateVector(tuple(rng.uniform(0.0, side, 2)), delta)
+            violated = _first_violated(point, region, 1e-9)
+            assert membership(point, region, tol=1e-9) == (violated is None, violated)
 
 
 def test_delta_monotonicity():
@@ -336,15 +359,6 @@ def test_serialization_is_deterministic():
         "SECRECY{1,2}", "MAC{1}", "MAC{2}", "MAC{1,2}",
     ]
     assert a["rows"][0]["subset_mask"] == 0b11
-
-
-def test_row_coefficients():
-    region = collective_region_at(STD_HALF, (2.0, 2.0))
-    secrecy = region.row("SECRECY{1,2}")
-    assert secrecy.coefficients(2, "secret_open") == (1.0, 1.0, 0.0, 0.0)
-    mac1 = region.row("MAC{1}")
-    assert mac1.coefficients(2, "secret_open") == (1.0, 0.0, 1.0, 0.0)
-    assert mac1.coefficients(2, "total") == (1.0, 0.0)
 
 
 def test_boundary_csv_format():
