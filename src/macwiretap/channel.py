@@ -139,14 +139,7 @@ class RawChannelConfig:
         return cls(**_config_fields(cls, data, "channel"))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "num_users": self.num_users,
-            "gains_main": list(self.gains_main),
-            "gains_tap": list(self.gains_tap),
-            "noise_var_main": self.noise_var_main,
-            "noise_var_tap": self.noise_var_tap,
-            "power_limits": list(self.power_limits),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -165,7 +158,7 @@ class StandardChannel:
         object.__setattr__(self, "pmax", _as_numbers(self.pmax, "pmax", k, NONNEGATIVE))
 
     def to_dict(self) -> dict[str, Any]:
-        return {"num_users": self.num_users, "h": list(self.h), "pmax": list(self.pmax)}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -182,11 +175,7 @@ class DegradednessReport:
     max_gain_spread: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "is_degraded": self.is_degraded,
-            "common_h": self.common_h,
-            "max_gain_spread": self.max_gain_spread,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def standardize(raw: RawChannelConfig) -> StandardChannel:

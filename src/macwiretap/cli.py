@@ -82,12 +82,8 @@ def _emit(command: str, inputs_echo: dict[str, Any], result: Any, stream=None) -
 
 
 def _echo(args: argparse.Namespace, **overrides: Any) -> dict[str, Any]:
-    """The parsed flags of a subcommand, tuples as lists, then ``overrides``."""
-    echo = {
-        name: list(value) if isinstance(value, tuple) else value
-        for name, value in vars(args).items()
-        if name not in ("command", "func")
-    }
+    """The parsed flags of a subcommand, then ``overrides``."""
+    echo = {name: value for name, value in vars(args).items() if name not in ("command", "func")}
     return {**echo, **overrides}
 
 
@@ -203,7 +199,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
         echo,
         {
             "boundary": {
-                "vertices": [list(v) for v in boundary.vertices],
+                "vertices": boundary.vertices,
                 "generator_count": boundary.generator_count,
                 "max_sum": boundary.max_sum(),
             }
@@ -241,7 +237,7 @@ def _cmd_tdma(args: argparse.Namespace) -> int:
     std = _std_channel(args)
     optimal = tdma_optimal_alpha(args.power)
     region = _constraint_set(std, KIND_TDMA, args)
-    _emit("tdma", _echo(args), {"optimal_alpha": list(optimal), "region": region.to_json_dict()})
+    _emit("tdma", _echo(args), {"optimal_alpha": optimal, "region": region.to_json_dict()})
     return EXIT_OK
 
 
@@ -252,10 +248,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
     outcome = splitter(std, args.power, rates)
     _emit(
         "split",
-        _echo(args, open=list(rates.open)),
+        _echo(args, open=rates.open),
         {
             "feasible": outcome.feasible,
-            "extra": list(outcome.extra) if outcome.extra is not None else None,
+            "extra": outcome.extra,
             "binding": outcome.binding,
         },
     )

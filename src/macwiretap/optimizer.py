@@ -60,7 +60,7 @@ class PowerAllocation:
 
     def to_dict(self) -> dict:
         out = {
-            "p": list(self.p),
+            "p": self.p,
             "case": self.case_label,
             "achieved_rate": self.achieved_rate,
         }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import combinations
 
 import numpy as np
 
@@ -93,12 +94,8 @@ def enumerate_subsets(num_users: int) -> list[frozenset[int]]:
         raise ValidationError(
             f"subset enumeration guarded at K <= {MAX_SUBSET_USERS}, got {num_users}"
         )
-    subsets = [
-        frozenset(k + 1 for k in range(num_users) if mask >> k & 1)
-        for mask in range(2**num_users)
-    ]
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
-    return subsets
+    users = range(1, num_users + 1)
+    return [frozenset(s) for size in range(num_users + 1) for s in combinations(users, size)]
 
 
 def subset_label(subset: Iterable[int]) -> str:

@@ -51,6 +51,9 @@ COORDS_TOTAL = "total"
 
 ALPHA_SUM_TOL = 1e-12
 POWER_FEAS_TOL = 1e-12
+# slack of the split checks, and of the collective witness's MAC recheck
+SPLIT_TOL = 1e-9
+SPLIT_WITNESS_TOL = 1e-8
 
 def _as_kind(kind: Any, kinds: tuple[str, ...] = BOUNDARY_KINDS) -> str:
     """A region kind in any case and with '-' for '_' ("outer-individual"
@@ -172,7 +175,7 @@ class RateConstraintSet:
             "kind": self.kind,
             "coordinates": self.coordinates,
             "num_users": self.num_users,
-            "power": list(self.power),
+            "power": self.power,
             "rows": [
                 {
                     "subset_mask": r.subset_mask(),
@@ -186,7 +189,7 @@ class RateConstraintSet:
         if self.delta is not None:
             out["delta"] = self.delta
         if self.alpha is not None:
-            out["alpha"] = list(self.alpha)
+            out["alpha"] = self.alpha
         return out
 
 
@@ -623,7 +626,6 @@ def rate_split_individual(
     std: StandardChannel,
     powers: Sequence[float],
     rates: RateVector,
-    tol: float = 1e-9,
 ) -> RateSplitResult:
     """Per-user randomization rates for the individual-constraint scheme.
 
@@ -645,7 +647,7 @@ def rate_split_individual(
             extra.append(0.0)
     for subset, mac in _subset_macs(std, p).items():
         used = sum(rates.secret[k - 1] + rates.open[k - 1] + extra[k - 1] for k in subset)
-        if used > mac + tol:
+        if used > mac + SPLIT_TOL:
             return RateSplitResult(False, None, f"MAC{subset_label(subset)}")
     return RateSplitResult(True, tuple(extra), None)
 
@@ -654,7 +656,6 @@ def rate_split_collective(
     std: StandardChannel,
     powers: Sequence[float],
     rates: RateVector,
-    tol: float = 1e-9,
 ) -> RateSplitResult:
     """Randomization rates for the collective-constraint scheme.
 
@@ -675,7 +676,7 @@ def rate_split_collective(
     num_users = std.num_users
     full = frozenset(range(1, num_users + 1))
     target = _eavesdropper_rate(std, p, full) - sum(rates.open)
-    if target < -tol:
+    if target < -SPLIT_TOL:
         return RateSplitResult(False, None, "RANDOMIZATION_TOTAL")
     target = max(target, 0.0)
     caps = {
@@ -683,10 +684,10 @@ def rate_split_collective(
         for s, mac in _subset_macs(std, p).items()
     }
     for subset, cap in caps.items():
-        if cap < -tol:
+        if cap < -SPLIT_TOL:
             return RateSplitResult(False, None, f"MAC{subset_label(subset)}")
     caps = {s: max(c, 0.0) for s, c in caps.items()}
-    if target > caps[full] + tol:
+    if target > caps[full] + SPLIT_TOL:
         return RateSplitResult(False, None, f"MAC{subset_label(full)}")
 
     def rank(users: frozenset[int]) -> float:
@@ -696,6 +697,6 @@ def rate_split_collective(
     extra = [a - b for a, b in zip(suffix_ranks, suffix_ranks[1:])]
     extra.append(target - sum(extra))
     for s, cap in caps.items():
-        if sum(extra[k - 1] for k in s) > cap + max(tol, 1e-8):
+        if sum(extra[k - 1] for k in s) > cap + SPLIT_WITNESS_TOL:
             return RateSplitResult(False, None, f"MAC{subset_label(s)}")
     return RateSplitResult(True, tuple(extra), None)

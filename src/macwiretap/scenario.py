@@ -14,7 +14,7 @@ per-cell results are the jamming-solution allocation in standardized units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Sequence, TextIO
 
 import numpy as np
@@ -100,17 +100,7 @@ class ScenarioConfig:
         return cls(**_config_fields(cls, data, "scenario"))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "grid": list(self.grid),
-            "area": list(self.area),
-            "base_station": list(self.base_station),
-            "users": [list(u) for u in self.users],
-            "power_limits": list(self.power_limits),
-            "noise_var_main": self.noise_var_main,
-            "noise_var_tap": self.noise_var_tap,
-            "pathloss_exponent": self.pathloss_exponent,
-            "min_distance": self.min_distance,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -296,21 +286,14 @@ def gains_at(config: ScenarioConfig, eaves_pos: Sequence[float]) -> RawChannelCo
     )
 
 
-def _cell(config: ScenarioConfig, x: float, y: float) -> CellRecord:
+def _cell(config: ScenarioConfig, x: float, y: float) -> None:
+    """Solve the cell at (x, y) through ``gains_at``; raise its error, if
+    any, prefixed with the cell."""
     try:
         std = standardize(gains_at(config, (x, y)))
-        nojam, jam = _allocations(std.h, std.pmax, (OBJECTIVE_SUM, OBJECTIVE_JAM))
+        _allocations(std.h, std.pmax, (OBJECTIVE_SUM, OBJECTIVE_JAM))
     except ValidationError as exc:
         raise ValidationError(f"cell ({x:g}, {y:g}): {exc}") from exc
-    return CellRecord(
-        x=x,
-        y=y,
-        p1=jam.p[0],
-        p2=jam.p[1],
-        sumrate_jam=jam.achieved_rate,
-        sumrate_nojam=nojam.achieved_rate,
-        case=jam.case_label,
-    )
 
 
 def sweep(config: ScenarioConfig) -> ScenarioResult:

@@ -79,9 +79,13 @@ def test_enumerate_subsets_small():
 
 
 def test_enumerate_subsets_order_is_size_then_lex():
-    subs = enumerate_subsets(3)
-    keys = [(len(s), sorted(s)) for s in subs]
-    assert keys == sorted(keys)
+    for k in range(1, 13):
+        subs = enumerate_subsets(k)
+        keys = [(len(s), sorted(s)) for s in subs]
+        assert keys == sorted(keys), k
+        # each of the 2**K subsets of {1..K} exactly once
+        assert len(subs) == len(set(subs)) == 2**k, k
+        assert all(s <= frozenset(range(1, k + 1)) for s in subs), k
 
 
 def test_enumerate_subsets_guard():
