@@ -10,19 +10,15 @@ from .channel import (
 )
 from .errors import NonDegradedError, ValidationError
 from .optimizer import (
-    JamAuxiliaries,
     PowerAllocation,
     grid_oracle,
     jam_objective,
-    jam_roots,
     optimal_powers_jam,
     optimal_powers_sum,
-    phi,
-    rho,
     sum_objective,
     tdma_optimal_alpha,
 )
-from .rates import cm, cw, cw_tilde, enumerate_subsets, g, pos_part
+from .rates import cw, enumerate_subsets, g
 from .regions import (
     DeltaRateVector,
     RateConstraintSet,
@@ -51,23 +47,16 @@ __all__ = [
     "standardize",
     "NonDegradedError",
     "ValidationError",
-    "JamAuxiliaries",
     "PowerAllocation",
     "grid_oracle",
     "jam_objective",
-    "jam_roots",
     "optimal_powers_jam",
     "optimal_powers_sum",
-    "phi",
-    "rho",
     "sum_objective",
     "tdma_optimal_alpha",
-    "cm",
     "cw",
-    "cw_tilde",
     "enumerate_subsets",
     "g",
-    "pos_part",
     "DeltaRateVector",
     "RateConstraintSet",
     "RateVector",

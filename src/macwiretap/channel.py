@@ -192,6 +192,14 @@ def standardize(raw: RawChannelConfig) -> StandardChannel:
     except ZeroDivisionError as exc:
         raise ValidationError(f"gains_main {raw.gains_main} times noise_var_tap "
                               f"{raw.noise_var_tap} underflows to zero, so h is undefined") from exc
+    if not all(map(math.isfinite, h)):
+        raise ValidationError(f"gains_tap {raw.gains_tap} times noise_var_main {raw.noise_var_main} "
+                              f"over gains_main {raw.gains_main} times noise_var_tap "
+                              f"{raw.noise_var_tap} overflows the float range, so h is undefined")
+    if not all(map(math.isfinite, pmax)):
+        raise ValidationError(f"gains_main {raw.gains_main} over noise_var_main {raw.noise_var_main} "
+                              f"times power_limits {raw.power_limits} overflows the float range, "
+                              "so pmax is undefined")
     return StandardChannel(num_users=raw.num_users, h=h, pmax=pmax)
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import NONNEGATIVE, _as_number, _as_numbers
+from .channel import NONNEGATIVE, _as_numbers
 from .errors import ValidationError
 from .rates import _g_arr
 
@@ -69,41 +69,6 @@ class PowerAllocation:
         return out
 
 
-@dataclass(frozen=True)
-class JamAuxiliaries:
-    """Diagnostics of the jamming-power stationarity analysis.
-
-    The derivative of the jamming objective in the jammer's power changes
-    sign at the roots of an upright parabola; ``discriminant`` decides
-    whether real roots exist and ``root_p`` / ``root_p_bar`` are the larger
-    and smaller root (``None`` when the discriminant is negative).  ``rho``
-    and ``phi2`` are the two monotone ratios of the problem evaluated at
-    full transmit power and jamming power ``max(root_p, 0)`` (zero when no
-    real roots exist).
-    """
-
-    rho: float
-    phi2: float
-    discriminant: float
-    root_p: float | None
-    root_p_bar: float | None
-
-
-def rho(powers: Sequence[float], gains: Sequence[float]) -> float:
-    """Ratio (1 + h1*P1 + h2*P2) / (1 + P1 + P2); the sum-rate objective is
-    -0.5*log2 of it, so maximizing the rate minimizes this ratio."""
-    p1, p2 = _as_numbers(powers, "powers", 2, NONNEGATIVE)
-    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
-    return (1.0 + h1 * p1 + h2 * p2) / (1.0 + p1 + p2)
-
-
-def phi(p: float, h_j: float) -> float:
-    """Jamming-advantage ratio (1 + h_j*p) / (1 + p); jamming with power p
-    helps only when this exceeds one, i.e. when h_j > 1 and p > 0."""
-    p, h_j = _as_number(p, "p", NONNEGATIVE), _as_number(h_j, "h_j", NONNEGATIVE)
-    return (1.0 + h_j * p) / (1.0 + p)
-
-
 def _sum_kernel(p1, p2, h1: float, h2: float):
     return _g_arr(p1 + p2) - _g_arr(h1 * p1 + h2 * p2)
 
@@ -117,15 +82,15 @@ def _threshold(h1, m1):
     return (1.0 + h1 * m1) / (1.0 + m1)
 
 
-def _jam_root(h1, h2, m1, sign: float = 1.0):
-    """(discriminant, root) of the jamming-power stationarity parabola at
-    full transmit power m1, elementwise and unchecked; call it under
-    ``np.errstate(all="ignore")``.  The root is
-    (-h2(1-h1) + sign*sqrt(disc)) / (h2(h2-h1)): the larger one for the
-    default sign when h2 > h1, and inf or NaN where the division leaves the
-    float range or the discriminant is negative or overflows."""
+def _jam_root(h1, h2, m1):
+    """(discriminant, larger root) of the jamming-power stationarity
+    parabola at full transmit power m1, elementwise and unchecked; call it
+    under ``np.errstate(all="ignore")``.  The root is
+    (-h2(1-h1) + sqrt(disc)) / (h2(h2-h1)), the larger one when h2 > h1 (the
+    only root ``_solve`` reads), and inf or NaN where the division leaves
+    the float range or the discriminant is negative or overflows."""
     disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * m1)
-    return disc, (-h2 * (1.0 - h1) + sign * np.sqrt(disc)) / (h2 * (h2 - h1))
+    return disc, (-h2 * (1.0 - h1) + np.sqrt(disc)) / (h2 * (h2 - h1))
 
 
 def _root_overflow(h1: float, h2: float, m1: float) -> ValidationError:
@@ -289,43 +254,6 @@ def optimal_powers_sum(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     nobody transmits otherwise.
     """
     return _allocations(gains, pmax, (OBJECTIVE_SUM,))[0]
-
-
-def jam_roots(gains: Sequence[float], pmax1: float) -> JamAuxiliaries:
-    """Roots of the jamming-power stationarity parabola for given gains and
-    full transmit power of user 1.  Requires distinct gains (equal gains make
-    jamming irrelevant and are handled by the caller)."""
-    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
-    pmax1 = _as_number(pmax1, "pmax1", NONNEGATIVE)
-    if h2 == h1:
-        raise ValidationError("root formulas require distinct gains (h2 != h1)")
-    if h2 == 0.0:
-        raise ValidationError("root formulas require a nonzero jammer gain h2")
-    with np.errstate(all="ignore"):
-        disc, root_p = _jam_root(h1, h2, pmax1)
-        if not math.isfinite(disc):
-            raise _root_overflow(h1, h2, pmax1)
-        root_p = float(root_p)
-        if disc < 0.0:
-            root_p = root_p_bar = None
-            p2_eval = 0.0
-        else:
-            root_p_bar = float(_jam_root(h1, h2, pmax1, sign=-1.0)[1])
-            if not (math.isfinite(root_p) and math.isfinite(root_p_bar)):
-                raise ValidationError(
-                    f"gains {(h1, h2)} with transmit power limit {pmax1} put the jamming "
-                    "roots outside the float range"
-                )
-            if root_p < root_p_bar:
-                root_p, root_p_bar = root_p_bar, root_p
-            p2_eval = max(root_p, 0.0)
-    return JamAuxiliaries(
-        rho=rho((pmax1, p2_eval), (h1, h2)),
-        phi2=phi(p2_eval, h2),
-        discriminant=disc,
-        root_p=root_p,
-        root_p_bar=root_p_bar,
-    )
 
 
 def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAllocation:

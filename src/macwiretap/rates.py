@@ -4,6 +4,11 @@ All rates are in bits per channel use (log base 2 throughout; multiply by
 ``math.log(2)`` to convert to nats).  Users are indexed 1..K.  A user subset
 is any iterable of 1-based indices; a power vector is any sequence of
 nonnegative floats in standardized units.
+
+Each rate term is written once.  The region kernels and the solvers use the
+unchecked array forms ``_g_arr`` and ``_clamp0``; ``g`` and ``cw`` are the
+checked scalar forms of the public API.  The scalar references that tests
+compare the kernels with live in ``tests/reference_rates.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import FINITE, NONNEGATIVE, WHOLE, _as_number
+from .channel import NONNEGATIVE, WHOLE, _as_number
 from .errors import ValidationError
 
 # 2**K subsets are materialized; beyond this the constraint sets explode.
@@ -36,14 +41,8 @@ def _g_arr(x: np.ndarray) -> np.ndarray:
 
 
 def _clamp0(x):
-    """``pos_part`` elementwise, unchecked: 0.0 unless x > 0, so NaN maps to 0."""
+    """max(x, 0) elementwise, unchecked: 0.0 unless x > 0, so NaN maps to 0."""
     return np.where(x > 0.0, x, 0.0)
-
-
-def pos_part(x: float) -> float:
-    """max(x, 0)."""
-    x = _as_number(x, "x", FINITE)
-    return x if x > 0.0 else 0.0
 
 
 def _check_subset(subset: Iterable[int], num_users: int) -> frozenset[int]:
@@ -56,31 +55,10 @@ def _check_subset(subset: Iterable[int], num_users: int) -> frozenset[int]:
     return members
 
 
-def cm(powers: PowerVector, subset: Iterable[int]) -> float:
-    """Receiver-side rate of a user subset: g of the subset power sum."""
-    members = _check_subset(subset, len(powers))
-    return g(sum(powers[k - 1] for k in members))
-
-
 def cw(powers: PowerVector, gains: Sequence[float], subset: Iterable[int]) -> float:
     """Eavesdropper-side rate of a subset: g of the gain-weighted power sum."""
     members = _check_subset(subset, len(powers))
     return g(sum(gains[k - 1] * powers[k - 1] for k in members))
-
-
-def cw_tilde(powers: PowerVector, gains: Sequence[float], subset: Iterable[int]) -> float:
-    """Eavesdropper-side rate of a subset treating the complement as noise.
-
-    Equals ``cw`` when the subset is the full user set.
-    """
-    members = _check_subset(subset, len(powers))
-    num = sum(gains[k - 1] * powers[k - 1] for k in members)
-    den = 1.0 + sum(
-        gains[k - 1] * powers[k - 1]
-        for k in range(1, len(powers) + 1)
-        if k not in members
-    )
-    return g(num / den)
 
 
 def enumerate_subsets(num_users: int) -> list[frozenset[int]]:

@@ -369,6 +369,7 @@ def membership(
         raise ValidationError(mismatch)
     if rates.num_users != region.num_users:
         raise ValidationError(f"rate vector has {rates.num_users} users, region has {region.num_users}")
+    tol = _as_number(tol, "tol", NONNEGATIVE)
     for row in region.rows:
         total = sum(secret[k - 1] for k in row.subset)
         if opn is not None and row.kind == ROW_MAC:
@@ -405,15 +406,12 @@ class RegionBoundary2D:
     def max_sum(self) -> float:
         return max(x + y for x, y in self.vertices)
 
-    def _polygon(self) -> list[tuple[float, float]]:
-        poly = [(0.0, 0.0)] + [v for v in self.vertices if v != (0.0, 0.0)]
-        return poly
-
     def contains(self, point: Sequence[float], tol: float = 1e-9) -> bool:
-        x, y = float(point[0]), float(point[1])
+        x, y = _as_numbers(point, "point", 2)
+        tol = _as_number(tol, "tol", NONNEGATIVE)
         if x < -tol or y < -tol:
             return False
-        poly = self._polygon()
+        poly = [(0.0, 0.0)] + [v for v in self.vertices if v != (0.0, 0.0)]
         if len(poly) == 1:
             return abs(x) <= tol and abs(y) <= tol
         if len(poly) == 2:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_rates import cm
 
 import macwiretap as mw
 from macwiretap.channel import RawChannelConfig, StandardChannel, check_degraded, standardize
 from macwiretap.errors import ValidationError
-from macwiretap.rates import cm, g
+from macwiretap.rates import g
 
 pos = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 nonneg = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
@@ -175,17 +176,24 @@ ENTRIES = {
     "optimal_powers_sum": _entry("gains", lambda v: mw.optimal_powers_sum(v, (1.0, 1.0)), (0.5, 0.2)),
     "optimal_powers_jam": _entry("pmax", lambda v: mw.optimal_powers_jam((0.5, 2.0), v), (1.0, 1.0)),
     "grid_oracle": _entry("gains", lambda v: mw.grid_oracle("SUM", v, (1.0, 1.0), 11), (0.5, 0.2)),
-    "rho": _entry("powers", lambda v: mw.rho(v, (0.5, 0.2)), (1.0, 1.0)),
     "sum_objective": _entry("gains", lambda v: mw.sum_objective((1.0, 1.0), v), (0.5, 0.2)),
-    "jam_roots-gains": _entry("gains", lambda v: mw.jam_roots(v, 1.0), (0.5, 2.0)),
-    "jam_roots-pmax1": _entry("pmax1", lambda v: mw.jam_roots((0.5, 2.0), v), 1.0),
-    "phi-p": _entry("p", lambda v: mw.phi(v, 2.0), 1.0),
-    "phi-h_j": _entry("h_j", lambda v: mw.phi(1.0, v), 2.0),
+    "jam_objective": _entry("gains", lambda v: mw.jam_objective((1.0, 1.0), v), (0.5, 2.0)),
+    "optimal_powers_jam-gains": _entry("gains", lambda v: mw.optimal_powers_jam(v, (1.0, 1.0)), (0.5, 2.0)),
     "tdma_optimal_alpha": _entry("powers", mw.tdma_optimal_alpha, (1.0, 1.0), length=False),
     "RateVector": _entry("secret", lambda v: mw.RateVector(v, (0.0, 0.0)), (0.1, 0.1)),
     "DeltaRateVector-total": _entry("total", lambda v: mw.DeltaRateVector(v, 0.5), (0.1,), length=False),
     "DeltaRateVector-delta": _entry("delta", lambda v: mw.DeltaRateVector((0.1,), v), 0.5, zero=False),
     "individual_region_at": _entry("powers", lambda v: mw.individual_region_at(_STD, v), (1.0, 1.0)),
+    "collective_region_at": _entry("powers", lambda v: mw.collective_region_at(_STD, v), (1.0, 1.0)),
+    "outer_region_at": _entry("powers", lambda v: mw.outer_region_at(_STD, v, "INDIVIDUAL"), (1.0, 1.0)),
+    "membership": _entry(
+        "tol", lambda v: mw.membership(mw.RateVector((0.1, 0.1), (0.0, 0.0)),
+                                       mw.individual_region_at(_STD, (1.0, 1.0)), v), 1e-9),
+    "RegionBoundary2D.contains-point": _entry(
+        "point", lambda v: mw.region_boundary_2d(_STD, "individual", 0.5, 5, 5).contains(v), (0.0, 0.0),
+        negatives=True),
+    "RegionBoundary2D.contains-tol": _entry(
+        "tol", lambda v: mw.region_boundary_2d(_STD, "individual", 0.5, 5, 5).contains((0.0, 0.0), v), 1e-9),
     "tdma_region_at": _entry("alpha", lambda v: mw.tdma_region_at(_STD, (1.0, 1.0), v), (0.5, 0.5)),
     "delta_region": _entry(
         "delta", lambda v: mw.delta_region(mw.individual_region_at(_STD, (1.0, 1.0)), v), 0.5,
@@ -197,7 +205,6 @@ ENTRIES = {
         "total_power", lambda v: mw.sum_capacity_degraded(0.5, v), 1.0),
     "check_degraded": _entry("tol", lambda v: check_degraded(_STD, v), 1e-9),
     "g": _entry("x", g, 1.0),
-    "pos_part": _entry("x", mw.pos_part, 1.0, negatives=True),
     "RawChannelConfig-num_users": _entry(
         "num_users", lambda v: RawChannelConfig(**{**_RAW, "num_users": v}), 2),
     "RawChannelConfig-gains_main": _entry(

@@ -115,6 +115,22 @@ def test_standardize_missing_inputs_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("gains_main, gains_tap, noise_main, message", [
+    ("1e200,1", "1,1", "1e-200",
+     "gains_main (1e+200, 1.0) over noise_var_main 1e-200 times power_limits (1.0, 1.0) "
+     "overflows the float range, so pmax is undefined"),
+    ("1e-200,1", "1e200,1", "1",
+     "gains_tap (1e+200, 1.0) times noise_var_main 1.0 over gains_main (1e-200, 1.0) times "
+     "noise_var_tap 1.0 overflows the float range, so h is undefined"),
+], ids=["pmax", "h"])
+def test_standardize_overflow_names_the_inputs(capsys, gains_main, gains_tap, noise_main, message):
+    # the overflowing h or pmax is computed, not given: the message names
+    # the inputs it came from
+    assert run_cli(capsys, "standardize", "--gains-main", gains_main, "--gains-tap", gains_tap,
+                   "--noise-main", noise_main, "--noise-tap", "1", "--power-limits", "1,1") == (
+        2, "", f"error: {message}\n")
+
+
 def test_region_boundary_json(capsys):
     env = run_json(
         capsys, "region", "--kind", "collective", "--h", "0.5,0.5", "--pmax", "2,2", "--res", "50"
@@ -428,6 +444,12 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
         ({"pathloss_exponent": 155, "noise_var_tap": 1e-147}, 2,
          "error: cell (8.33333, 8.33333): gains_main (3.4330451120721237e-237, "
          "4.665524046260508e-234) times noise_var_tap 1e-147 underflows to zero, "
+         "so h is undefined\n"),
+        # gains_tap * noise_var_main over gains_main * noise_var_tap overflows
+        ({"pathloss_exponent": 155, "noise_var_tap": 1e-60, "noise_var_main": 1e150}, 2,
+         "error: cell (25, 75): gains_tap (1.441664445931125e-249, 4.567192616659072e-109) "
+         "times noise_var_main 1e+150 over gains_main (3.4330451120721237e-237, "
+         "4.665524046260508e-234) times noise_var_tap 1e-60 overflows the float range, "
          "so h is undefined\n"),
     ]
     for k, (overrides, code, expected) in enumerate(cases):

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from macwiretap.errors import ValidationError
 from macwiretap.optimizer import (
+    _jam_root,
     grid_oracle,
     jam_objective,
-    jam_roots,
     optimal_powers_jam,
     optimal_powers_sum,
-    phi,
-    rho,
     sum_objective,
     tdma_optimal_alpha,
 )
@@ -28,20 +26,6 @@ RNG_SEED = 20240917
 
 def g_rate(x):
     return 0.5 * math.log2(1.0 + x)
-
-
-def test_rho_examples():
-    assert rho((0.0, 0.0), (0.7, 1.3)) == 1.0
-    assert rho((2.0, 2.0), (0.5, 0.5)) == pytest.approx(0.6, abs=1e-15)
-    assert rho((3.0, 7.0), (1.0, 1.0)) == 1.0
-
-
-def test_phi_examples():
-    assert phi(0.0, 2.0) == 1.0
-    assert phi(1.0, 2.0) == pytest.approx(1.5, abs=1e-15)
-    assert phi(9.0, 1.0) == 1.0
-    assert phi(2.0, 3.0) > 1.0
-    assert phi(2.0, 0.5) < 1.0
 
 
 def test_sum_objective_examples():
@@ -96,41 +80,44 @@ def test_optimal_powers_sum_rate_recomputable():
     )
 
 
+def _jam_roots(h, pmax1):
+    """(discriminant, larger root, smaller root) of the jamming-power
+    stationarity parabola: the larger from the solver's own ``_jam_root``,
+    the smaller from the reference."""
+    disc, root = _jam_root(*h, pmax1)
+    return disc, root, reference_solver._jam_root(*h, pmax1, sign=-1.0)[1]
+
+
 def test_jam_roots_pinned():
-    aux = jam_roots((0.5, 2.0), 10.0)
-    assert aux.discriminant == pytest.approx(16.0, abs=1e-12)
-    assert aux.root_p == pytest.approx(1.0, abs=1e-12)
-    assert aux.root_p_bar == pytest.approx(-5.0 / 3.0, abs=1e-12)
-    assert aux.phi2 == pytest.approx(1.5, abs=1e-12)
-    assert aux.rho == pytest.approx((1.0 + 5.0 + 2.0) / 12.0, abs=1e-12)
+    disc, root, root_bar = _jam_roots((0.5, 2.0), 10.0)
+    assert disc == pytest.approx(16.0, abs=1e-12)
+    assert root == pytest.approx(1.0, abs=1e-12)
+    assert root_bar == pytest.approx(-5.0 / 3.0, abs=1e-12)
 
 
 def test_jam_roots_no_real_roots():
     # h2 < 1 with large transmit power drives the discriminant negative:
     # D = h1*h2*(h2-1)*[(h2-1)+(h2-h1)*P1] = 0.1*(-0.5)*(2.5) < 0 at P1=10
-    aux = jam_roots((0.2, 0.5), 10.0)
-    assert aux.discriminant < 0.0
-    assert aux.root_p is None and aux.root_p_bar is None
-    assert aux.phi2 == 1.0  # evaluated at zero jamming power
+    with np.errstate(all="ignore"):
+        disc, root = _jam_root(0.2, 0.5, 10.0)
+    assert disc < 0.0 and math.isnan(root)
+    # with no real root the solver does not jam
+    alloc = optimal_powers_jam((0.2, 0.5), (10.0, 10.0))
+    assert alloc.p == (10.0, 0.0) and alloc.case_label == "NO_JAM"
 
 
 def test_jam_roots_negative_roots():
     # h2 < 1 with small transmit power keeps D >= 0 but both roots negative
-    aux = jam_roots((0.2, 0.5), 0.1)
-    assert aux.discriminant > 0.0
-    assert aux.root_p < 0.0 and aux.root_p_bar < aux.root_p
-
-
-def test_jam_roots_rejects_equal_gains():
-    with pytest.raises(ValidationError):
-        jam_roots((1.5, 1.5), 3.0)
+    disc, root, root_bar = _jam_roots((0.2, 0.5), 0.1)
+    assert disc > 0.0
+    assert root < 0.0 and root_bar < root
 
 
 @pytest.mark.parametrize("h,pmax1", [((0.5, 2.0), 10.0), ((1.3, 2.2), 4.0), ((0.8, 1.6), 0.5)])
 def test_jam_roots_satisfy_stationarity(h, pmax1):
-    aux = jam_roots(h, pmax1)
-    assert aux.root_p is not None
-    for root in (aux.root_p, aux.root_p_bar):
+    disc, *roots = _jam_roots(h, pmax1)
+    assert disc >= 0.0
+    for root in roots:
         if root > -1.0 / h[1] + 1e-9:  # derivative form defined there
             residual = jam_derivative_numerator(pmax1, root, h[0], h[1])
             assert abs(residual) < 1e-9
@@ -215,7 +202,7 @@ def test_optimal_powers_jam_edge_gains():
 FLOAT_MAX = 1.7976931348623157e308
 
 
-def test_jam_roots_name_the_gains_when_the_roots_leave_the_float_range():
+def test_jam_roots_outside_the_float_range_leave_a_finite_allocation():
     cases = [
         # h2 * (h2 - h1) underflows to zero: the roots divide by it
         ((9.201269777422218e-91, 5.02599592e-315), 0.0),
@@ -223,8 +210,20 @@ def test_jam_roots_name_the_gains_when_the_roots_leave_the_float_range():
         ((0.008115576931043955, 2.90799594927e-313), FLOAT_MAX),
     ]
     for gains, pmax1 in cases:
-        with pytest.raises(ValidationError, match=r"^gains .* put the jamming roots outside"):
-            jam_roots(gains, pmax1)
+        with np.errstate(all="ignore"):
+            disc, root = _jam_root(*gains, pmax1)
+        assert math.isfinite(disc) and not math.isfinite(root)
+        for pmax in ((pmax1, 1.0), (pmax1, FLOAT_MAX)):
+            alloc = optimal_powers_jam(gains, pmax)
+            assert all(0.0 <= p <= m for p, m in zip(alloc.p, pmax))
+            assert math.isfinite(alloc.achieved_rate)
+            if alloc.case_label == "BOTH_TRANSMIT":
+                expected = sum_objective(alloc.p, gains)
+            else:
+                # the user with the larger gain jams
+                order = sorted(range(2), key=lambda k: gains[k])
+                expected = jam_objective([alloc.p[k] for k in order], [gains[k] for k in order])
+            assert alloc.achieved_rate == pytest.approx(max(0.0, expected), rel=1e-12)
 
 
 def test_solvers_reject_an_overflowing_secrecy_rate():
@@ -307,7 +306,6 @@ def test_a_string_is_not_a_sequence_of_numbers():
     # each call once read "12" as the digits (1, 2)
     calls = [
         (lambda: sum_objective("12", (0.5, 0.5)), "powers"),
-        (lambda: rho("12", "01"), "powers"),
         (lambda: RateVector(secret="12", open="00"), "secret"),
         (lambda: tdma_optimal_alpha("12"), "powers"),
     ]
@@ -401,7 +399,8 @@ def test_jammer_power_implies_advantage_ratio():
         alloc = optimal_powers_jam(h, pmax)
         if alloc.case_label in ("JAM_AT_ROOT", "JAM_AT_MAX"):
             assert alloc.p[1] > 0.0
-            assert phi(alloc.p[1], h[1]) > 1.0
+            # the jamming-advantage ratio (1 + h2*P2) / (1 + P2) exceeds one
+            assert (1.0 + h[1] * alloc.p[1]) / (1.0 + alloc.p[1]) > 1.0
             hits += 1
     assert hits >= 20
 

