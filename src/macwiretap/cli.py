@@ -24,7 +24,6 @@ from .optimizer import (
     MIN_ORACLE_RESOLUTION,
     OBJECTIVE_JAM,
     OBJECTIVE_SUM,
-    _sorted_two,
     grid_oracle,
     optimal_powers_jam,
     optimal_powers_sum,
@@ -217,12 +216,11 @@ def _cmd_power_opt(args: argparse.Namespace) -> int:
     result: dict[str, Any] = {"allocation": alloc.to_dict()}
     exit_code = EXIT_OK
     if args.verify:
-        h_sorted, m_sorted, _ = _sorted_two(args.h, args.pmax)
         # a jamming request that fell back to both-transmit solved the
         # sum-rate problem, so that is the objective to verify against
         both = which == "sumopt" or alloc.case_label == CASE_BOTH_TRANSMIT
         objective = OBJECTIVE_SUM if both else OBJECTIVE_JAM
-        oracle = grid_oracle(objective, h_sorted, m_sorted, resolution=args.res)
+        oracle = grid_oracle(objective, args.h, args.pmax, resolution=args.res)
         gap = abs(alloc.achieved_rate - oracle.achieved_rate)
         result["oracle"] = oracle.to_dict()
         result["oracle_objective"] = objective

@@ -5,13 +5,13 @@ messages and (b) the weaker-secrecy user jamming the eavesdropper with
 Gaussian noise, plus an exhaustive grid-search oracle used to verify the
 closed forms independently.
 
-The case logic of both allocations lives in one function, ``_solve``, which
-works elementwise on arrays (the scenario sweep) and on 0-d values (the
-two public solvers).  It accepts gains in any order and relabels so the
-first user is the one with the smaller eavesdropper gain (the "better"
-user), restoring the caller's order on output.  The jamming objective
-itself is direction-sensitive: user 1 transmits, user 2 is noise to both
-receivers.
+The solvers and the oracle take the users in the caller's order and return
+their powers in it.  Who transmits is decided in two places only, ``_solve``
+and ``grid_oracle``: the user with the smaller eavesdropper gain (the
+"better" user, the first one on a tie) transmits as user 1, and user 2 is
+noise to both receivers when it jams.  The case logic of both allocations
+lives in ``_solve``, which works elementwise on arrays (the scenario sweep)
+and on 0-d values (the two public solvers).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import NONNEGATIVE, _as_numbers
+from .channel import NONNEGATIVE, WHOLE, _as_number, _as_numbers
 from .errors import ValidationError
 from .rates import _g_arr
 
@@ -93,11 +93,8 @@ def _jam_root(h1, h2, m1):
     return disc, (-h2 * (1.0 - h1) + np.sqrt(disc)) / (h2 * (h2 - h1))
 
 
-def _root_overflow(h1: float, h2: float, m1: float) -> ValidationError:
-    return ValidationError(
-        f"gains {(h1, h2)} with transmit power limit {m1} too large: "
-        "the jamming-root discriminant overflows the float range"
-    )
+def _too_large(h, m, what: str) -> ValidationError:
+    return ValidationError(f"gains {h} with pmax {m} too large: {what} overflows the float range")
 
 
 # case labels in the order of the codes that ``_solve`` returns
@@ -191,20 +188,6 @@ def jam_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
     return float(_jam_kernel(p1, p2, h1, h2))
 
 
-def _sorted_two(gains, pmax):
-    """Two-user gains and power limits, parsed and ordered by gain (ties
-    keep the given order), and whether the order was swapped."""
-    h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
-    m = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
-    if h[0] <= h[1]:
-        return h, m, False
-    return (h[1], h[0]), (m[1], m[0]), True
-
-
-def _restore(pair: tuple[float, float], swapped: bool) -> tuple[float, float]:
-    return (pair[1], pair[0]) if swapped else pair
-
-
 def _capacity_expr(p1: float, p2: float, h1: float, h2: float) -> float | None:
     arg = ((1.0 - h1) * p1 + (1.0 - h2) * p2) / (1.0 + h1 * p1 + h2 * p2)
     if arg <= -1.0:
@@ -217,7 +200,8 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
     of ``objectives`` (OBJECTIVE_SUM, OBJECTIVE_JAM) in turn: the powers in
     the caller's order and the objective clamped at zero.  An allocation
     whose jamming root or objective leaves the float range is rejected."""
-    h, m, swapped = _sorted_two(gains, pmax)
+    h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
+    m = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
     with np.errstate(all="ignore"):
         nojam, jam, roots_ok = _solve(*h, *m)
     out = []
@@ -227,19 +211,16 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
             p1, p2, rate, code = nojam
         else:
             if not roots_ok:
-                raise _root_overflow(*h, m[0])
+                raise _too_large(h, m, "the jamming-root discriminant")
             p1, p2, rate, code = jam
             # a request that deferred to the sum-rate answer returns it as is
             if code not in (_CODE[CASE_BOTH_TRANSMIT], _CODE[CASE_ONE_TRANSMITS]):
                 extra["capacity_expr_rate"] = _capacity_expr(float(p1), float(p2), *h)
         rate = float(rate)
         if not math.isfinite(rate):
-            raise ValidationError(
-                f"gains {_restore(h, swapped)} with pmax {_restore(m, swapped)} too large: "
-                "the secrecy rate overflows the float range"
-            )
+            raise _too_large(h, m, "the secrecy rate")
         out.append(PowerAllocation(
-            p=_restore((float(p1), float(p2)), swapped), case_label=CASE_LABELS[code],
+            p=(float(p1), float(p2)), case_label=CASE_LABELS[code],
             achieved_rate=max(0.0, rate), **extra,
         ))
     return out
@@ -302,32 +283,33 @@ def grid_oracle(
     """Exhaustive grid search over the power box, independent of the closed
     forms it verifies.
 
-    Evaluates the chosen objective on a uniform resolution x resolution grid
-    over [0, pmax1] x [0, pmax2], then runs one local refinement pass: the
-    window one coarse step each side of the incumbent is re-gridded with
-    ``resolution`` points per axis (a step 100x finer at the default, which
-    keeps the value error of interior optima below 1e-7 on the instance
-    scales used here).  Ties break toward the smaller lexicographic power
-    pair.  No relabeling is applied: for the jamming objective the caller
-    decides who jams by the argument order.
+    The user with the smaller gain (the first one on a tie) is user 1, the
+    transmitter of the jamming objective, as in the closed forms; the powers
+    come back in the caller's order.  Evaluates the chosen objective on a
+    uniform resolution x resolution grid over [0, pmax1] x [0, pmax2], then
+    runs one local refinement pass: the window one coarse step each side of
+    the incumbent is re-gridded with ``resolution`` points per axis (a step
+    100x finer at the default, which keeps the value error of interior
+    optima below 1e-7 on the instance scales used here).  Ties break toward
+    the smaller lexicographic pair (P1, P2).
     """
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
         raise ValidationError(f"objective must be SUM or JAM, got {objective!r}")
-    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
-    m1, m2 = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
-    if not isinstance(resolution, int) or resolution < MIN_ORACLE_RESOLUTION:
+    h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
+    m = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
+    resolution = _as_number(resolution, "resolution", WHOLE)
+    if resolution < MIN_ORACLE_RESOLUTION:
         raise ValidationError(f"resolution must be an integer >= {MIN_ORACLE_RESOLUTION}")
+    order = slice(None, None, -1 if h[0] > h[1] else 1)
+    (h1, h2), (m1, m2) = h[order], m[order]
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
 
     def best_on(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
         with np.errstate(all="ignore"):
             values = kernel(xs[:, None], ys[None, :], h1, h2)
         if not np.isfinite(values).all():
-            raise ValidationError(
-                f"gains {(h1, h2)} with pmax {(m1, m2)} too large: "
-                "the oracle objective overflows the float range"
-            )
+            raise _too_large(h, m, "the oracle objective")
         flat = int(np.argmax(values))
         i, j = divmod(flat, ys.size)
         return float(values[i, j]), float(xs[i]), float(ys[j])
@@ -345,7 +327,7 @@ def grid_oracle(
         val, p1, p2 = fval, fp1, fp2
 
     return PowerAllocation(
-        p=(p1, p2),
+        p=(p1, p2)[order],
         case_label=_oracle_label(obj, p1, p2, m2),
         achieved_rate=max(0.0, val),
     )

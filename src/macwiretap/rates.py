@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import NONNEGATIVE, WHOLE, _as_number
+from .channel import NONNEGATIVE, WHOLE, _as_number, _as_numbers
 from .errors import ValidationError
 
 # 2**K subsets are materialized; beyond this the constraint sets explode.
@@ -57,8 +57,10 @@ def _check_subset(subset: Iterable[int], num_users: int) -> frozenset[int]:
 
 def cw(powers: PowerVector, gains: Sequence[float], subset: Iterable[int]) -> float:
     """Eavesdropper-side rate of a subset: g of the gain-weighted power sum."""
-    members = _check_subset(subset, len(powers))
-    return g(sum(gains[k - 1] * powers[k - 1] for k in members))
+    p = _as_numbers(powers, "powers", rule=NONNEGATIVE)
+    h = _as_numbers(gains, "gains", len(p), NONNEGATIVE)
+    members = _check_subset(subset, len(p))
+    return g(sum(h[k - 1] * p[k - 1] for k in members))
 
 
 def enumerate_subsets(num_users: int) -> list[frozenset[int]]:

@@ -23,9 +23,9 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import NONNEGATIVE, StandardChannel, _as_number, _as_numbers, check_degraded
+from .channel import NONNEGATIVE, WHOLE, StandardChannel, _as_number, _as_numbers, check_degraded
 from .errors import NonDegradedError, ValidationError
-from .rates import _clamp0, _g_arr, cw, enumerate_subsets, g, subset_label
+from .rates import _clamp0, _g_arr, enumerate_subsets, g, subset_label
 
 ROW_SECRECY = "SECRECY"
 ROW_MAC = "MAC"
@@ -594,6 +594,8 @@ def region_boundary_2d(
         raise ValidationError("boundary computation supports exactly two users")
     kind = _as_kind(kind)
     delta = _as_delta(delta)
+    power_grid_res = _as_number(power_grid_res, "power_grid_res", WHOLE)
+    alpha_grid_res = _as_number(alpha_grid_res, "alpha_grid_res", WHOLE)
     if power_grid_res < 2 or alpha_grid_res < 2:
         raise ValidationError("grid resolutions must be at least 2")
     if kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE):
@@ -607,10 +609,11 @@ def region_boundary_2d(
 
 
 def _eavesdropper_rate(std: StandardChannel, p: tuple[float, ...], subset) -> float:
-    try:
-        return cw(p, std.h, subset)
-    except ValidationError:  # the only failure left: the gain-weighted power sum overflowed
-        raise _overflow(f"powers {p} with gains {std.h}") from None
+    """``cw`` of checked powers, summed in the same order."""
+    total = sum(std.h[k - 1] * p[k - 1] for k in subset)
+    if not math.isfinite(total):
+        raise _overflow(f"powers {p} with gains {std.h}")
+    return g(total)
 
 
 def _subset_macs(std: StandardChannel, p: tuple[float, ...]) -> dict[frozenset[int], float]:

@@ -155,6 +155,7 @@ class ScenarioResult:
     def zero_rate_counts(self, threshold: float = ZERO_RATE_THRESHOLD) -> tuple[int, int]:
         """(cells with zero rate despite jamming, cells with zero rate
         without jamming)."""
+        threshold = _as_number(threshold, "threshold", NONNEGATIVE)
         jam = int(np.count_nonzero(self.sumrate_jam <= threshold))
         nojam = int(np.count_nonzero(self.sumrate_nojam <= threshold))
         return jam, nojam
@@ -163,6 +164,7 @@ class ScenarioResult:
         """Mean jamming power over actively jamming cells, binned by
         eavesdropper distance to the base station; a soft diagnostic of the
         jam-harder-near-the-receiver trend, reported rather than asserted."""
+        bins = _as_number(bins, "bins", WHOLE)
         bx, by = self.config.base_station
         jamming = np.isin(self.case, _JAMMING)
         p2 = self.p2[jamming]

@@ -3,8 +3,8 @@ floats: an independent reference for ``macwiretap.optimizer._solve``, the
 package's one form of the case logic.
 
 Tests compare the public solvers and the sweep with it value for value and
-message for message.  The rate kernels, the input parsing, the relabelling
-and the capacity expression are the package's own; the case logic, the
+message for message.  The rate kernels, the input parsing and the capacity
+expression are the package's own; the relabelling, the case logic, the
 sum-rate threshold and the jamming root are written here.
 """
 
@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from macwiretap.channel import NONNEGATIVE, _as_numbers
 from macwiretap.errors import ValidationError
 from macwiretap.optimizer import (
     CASE_BOTH_TRANSMIT,
@@ -26,10 +27,22 @@ from macwiretap.optimizer import (
     PowerAllocation,
     _capacity_expr,
     _jam_kernel,
-    _restore,
-    _sorted_two,
     _sum_kernel,
 )
+
+
+def _sorted_two(gains, pmax):
+    """Two-user gains and power limits, parsed and ordered by gain (ties
+    keep the given order), and whether the order was swapped."""
+    h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
+    m = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
+    if h[0] <= h[1]:
+        return h, m, False
+    return (h[1], h[0]), (m[1], m[0]), True
+
+
+def _restore(pair: tuple[float, float], swapped: bool) -> tuple[float, float]:
+    return (pair[1], pair[0]) if swapped else pair
 
 
 def _threshold(h1, m1):
@@ -85,11 +98,11 @@ def optimal_powers_sum(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     return _sum_allocation(*_sorted_two(gains, pmax))
 
 
-def _checked_jam_root(h1: float, h2: float, m1: float) -> tuple[float, float]:
-    disc, root = _jam_root(h1, h2, m1)
+def _checked_jam_root(h, m, swapped: bool) -> tuple[float, float]:
+    disc, root = _jam_root(h[0], h[1], m[0])
     if not math.isfinite(disc):
         raise ValidationError(
-            f"gains {(h1, h2)} with transmit power limit {m1} too large: "
+            f"gains {_restore(h, swapped)} with pmax {_restore(m, swapped)} too large: "
             "the jamming-root discriminant overflows the float range"
         )
     return disc, float(root)
@@ -118,16 +131,16 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     elif h1 <= 1.0:
         # h2 > 1 and h1 >= 0, so the discriminant is nonnegative (or NaN
         # after an overflow, which _checked_jam_root rejects)
-        p2 = max(0.0, min(_checked_jam_root(h1, h2, m1)[1], m2))
+        p2 = max(0.0, min(_checked_jam_root(h, m, swapped)[1], m2))
         p_sorted = (m1, p2)
         case = CASE_NO_JAM if p2 == 0.0 else CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
     elif (h1 - 1.0) / (h2 - h1) < m2:
-        p2 = min(_checked_jam_root(h1, h2, m1)[1], m2)
+        p2 = min(_checked_jam_root(h, m, swapped)[1], m2)
         p_sorted = (m1, p2)
         case = CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
     else:
         p_sorted, case = (0.0, 0.0), CASE_NONE
     return _allocation(
         _jam_kernel, p_sorted, case, h, m, swapped,
-        capacity_expr_rate=_capacity_expr(p_sorted[0], p_sorted[1], h1, h2),
+        capacity_expr_rate=_capacity_expr(*_restore(p_sorted, swapped), *_restore(h, swapped)),
     )

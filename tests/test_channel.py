@@ -176,6 +176,8 @@ ENTRIES = {
     "optimal_powers_sum": _entry("gains", lambda v: mw.optimal_powers_sum(v, (1.0, 1.0)), (0.5, 0.2)),
     "optimal_powers_jam": _entry("pmax", lambda v: mw.optimal_powers_jam((0.5, 2.0), v), (1.0, 1.0)),
     "grid_oracle": _entry("gains", lambda v: mw.grid_oracle("SUM", v, (1.0, 1.0), 11), (0.5, 0.2)),
+    "grid_oracle-resolution": _entry(
+        "resolution", lambda v: mw.grid_oracle("SUM", (0.5, 0.2), (1.0, 1.0), v), 11.0, zero=False),
     "sum_objective": _entry("gains", lambda v: mw.sum_objective((1.0, 1.0), v), (0.5, 0.2)),
     "jam_objective": _entry("gains", lambda v: mw.jam_objective((1.0, 1.0), v), (0.5, 2.0)),
     "optimal_powers_jam-gains": _entry("gains", lambda v: mw.optimal_powers_jam(v, (1.0, 1.0)), (0.5, 2.0)),
@@ -200,11 +202,17 @@ ENTRIES = {
         zero=False),
     "region_boundary_2d": _entry(
         "delta", lambda v: mw.region_boundary_2d(_STD, "individual", v, 5, 5), 0.5, zero=False),
+    "region_boundary_2d-power_grid_res": _entry(
+        "power_grid_res", lambda v: mw.region_boundary_2d(_STD, "individual", 0.5, v, 5), 5, zero=False),
+    "region_boundary_2d-alpha_grid_res": _entry(
+        "alpha_grid_res", lambda v: mw.region_boundary_2d(_STD, "tdma", 0.5, 5, v), 5, zero=False),
     "sum_capacity_degraded-h": _entry("h", lambda v: mw.sum_capacity_degraded(v, 1.0), 0.5),
     "sum_capacity_degraded-total_power": _entry(
         "total_power", lambda v: mw.sum_capacity_degraded(0.5, v), 1.0),
     "check_degraded": _entry("tol", lambda v: check_degraded(_STD, v), 1e-9),
     "g": _entry("x", g, 1.0),
+    "cw-powers": _entry("powers", lambda v: mw.cw(v, (0.5, 0.2), {1}), (1.0, 1.0), length=False),
+    "cw-gains": _entry("gains", lambda v: mw.cw((1.0, 1.0), v, {1, 2}), (0.5, 0.2)),
     "RawChannelConfig-num_users": _entry(
         "num_users", lambda v: RawChannelConfig(**{**_RAW, "num_users": v}), 2),
     "RawChannelConfig-gains_main": _entry(
@@ -224,6 +232,11 @@ ENTRIES = {
         "power_limits", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "power_limits": v}), (1.0, 1.0)),
     "ScenarioConfig-min_distance": _entry(
         "min_distance", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "min_distance": v}), 1.0),
+    "ScenarioResult.zero_rate_counts": _entry(
+        "threshold", lambda v: mw.sweep(mw.ScenarioConfig(**_SCENARIO)).zero_rate_counts(v), 1e-9),
+    "ScenarioResult.jam_power_by_bs_distance": _entry(
+        "bins", lambda v: mw.sweep(mw.ScenarioConfig(**_SCENARIO)).jam_power_by_bs_distance(v), 10,
+        zero=False),
     "gains_at": _entry(
         "eaves_pos", lambda v: mw.gains_at(mw.ScenarioConfig(**_SCENARIO), v), (10.0, 10.0),
         negatives=True),

@@ -251,6 +251,31 @@ def test_jam_verify_handles_both_transmit_fallback(capsys):
     assert env["result"]["verify_gap"] <= 1e-6
 
 
+def test_listing_the_users_the_other_way_round_reverses_every_per_user_field(capsys):
+    # who transmits follows the gains, not the listing: listed the other way
+    # round, the users get the same answer with each power pair reversed,
+    # the oracle's included
+    rng = random.Random(17)
+    cases = set()
+    for k in range(200):
+        h = (rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
+        m = (rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0))
+        command = ("jam", "sumopt")[k % 2]
+        given, reversed_ = (
+            run_cli(capsys, command, "--h", ",".join(map(repr, h[order])),
+                    "--pmax", ",".join(map(repr, m[order])), "--verify")
+            for order in (slice(None), slice(None, None, -1))
+        )
+        assert given[0] == reversed_[0] and given[2] == reversed_[2] == "", (h, m)
+        given, reversed_ = (json.loads(out)["result"] for _, out, _ in (given, reversed_))
+        for part in ("allocation", "oracle"):
+            assert reversed_[part].pop("p") == given[part].pop("p")[::-1], (command, h, m, part)
+        assert reversed_ == given, (command, h, m)
+        cases.add(given["allocation"]["case"])
+    assert cases >= {"BOTH_TRANSMIT", "ONE_TRANSMITS", "NONE", "JAM_AT_ROOT", "JAM_AT_MAX",
+                     "NO_JAM"}, cases
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     def bogus_oracle(objective, gains, pmax, resolution=201):
         return PowerAllocation(p=(0.0, 0.0), case_label="NONE", achieved_rate=1.0)
@@ -414,7 +439,7 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
         # the jamming-root discriminant grows with the cube of a gain
         ({"pathloss_exponent": 150, "noise_var_tap": 1e-10}, 2,
          "error: cell (25, 75): gains (0.010530204003645497, 9.094718346467746e+130) with "
-         "transmit power limit 8.74403861447459e-226 too large: the jamming-root "
+         "pmax (8.74403861447459e-226, 9.4158893436889e-223) too large: the jamming-root "
          "discriminant overflows the float range\n"),
         ({"power_limits": [1e300, 1e300]}, 0,
          "292aa1f0ecc91c5d4a24e46dbb5f725195cf8538987c61df9b4fc2d27e01d207"),
