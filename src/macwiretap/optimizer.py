@@ -37,6 +37,11 @@ OBJECTIVE_SUM = "SUM"
 OBJECTIVE_JAM = "JAM"
 
 MIN_ORACLE_RESOLUTION = 11
+# cells per block of the oracle's grid: each float64 temporary of a kernel
+# pass then takes at most 64 KiB, below glibc's 128 KiB mmap threshold, so
+# the blocks reuse heap memory instead of faulting in fresh pages, and the
+# oracle's memory no longer grows with its resolution
+_ORACLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,10 @@ def _jam_root(h1, h2, m1):
     return disc, (-h2 * (1.0 - h1) + np.sqrt(disc)) / (h2 * (h2 - h1))
 
 
-def _too_large(h, m, what: str) -> ValidationError:
-    return ValidationError(f"gains {h} with pmax {m} too large: {what} overflows the float range")
+def _too_large(h, m, what: str, m_name: str = "pmax") -> ValidationError:
+    return ValidationError(
+        f"gains {h} with {m_name} {m} too large: {what} overflows the float range"
+    )
 
 
 # case labels in the order of the codes that ``_solve`` returns
@@ -173,19 +180,27 @@ def _solve(h_a, h_b, m_a, m_b):
     )
 
 
+def _objective(kernel, powers, gains) -> float:
+    """``kernel`` at checked powers and gains; a rate that is not finite is
+    rejected, as the solvers reject it."""
+    p = _as_numbers(powers, "powers", 2, NONNEGATIVE)
+    h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
+    with np.errstate(all="ignore"):
+        rate = float(kernel(*p, *h))
+    if not math.isfinite(rate):
+        raise _too_large(h, p, "the secrecy rate", "powers")
+    return rate
+
+
 def sum_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
     """Secrecy sum rate g(P1+P2) - g(h1*P1 + h2*P2); may be negative."""
-    p1, p2 = _as_numbers(powers, "powers", 2, NONNEGATIVE)
-    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
-    return float(_sum_kernel(p1, p2, h1, h2))
+    return _objective(_sum_kernel, powers, gains)
 
 
 def jam_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
     """Single-user secrecy rate when user 2 jams: user 2's power is noise to
     both receivers.  May be negative."""
-    p1, p2 = _as_numbers(powers, "powers", 2, NONNEGATIVE)
-    h1, h2 = _as_numbers(gains, "gains", 2, NONNEGATIVE)
-    return float(_jam_kernel(p1, p2, h1, h2))
+    return _objective(_jam_kernel, powers, gains)
 
 
 def _capacity_expr(p1: float, p2: float, h1: float, h2: float) -> float | None:
@@ -290,8 +305,11 @@ def grid_oracle(
     runs one local refinement pass: the window one coarse step each side of
     the incumbent is re-gridded with ``resolution`` points per axis (a step
     100x finer at the default, which keeps the value error of interior
-    optima below 1e-7 on the instance scales used here).  Ties break toward
-    the smaller lexicographic pair (P1, P2).
+    optima below 1e-7 on the instance scales used here).  Each grid is
+    evaluated in blocks of whole rows, at most ``_ORACLE_BLOCK`` cells each,
+    so the oracle's memory does not grow with ``resolution``.  Ties break
+    toward the smaller lexicographic pair (P1, P2), as in one pass over the
+    whole grid.
     """
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
@@ -306,13 +324,19 @@ def grid_oracle(
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
 
     def best_on(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+        # whole rows at a time; a later block wins only on a strictly larger
+        # value, so ties break toward the first cell in row-major order
+        rows = max(1, _ORACLE_BLOCK // ys.size)
+        best = (-math.inf, 0.0, 0.0)
         with np.errstate(all="ignore"):
-            values = kernel(xs[:, None], ys[None, :], h1, h2)
-        if not np.isfinite(values).all():
-            raise _too_large(h, m, "the oracle objective")
-        flat = int(np.argmax(values))
-        i, j = divmod(flat, ys.size)
-        return float(values[i, j]), float(xs[i]), float(ys[j])
+            for start in range(0, xs.size, rows):
+                values = kernel(xs[start:start + rows, None], ys[None, :], h1, h2)
+                if not np.isfinite(values).all():
+                    raise _too_large(h, m, "the oracle objective")
+                i, j = divmod(int(np.argmax(values)), ys.size)
+                if values[i, j] > best[0]:
+                    best = float(values[i, j]), float(xs[start + i]), float(ys[j])
+        return best
 
     xs = np.linspace(0.0, m1, resolution)
     ys = np.linspace(0.0, m2, resolution)

@@ -45,6 +45,10 @@ def _clamp0(x):
     return np.where(x > 0.0, x, 0.0)
 
 
+def _overflow(what: str) -> ValidationError:
+    return ValidationError(f"{what} too large: a rate bound overflows the float range")
+
+
 def _check_subset(subset: Iterable[int], num_users: int) -> frozenset[int]:
     members = frozenset(subset)
     for k in members:
@@ -60,7 +64,10 @@ def cw(powers: PowerVector, gains: Sequence[float], subset: Iterable[int]) -> fl
     p = _as_numbers(powers, "powers", rule=NONNEGATIVE)
     h = _as_numbers(gains, "gains", len(p), NONNEGATIVE)
     members = _check_subset(subset, len(p))
-    return g(sum(h[k - 1] * p[k - 1] for k in members))
+    total = sum(h[k - 1] * p[k - 1] for k in members)
+    if not math.isfinite(total):
+        raise _overflow(f"powers {p} with gains {h}")
+    return g(total)
 
 
 def enumerate_subsets(num_users: int) -> list[frozenset[int]]:

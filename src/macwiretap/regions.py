@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, StandardChannel, _as_number, _as_numbers, check_degraded
 from .errors import NonDegradedError, ValidationError
-from .rates import _clamp0, _g_arr, enumerate_subsets, g, subset_label
+from .rates import _clamp0, _g_arr, _overflow, enumerate_subsets, g, subset_label
 
 ROW_SECRECY = "SECRECY"
 ROW_MAC = "MAC"
@@ -235,10 +235,6 @@ def _subset_bounds(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[tupl
                 secrecy = mac - _g_arr(reduce(add, (h[k - 1] * p[k - 1] for k in members)))
             out.append((subset, None if secrecy is None else _clamp0(secrecy), mac))
     return out
-
-
-def _overflow(what: str) -> ValidationError:
-    return ValidationError(f"{what} too large: a rate bound overflows the float range")
 
 
 def _require_finite(values: Any, what: str) -> None:

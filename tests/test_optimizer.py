@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,6 +11,7 @@ from conftest import jam_derivative_numerator, jam_mode_value, random_instances
 from hypothesis import given
 from hypothesis import strategies as st
 
+from macwiretap import optimizer
 from macwiretap.errors import ValidationError
 from macwiretap.optimizer import (
     _jam_root,
@@ -357,6 +360,151 @@ def test_grid_oracle_jam_pinned():
     alloc = grid_oracle("JAM", (0.5, 2.0), (10.0, 10.0))
     assert abs(alloc.p[1] - 1.0) < 0.05
     assert alloc.achieved_rate == pytest.approx(math.log2(2.25) / 2.0, abs=1e-4)
+
+
+def _whole_grid_oracle(objective, gains, pmax, resolution):
+    """``grid_oracle`` with one argmax over each whole grid, as it was before
+    the grid went in row blocks: (p, achieved_rate, case_label), or the
+    refusal text."""
+    h, m = tuple(map(float, gains)), tuple(map(float, pmax))
+    order = slice(None, None, -1 if h[0] > h[1] else 1)
+    (h1, h2), (m1, m2) = h[order], m[order]
+    kernel = optimizer._sum_kernel if objective == "SUM" else optimizer._jam_kernel
+
+    def best_on(xs, ys):
+        with np.errstate(all="ignore"):
+            values = kernel(xs[:, None], ys[None, :], h1, h2)
+        if not np.isfinite(values).all():
+            raise optimizer._too_large(h, m, "the oracle objective")
+        i, j = divmod(int(np.argmax(values)), ys.size)
+        return float(values[i, j]), float(xs[i]), float(ys[j])
+
+    try:
+        val, p1, p2 = best_on(np.linspace(0.0, m1, resolution), np.linspace(0.0, m2, resolution))
+        step1, step2 = m1 / (resolution - 1), m2 / (resolution - 1)
+        fine = best_on(
+            np.linspace(max(0.0, p1 - step1), min(m1, p1 + step1), resolution),
+            np.linspace(max(0.0, p2 - step2), min(m2, p2 + step2), resolution),
+        )
+    except ValidationError as err:
+        return str(err)
+    if fine[0] > val:
+        val, p1, p2 = fine
+    label = optimizer._oracle_label(objective, p1, p2, m2)
+    return (p1, p2)[order], max(0.0, val), label
+
+
+def _oracle_draws(n):
+    """Seeded oracle inputs: both objectives, resolutions 11 to 333, gains
+    uniform on [0, 3] or log-uniform on [1e-3, 1e3], pmax log-uniform on
+    [1e-3, 1e5], with equal gains, a zero pmax and overflowing powers."""
+    rng = random.Random(RNG_SEED + 18)
+
+    def loguniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for k in range(n):
+        if k % 2:
+            h = [rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)]
+        else:
+            h = [loguniform(1e-3, 1e3), loguniform(1e-3, 1e3)]
+        m = [loguniform(1e-3, 1e5), loguniform(1e-3, 1e5)]
+        if k % 7 == 0:
+            h[1] = h[0]
+        if k % 11 == 0:
+            m[k % 2] = 0.0
+        if k % 13 == 0:
+            m = [FLOAT_MAX, 1e308]
+        yield ("SUM", "JAM")[k % 2], tuple(h), tuple(m), (11, 12, 41, 101, 201, 333)[k % 6]
+
+
+def _bits(p, rate, label):
+    return p[0].hex(), p[1].hex(), rate.hex(), label
+
+
+@functools.cache
+def _oracle_cases():
+    return [(draw, _whole_grid_oracle(*draw)) for draw in _oracle_draws(300)]
+
+
+@pytest.mark.parametrize("block", ["1", "res-1", "res+1", "default", "1e9"])
+def test_grid_oracle_blocks_match_the_whole_grid_bit_for_bit(monkeypatch, block):
+    refusals = 0
+    for draw, expected in _oracle_cases():
+        res = draw[3]
+        # one row per block, the default's partial last block, one block
+        size = {"1": 1, "res-1": res - 1, "res+1": res + 1,
+                "default": optimizer._ORACLE_BLOCK, "1e9": 10**9}[block]
+        monkeypatch.setattr(optimizer, "_ORACLE_BLOCK", size)
+        if isinstance(expected, str):
+            refusals += 1
+            with pytest.raises(ValidationError) as err:
+                grid_oracle(*draw)
+            assert str(err.value) == expected, draw
+            continue
+        alloc = grid_oracle(*draw)
+        assert _bits(alloc.p, alloc.achieved_rate, alloc.case_label) == _bits(*expected), draw
+    assert 0 < refusals < len(_oracle_cases())
+
+
+def test_grid_oracle_tie_across_blocks_keeps_the_first_cell(monkeypatch):
+    # the maximum repeats at rows 3 and 150 of the coarse 201-point grid;
+    # blocks of five whole rows put them in blocks 0 and 30
+    xs = np.linspace(0.0, 10.0, 201)
+    ys = np.linspace(0.0, 10.0, 201)
+    blocks = []
+
+    def tied(p1, p2, h1, h2):
+        blocks.append(p1.shape[0] * p2.shape[1])
+        return np.where((p2 == ys[7]) & ((p1 == xs[3]) | (p1 == xs[150])), 1.0, 0.0)
+
+    monkeypatch.setattr(optimizer, "_sum_kernel", tied)
+    monkeypatch.setattr(optimizer, "_ORACLE_BLOCK", 5 * 201 + 200)
+    alloc = grid_oracle("SUM", (0.25, 0.3), (10.0, 10.0))
+    assert alloc.p == (xs[3], ys[7]) and alloc.achieved_rate == 1.0
+    # 40 blocks of five rows, then the one row left, in each of the two passes
+    assert blocks == 2 * ([5 * 201] * 40 + [201])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_grid_oracle_refuses_an_overflow_in_the_last_block(monkeypatch, bad):
+    def late(p1, p2, h1, h2):
+        return np.where((p1 == 10.0) & (p2 >= 0.0), bad, 0.0)
+
+    monkeypatch.setattr(optimizer, "_jam_kernel", late)
+    with pytest.raises(ValidationError) as err:
+        grid_oracle("JAM", (0.5, 2.0), (10.0, 10.0))
+    assert str(err.value) == (
+        "gains (0.5, 2.0) with pmax (10.0, 10.0) too large: "
+        "the oracle objective overflows the float range"
+    )
+
+
+def test_grid_oracle_memory_does_not_grow_with_resolution():
+    # one whole 2001 x 2001 grid would hold ~120 MiB of float64 temporaries
+    tracemalloc.start()
+    try:
+        alloc = grid_oracle("JAM", (0.7, 1.9), (12.0, 7.0), 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert alloc.case_label == "JAM_AT_ROOT"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("objective, powers, gains", [
+    (sum_objective, (1e308, 1e308), (0.5, 0.5)),  # inf
+    (jam_objective, (1e308, 0.0), (10.0, 0.0)),  # -inf
+    (sum_objective, (1e308, 1e308), (2.0, 2.0)),  # inf - inf
+])
+def test_objectives_refuse_a_rate_that_is_not_finite(objective, powers, gains):
+    with pytest.raises(ValidationError) as err:
+        objective(powers, gains)
+    assert str(err.value) == (
+        f"gains {gains} with powers {powers} too large: "
+        "the secrecy rate overflows the float range"
+    )
 
 
 def test_oracle_agreement_sample():

@@ -50,6 +50,16 @@ def test_cw_examples():
     assert cw((2.0, 2.0), (0.5, 0.5), {1}) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_cw_refuses_an_overflowing_weighted_power_sum():
+    # named as the region code names it, not as g's own argument x
+    with pytest.raises(ValidationError) as err:
+        cw((1e308, 1e308), (10, 10), {1, 2})
+    assert str(err.value) == (
+        "powers (1e+308, 1e+308) with gains (10.0, 10.0) too large: "
+        "a rate bound overflows the float range"
+    )
+
+
 def test_enumerate_subsets_small():
     assert enumerate_subsets(1) == [frozenset(), frozenset({1})]
     assert enumerate_subsets(2) == [
