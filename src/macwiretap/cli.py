@@ -3,7 +3,9 @@
 Every subcommand prints a JSON envelope {command, version, inputs_echo,
 result}; result floats are rounded to 12 significant digits and the echo is
 verbatim, so identical inputs on the same version produce byte-identical
-output.  Exit codes: 0 success, 1 internal error (a fault of the program,
+output.  ``_write`` gives in one pass the bytes of ``json.dumps(...,
+indent=2, sort_keys=True)``, whose indented form runs the pure-Python
+encoder.  Exit codes: 0 success, 1 internal error (a fault of the program,
 reported on one stderr line), 2 input or validation error, 3
 self-verification failure (--verify gap above tolerance).
 """
@@ -13,7 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import __version__
@@ -57,27 +61,49 @@ EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 
 
-def _round12(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+def _write(value: Any, rounded: bool, indent: str, out: list[str]) -> None:
+    """Append to ``out`` the text, or raise the error, of ``json.dumps(value,
+    indent=2, sort_keys=True, allow_nan=False)`` nested at ``indent`` (str
+    keys), each float first rounded to 12 significant digits if ``rounded``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if rounded:
+            value = float(f"{value:.12g}")
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        keyed = isinstance(value, dict)
+        out.append("{" if keyed else "[")
+        inner = indent + "  "
+        sep = "\n" + inner
+        for item in sorted(value.items()) if keyed else value:
+            if keyed:
+                key, item = item
+                sep += encode_basestring_ascii(key) + ": "
+            out.append(sep)
+            _write(item, rounded, inner, out)
+            sep = ",\n" + inner
+        out.append(("\n" + indent if value else "") + ("}" if keyed else "]"))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(command: str, inputs_echo: dict[str, Any], result: Any, stream=None) -> None:
     # the echo stays verbatim so feeding it back reproduces the run exactly;
-    # result numerics are rounded to 12 significant digits
-    envelope = {
-        "command": command,
-        "version": __version__,
-        "inputs_echo": inputs_echo,
-        "result": _round12(result),
-    }
-    text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
-    print(text, file=stream or sys.stdout)
+    # result floats are rounded to 12 significant digits; fields in key order
+    out = ["{"]
+    for key, value in (("command", command), ("inputs_echo", inputs_echo),
+                       ("result", result), ("version", __version__)):
+        out.append(f'\n  "{key}": ' if key == "command" else f',\n  "{key}": ')
+        _write(value, key == "result", "  ", out)
+    out.append("\n}")
+    print("".join(out), file=stream or sys.stdout)
 
 
 def _echo(args: argparse.Namespace, **overrides: Any) -> dict[str, Any]:
@@ -177,6 +203,9 @@ def _constraint_set(std: StandardChannel, kind: str, args: argparse.Namespace) -
 def _cmd_region(args: argparse.Namespace) -> int:
     std = _std_channel(args)
     kind = _as_kind(args.kind)
+    if args.alpha is not None and (kind != KIND_TDMA or args.power is None):
+        raise ValidationError("--alpha sets the time shares of a fixed-power tdma set; "
+                              "it needs --kind tdma and --power")
     echo = _echo(args)
     if args.power is not None:
         if args.format == "csv":

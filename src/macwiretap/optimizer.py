@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, _as_number, _as_numbers
 from .errors import ValidationError
-from .rates import _g_arr
+from .rates import _g_arr, _pick
 
 CASE_BOTH_TRANSMIT = "BOTH_TRANSMIT"
 CASE_ONE_TRANSMITS = "ONE_TRANSMITS"
@@ -112,15 +112,10 @@ CASE_LABELS = (
 _CODE = {label: code for code, label in enumerate(CASE_LABELS)}
 
 
-def _pick(cond, a, b):
-    """``np.where``, except that a 0-d result comes back as a numpy scalar,
-    whose arithmetic costs a fraction of a 0-d array's."""
-    return np.where(cond, a, b)[()]
-
-
 def _solve(h_a, h_b, m_a, m_b):
     """Both closed-form allocations of standardized two-user channels,
-    elementwise over arrays that broadcast together or on 0-d values; call
+    elementwise over arrays that broadcast together or on numpy scalars
+    (not Python floats, on which equal gains raise ZeroDivisionError); call
     it under ``np.errstate(all="ignore")``.
 
     Returns ((P1, P2, rate, case code) of the sum-rate allocation,
@@ -176,7 +171,7 @@ def _solve(h_a, h_b, m_a, m_b):
         (_pick(swapped, s2, s1), _pick(swapped, s1, s2), sum_rate, sum_case),
         (_pick(swapped, p2, p1), _pick(swapped, p1, p2),
          _pick(defer, sum_rate, jam_rate), _pick(defer, sum_case, jam_case)),
-        ~(root_lo | root_hi) | np.isfinite(disc),
+        np.logical_not(root_lo | root_hi) | np.isfinite(disc),
     )
 
 
@@ -214,11 +209,13 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
     """One 0-d ``_solve`` of a two-user channel, as the allocation of each
     of ``objectives`` (OBJECTIVE_SUM, OBJECTIVE_JAM) in turn: the powers in
     the caller's order and the objective clamped at zero.  An allocation
-    whose jamming root or objective leaves the float range is rejected."""
+    whose jamming root or objective leaves the float range is rejected.
+    ``_solve`` gets numpy scalars (see ``_pick``); the refusals print the
+    parsed floats, which numpy 2 would print as ``np.float64(...)``."""
     h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
     m = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
     with np.errstate(all="ignore"):
-        nojam, jam, roots_ok = _solve(*h, *m)
+        nojam, jam, roots_ok = _solve(*map(np.float64, h + m))
     out = []
     for objective in objectives:
         extra = {}

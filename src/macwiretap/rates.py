@@ -6,9 +6,10 @@ is any iterable of 1-based indices; a power vector is any sequence of
 nonnegative floats in standardized units.
 
 Each rate term is written once.  The region kernels and the solvers use the
-unchecked array forms ``_g_arr`` and ``_clamp0``; ``g`` and ``cw`` are the
-checked scalar forms of the public API.  The scalar references that tests
-compare the kernels with live in ``tests/reference_rates.py``.
+unchecked array forms ``_g_arr`` and ``_clamp0`` (which take one value too);
+``g`` and ``cw`` are the checked scalar forms of the public API.  The scalar
+references that tests compare the kernels with live in
+``tests/reference_rates.py``.
 """
 
 from __future__ import annotations
@@ -40,9 +41,21 @@ def _g_arr(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.log2(1.0 + x)
 
 
+def _pick(cond, a, b):
+    """``np.where(cond, a, b)`` for an array, numpy scalar or bool ``cond``,
+    but a 0-d ``cond`` picks ``a`` or ``b`` as given, with no 0-d array
+    (``np.ndim`` alone costs more).  So a caller that divides by picks
+    passes numpy scalars: they give inf or NaN under ``np.errstate`` where
+    Python floats raise ZeroDivisionError."""
+    if getattr(cond, "ndim", 0) == 0:
+        return a if cond else b
+    return np.where(cond, a, b)
+
+
 def _clamp0(x):
-    """max(x, 0) elementwise, unchecked: 0.0 unless x > 0, so NaN maps to 0."""
-    return np.where(x > 0.0, x, 0.0)
+    """max(x, 0) elementwise, unchecked: 0.0 unless x > 0, so NaN maps to 0;
+    a branch in Python on one value (``_pick``), with the array form's bits."""
+    return _pick(x > 0.0, x, 0.0)
 
 
 def _overflow(what: str) -> ValidationError:

@@ -10,12 +10,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_envelope import _round12, envelope_text
 
 import macwiretap as mw
-from macwiretap.cli import MAX_GRID_RES, _emit, _round12, build_parser, main
+from macwiretap.cli import MAX_GRID_RES, _emit, build_parser, main
 from macwiretap.optimizer import MIN_ORACLE_RESOLUTION, PowerAllocation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -216,6 +218,21 @@ def test_region_outer_non_degraded_exits_2(capsys):
     )
     assert code == 2
     assert "degraded" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "individual", "--power", "1,1"],
+    ["--kind", "collective", "--power", "1,1", "--delta", "0.5"],
+    ["--kind", "tdma"],
+    ["--kind", "union-i-t", "--format", "csv"],
+    ["--kind", "outer-collective", "--res", "11"],
+])
+def test_region_refuses_an_alpha_it_would_ignore(capsys, flags):
+    # --alpha fixes time shares only for a fixed-power tdma set
+    code, out, err = run_cli(capsys, "region", *flags, "--h", "0.5,0.5", "--pmax", "1,1",
+                             "--alpha", "0.5,0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --alpha ") and "--kind tdma and --power" in err
 
 
 def test_region_csv_with_power_exits_2(capsys):
@@ -547,10 +564,67 @@ def test_overflowing_powers_exit_2_and_never_warn(capsys):
 
 
 def test_envelopes_never_hold_nan_or_infinity(capsys):
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            _emit("jam", {"h": [0.5, 2.0]}, {"allocation": {"achieved_rate": bad}})
+    # in the result or in the echo, json's refusal text, and nothing printed
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)):
+        for echo, result in (({"h": [0.5, 2.0]}, {"allocation": {"achieved_rate": bad}}),
+                             ({"h": [0.5, bad]}, {"allocation": {"achieved_rate": 1.0}})):
+            with pytest.raises(ValueError) as expected:
+                envelope_text("jam", echo, result)
+            with pytest.raises(ValueError) as got:
+                _emit("jam", echo, result)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith("Out of range float values are not JSON compliant: ")
+            assert capsys.readouterr().out == ""
+
+
+def test_envelopes_refuse_what_json_cannot_write(capsys):
+    for bad in (np.int64(1), np.bool_(True), {1, 2}, b"bytes", 1j):
+        with pytest.raises(TypeError) as expected:
+            envelope_text("split", {"h": [0.5]}, {"extra": [0.0, bad]})
+        with pytest.raises(TypeError) as got:
+            _emit("split", {"h": [0.5]}, {"extra": [0.0, bad]})
+        assert str(got.value) == str(expected.value)
         assert capsys.readouterr().out == ""
+
+
+_ENVELOPE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, -1e22,
+                    1.7976931348623157e308, 0.1 + 0.2, 0.30000000000000004e-7)
+_envelope_text = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\r\t\b\x0cé€\u2028\U0001f600\U0010ffffa ', max_size=12),
+)
+_envelope_leaves = st.one_of(
+    st.sampled_from(_ENVELOPE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from(_ENVELOPE_FLOATS).map(np.float64),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from((2**64, 2**64 + 1, -(2**63), -1, 0)),
+    st.booleans(),
+    st.none(),
+    _envelope_text,
+)
+_envelope_values = st.recursive(
+    _envelope_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_envelope_text, children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=_envelope_text,
+       echo=st.dictionaries(_envelope_text, _envelope_values, max_size=4),
+       result=_envelope_values)
+def test_the_envelope_is_the_text_of_json_dumps(command, echo, result):
+    # the one-pass writer against the stdlib: sorted keys, indent 2, ASCII
+    # escapes, float and int reprs, empty containers, result rounded
+    out = io.StringIO()
+    _emit(command, echo, result, stream=out)
+    assert out.getvalue() == envelope_text(command, echo, result)
 
 
 def test_scripts_write_nonempty_csvs(tmp_path):

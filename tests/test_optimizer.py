@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from macwiretap import optimizer
 from macwiretap.errors import ValidationError
 from macwiretap.optimizer import (
+    PowerAllocation,
     _jam_root,
+    _solve,
     grid_oracle,
     jam_objective,
     optimal_powers_jam,
@@ -295,6 +297,48 @@ def test_solvers_match_the_scalar_reference_on_a_seeded_corpus():
         "the secrecy rate overflows the float range",
         "the jamming-root discriminant overflows the float range",
     }, outcomes
+
+
+def _solve_bits(solved, i=None):
+    """The outputs of ``_solve`` (element ``i`` of an array call): float
+    bits, case codes and roots_ok."""
+    (s1, s2, srate, scode), (j1, j2, jrate, jcode), ok = solved
+    at = (lambda v: v) if i is None else (lambda v: v[i])
+    return ([np.float64(at(v)).tobytes() for v in (s1, s2, srate, j1, j2, jrate)],
+            [int(at(v)) for v in (scode, jcode)], bool(at(ok)))
+
+
+def test_the_0d_solve_gives_the_bits_of_the_array_solve():
+    # on numpy scalars ``_solve`` picks with Python branches, on arrays with
+    # np.where: the same bits, codes and roots_ok, draw for draw
+    ulp_below, ulp_above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+    edge_gains = [(0.5, 0.5), (2.0, 2.0), (1.0, 1.0), (0.0, 0.0), (0.0, 2.0),
+                  (ulp_below, 1.0), (1.0, ulp_above), (ulp_below, ulp_above), (ulp_above, 3.0)]
+    edge_pmax = [(1.0, 1.0), (0.0, 0.0), (0.0, 1.0), (FLOAT_MAX, FLOAT_MAX), (1.0, FLOAT_MAX)]
+    rows = list(_solver_draws(random.Random(RNG_SEED), 20_000))
+    rows += [(h[::s], m[::s]) for h in edge_gains for m in edge_pmax for s in (1, -1)]
+    h_a, h_b, m_a, m_b = (np.array(column) for column in zip(*(h + m for h, m in rows)))
+    with np.errstate(all="ignore"):
+        whole = _solve(h_a, h_b, m_a, m_b)
+        for i in range(len(rows)):
+            one = _solve(h_a[i], h_b[i], m_a[i], m_b[i])
+            assert _solve_bits(one) == _solve_bits(whole, i), rows[i]
+
+
+@pytest.mark.parametrize("gains, nojam, jam", [
+    ((0.5, 0.5), PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.29248125036057804),
+     PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.29248125036057804)),
+    ((2.0, 2.0), PowerAllocation((0.0, 0.0), "NONE", 0.0),
+     PowerAllocation((0.0, 0.0), "NO_JAM", 0.0, 0.0)),
+    ((0.0, 0.0), PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.792481250360578),
+     PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.792481250360578)),
+])
+def test_equal_gains_solve_on_numpy_scalars(gains, nojam, jam):
+    # the 0-d solve divides by h2 - h1, which equal gains make zero: on
+    # numpy scalars that is inf or NaN under errstate, on Python floats a
+    # ZeroDivisionError
+    assert repr(optimal_powers_sum(gains, (1.0, 1.0))) == repr(nojam)
+    assert repr(optimal_powers_jam(gains, (1.0, 1.0))) == repr(jam)
 
 
 def test_tdma_optimal_alpha():

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_rates import cm
 
 from macwiretap.errors import ValidationError
-from macwiretap.rates import cw, enumerate_subsets, g
+from macwiretap.rates import _clamp0, cw, enumerate_subsets, g
 
 finite_power = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 finite_gain = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
@@ -22,6 +23,14 @@ def test_g_strictly_increasing():
     xs = [0.0, 0.1, 0.5, 1.0, 4.0, 100.0]
     vals = [g(x) for x in xs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("x", [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 0.3])
+def test_clamp0_on_one_value_gives_the_bits_of_the_array_form(x):
+    # one value takes a Python branch, an array np.where
+    expected = _clamp0(np.array([x, 1.0]))[0].tobytes()
+    for one in (x, np.float64(x)):
+        assert np.float64(_clamp0(one)).tobytes() == expected
 
 
 @pytest.mark.parametrize("bad", [-1e-12, -3.0, float("inf"), float("nan")])
