@@ -76,8 +76,12 @@ def cw(powers: PowerVector, gains: Sequence[float], subset: Iterable[int]) -> fl
     """Eavesdropper-side rate of a subset: g of the gain-weighted power sum."""
     p = _as_numbers(powers, "powers", rule=NONNEGATIVE)
     h = _as_numbers(gains, "gains", len(p), NONNEGATIVE)
-    members = _check_subset(subset, len(p))
-    total = sum(h[k - 1] * p[k - 1] for k in members)
+    return _cw(p, h, _check_subset(subset, len(p)))
+
+
+def _cw(p: tuple[float, ...], h: tuple[float, ...], subset: Iterable[int]) -> float:
+    """``cw`` of checked powers, gains and subset, unchecked."""
+    total = sum(h[k - 1] * p[k - 1] for k in subset)
     if not math.isfinite(total):
         raise _overflow(f"powers {p} with gains {h}")
     return g(total)

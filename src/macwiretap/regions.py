@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, StandardChannel, _as_number, _as_numbers, check_degraded
 from .errors import NonDegradedError, ValidationError
-from .rates import _clamp0, _g_arr, _overflow, enumerate_subsets, g, subset_label
+from .rates import _clamp0, _cw, _g_arr, _overflow, enumerate_subsets, g, subset_label
 
 ROW_SECRECY = "SECRECY"
 ROW_MAC = "MAC"
@@ -114,14 +114,6 @@ class ConstraintRow:
     kind: str
     rhs: float
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ROW_SECRECY, ROW_MAC):
-            raise ValidationError(f"row kind must be SECRECY or MAC, got {self.kind!r}")
-        if not self.subset:
-            raise ValidationError("constraint rows are over nonempty subsets")
-        if not (math.isfinite(self.rhs) and self.rhs >= 0.0):
-            raise ValidationError(f"row rhs must be finite and nonnegative, got {self.rhs!r}")
-
     @property
     def label(self) -> str:
         return f"{self.kind}{subset_label(self.subset)}"
@@ -130,14 +122,15 @@ class ConstraintRow:
         return sum(1 << (k - 1) for k in self.subset)
 
 
-def _row_sort_key(row: ConstraintRow):
-    return (0 if row.kind == ROW_SECRECY else 1, len(row.subset), sorted(row.subset))
-
-
 @dataclass(frozen=True)
 class RateConstraintSet:
     """A region at fixed power: rows, region kind, and the secret fraction
-    ``delta`` of a fractional-secrecy region (None for an ordinary one)."""
+    ``delta`` of a fractional-secrecy region (None for an ordinary one).
+
+    The rows come in canonical order: the SECRECY rows, then the MAC rows,
+    each by subset size and then lexicographically (``enumerate_subsets``
+    order).  Only this module builds a set, from checked powers, so every
+    ``rhs`` is finite and nonnegative."""
 
     kind: str
     num_users: int
@@ -145,12 +138,6 @@ class RateConstraintSet:
     rows: tuple[ConstraintRow, ...]
     delta: float | None = None
     alpha: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if any(k > self.num_users for k in row.subset):
-                raise ValidationError(f"row {row.label} references a user beyond K={self.num_users}")
-        object.__setattr__(self, "rows", tuple(sorted(self.rows, key=_row_sort_key)))
 
     @property
     def coordinates(self) -> str:
@@ -242,6 +229,13 @@ def _require_finite(values: Any, what: str) -> None:
         raise _overflow(what)
 
 
+def _rows(bounds: Sequence[tuple[Any, ...]]) -> tuple[ConstraintRow, ...]:
+    """The rows of (S, SECRECY rhs or None, MAC rhs) bounds in ``enumerate_subsets``
+    order, in canonical order: the SECRECY rows, then the MAC rows."""
+    secrecy = [ConstraintRow(s, ROW_SECRECY, float(rhs)) for s, rhs, _ in bounds if rhs is not None]
+    return tuple(secrecy + [ConstraintRow(s, ROW_MAC, float(mac)) for s, _, mac in bounds])
+
+
 def _region_at(std: StandardChannel, kind: str, powers: Sequence[float]) -> RateConstraintSet:
     """The fixed-power region of an INDIVIDUAL, COLLECTIVE or OUTER kind;
     an outer kind is refused for a non-degraded channel before the powers
@@ -252,12 +246,7 @@ def _region_at(std: StandardChannel, kind: str, powers: Sequence[float]) -> Rate
     p = _check_power(std, powers)
     bounds = _subset_bounds(kind, std.h, p)
     _require_finite([mac for _, _, mac in bounds], f"powers {p}")
-    rows = []
-    for subset, secrecy, mac in bounds:
-        if secrecy is not None:
-            rows.append(ConstraintRow(subset, ROW_SECRECY, float(secrecy)))
-        rows.append(ConstraintRow(subset, ROW_MAC, float(mac)))
-    return RateConstraintSet(kind, std.num_users, p, tuple(rows))
+    return RateConstraintSet(kind, std.num_users, p, _rows(bounds))
 
 
 def individual_region_at(std: StandardChannel, powers: Sequence[float]) -> RateConstraintSet:
@@ -300,11 +289,8 @@ def tdma_region_at(
         raise ValidationError(f"alpha must lie in [0, 1] and sum to 1, got {a}")
     secrecy, total = _tdma_bound(np.array(std.h), np.array(p), np.array(a))
     _require_finite(total, f"powers {p} over time shares {a}")
-    rows = []
-    for k in range(1, std.num_users + 1):
-        rows.append(ConstraintRow(frozenset({k}), ROW_SECRECY, float(secrecy[k - 1])))
-        rows.append(ConstraintRow(frozenset({k}), ROW_MAC, float(total[k - 1])))
-    return RateConstraintSet(KIND_TDMA, std.num_users, p, tuple(rows), alpha=a)
+    bounds = [(frozenset({k}), s, t) for k, s, t in zip(range(1, std.num_users + 1), secrecy, total)]
+    return RateConstraintSet(KIND_TDMA, std.num_users, p, _rows(bounds), alpha=a)
 
 
 def outer_region_at(
@@ -331,16 +317,18 @@ def _require_degraded(std: StandardChannel, what: str) -> None:
 def delta_region(base: RateConstraintSet, delta: float) -> RateConstraintSet:
     """Fractional-secrecy variant of a fixed-power region: coordinates become
     per-user total rates, every SECRECY right-hand side is scaled by
-    1/delta, MAC rows are unchanged.  delta = 0 is rejected: that limit is an
-    ordinary MAC with no secrecy rows, so callers use the MAC rows directly.
+    1/delta, MAC rows are unchanged, and the rows keep their order.
+    delta = 0 is rejected: that limit is an ordinary MAC with no secrecy
+    rows, so callers use the MAC rows directly; a delta so small that a
+    scaled bound overflows is rejected too.
     """
-    delta = _as_delta(delta)
+    given, delta = delta, _as_delta(delta)
     if base.coordinates != COORDS_SECRET_OPEN:
         raise ValidationError("delta_region expects a base region over (secret, open) rates")
-    rows = tuple(
-        ConstraintRow(r.subset, r.kind, r.rhs / delta if r.kind == ROW_SECRECY else r.rhs)
-        for r in base.rows
-    )
+    rows = tuple(ConstraintRow(r.subset, ROW_SECRECY, r.rhs / delta) if r.kind == ROW_SECRECY else r
+                 for r in base.rows)
+    if any(math.isinf(r.rhs) for r in rows):
+        raise ValidationError(f"delta {given!r} too small: a secrecy bound over it overflows the float range")
     return replace(base, rows=rows, delta=delta)
 
 
@@ -604,14 +592,6 @@ def region_boundary_2d(
 # Rate splitting
 
 
-def _eavesdropper_rate(std: StandardChannel, p: tuple[float, ...], subset) -> float:
-    """``cw`` of checked powers, summed in the same order."""
-    total = sum(std.h[k - 1] * p[k - 1] for k in subset)
-    if not math.isfinite(total):
-        raise _overflow(f"powers {p} with gains {std.h}")
-    return g(total)
-
-
 def _subset_macs(std: StandardChannel, p: tuple[float, ...]) -> dict[frozenset[int], float]:
     # every kind has the same MAC rows; COLLECTIVE adds the fewest secrecy bounds
     macs = {subset: float(mac) for subset, _, mac in _subset_bounds(KIND_COLLECTIVE, std.h, p)}
@@ -636,7 +616,7 @@ def rate_split_individual(
     extra = []
     for k in range(1, std.num_users + 1):
         if rates.secret[k - 1] > 0.0:
-            x_k = _eavesdropper_rate(std, p, {k}) - rates.open[k - 1]
+            x_k = _cw(p, std.h, {k}) - rates.open[k - 1]
             if x_k < -1e-12:
                 return RateSplitResult(False, None, f"RANDOMIZATION{{{k}}}")
             extra.append(max(x_k, 0.0))
@@ -672,7 +652,7 @@ def rate_split_collective(
         raise ValidationError("rate vector length does not match the channel")
     num_users = std.num_users
     full = frozenset(range(1, num_users + 1))
-    target = _eavesdropper_rate(std, p, full) - sum(rates.open)
+    target = _cw(p, std.h, full) - sum(rates.open)
     if target < -SPLIT_TOL:
         return RateSplitResult(False, None, "RANDOMIZATION_TOTAL")
     target = max(target, 0.0)

@@ -243,6 +243,14 @@ def test_region_csv_with_power_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["region", "--kind", "individual"], ["tdma"]])
+def test_a_delta_that_overflows_a_secrecy_bound_exits_2_naming_delta(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--h", "0.5,0.6", "--pmax", "1,1",
+                             "--power", "1,1", "--delta", "1e-310")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: delta 1e-310 too small"), err
+
+
 def test_sumopt_silence_case(capsys):
     env = run_json(capsys, "sumopt", "--h", "1.2,1.5", "--pmax", "10,10")
     alloc = env["result"]["allocation"]

@@ -160,6 +160,10 @@ def test_delta_region_rejections():
         delta_region(base, 1.5)
     with pytest.raises(ValidationError):
         delta_region(delta_region(base, 0.5), 0.5)
+    # a secrecy bound over a subnormal delta overflows: the refusal names
+    # delta, not the row it would have made
+    with pytest.raises(ValidationError, match=r"^delta 1e-310 too small"):
+        delta_region(base, 1e-310)
 
 
 def test_membership_basics():
@@ -417,9 +421,17 @@ def _scalar_rows(kind, std, p, alpha):
     return rows
 
 
+def _canonical_row_order(row):
+    # SECRECY rows first, then by subset size, then lexicographically
+    return (0 if row.kind == "SECRECY" else 1, len(row.subset), sorted(row.subset))
+
+
 def test_region_rows_match_the_scalar_rate_functions():
+    # every fixed-power kind, K = 1..6, with and without delta_region: the
+    # rows are in canonical order, finite and nonnegative, and each equals
+    # its scalar composition
     rng = np.random.default_rng(RNG_SEED)
-    for num_users in (1, 2, 3, 4):
+    for num_users in range(1, 7):
         for trial in range(30):
             degraded = trial % 2 == 0
             if degraded:
@@ -441,6 +453,8 @@ def test_region_rows_match_the_scalar_rate_functions():
             for kind, region in regions.items():
                 expected = _scalar_rows(kind, std, p, alpha)
                 for scale, rows in ((1.0, region.rows), (delta, delta_region(region, delta).rows)):
+                    assert rows == tuple(sorted(rows, key=_canonical_row_order)), kind
+                    assert all(math.isfinite(row.rhs) and row.rhs >= 0.0 for row in rows), kind
                     got = {row.label: row.rhs for row in rows}
                     assert got.keys() == expected.keys(), kind
                     for label, rhs in expected.items():
