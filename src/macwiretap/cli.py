@@ -50,9 +50,11 @@ from .regions import (
 from .scenario import ScenarioConfig, sweep
 
 VERIFY_GAP_TOL = 1e-6
-# largest --res and --alpha-res: a boundary peaks at ~66 bytes per power
-# grid cell, ~72 for union-i-t (tracemalloc, res 301 and 601), so ~0.3 GB at
-# this cap
+# largest --res and --alpha-res.  A boundary evaluates its grids in blocks
+# of whole rows and keeps only what can be on its staircase, so at this cap
+# it peaks at ~1.4 MiB of numpy memory (tracemalloc, every kind at --res 2001
+# --alpha-res 2001), and a CLI call at ~32 MB of RSS, the interpreter's
+# ~30 MB included
 MAX_GRID_RES = 2001
 
 EXIT_OK = 0

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, _as_number, _as_numbers
 from .errors import ValidationError
-from .rates import _g_arr, _pick
+from .rates import _g_arr, _pick, _row_blocks
 
 CASE_BOTH_TRANSMIT = "BOTH_TRANSMIT"
 CASE_ONE_TRANSMITS = "ONE_TRANSMITS"
@@ -37,11 +37,6 @@ OBJECTIVE_SUM = "SUM"
 OBJECTIVE_JAM = "JAM"
 
 MIN_ORACLE_RESOLUTION = 11
-# cells per block of the oracle's grid: each float64 temporary of a kernel
-# pass then takes at most 64 KiB, below glibc's 128 KiB mmap threshold, so
-# the blocks reuse heap memory instead of faulting in fresh pages, and the
-# oracle's memory no longer grows with its resolution
-_ORACLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -303,8 +298,8 @@ def grid_oracle(
     the incumbent is re-gridded with ``resolution`` points per axis (a step
     100x finer at the default, which keeps the value error of interior
     optima below 1e-7 on the instance scales used here).  Each grid is
-    evaluated in blocks of whole rows, at most ``_ORACLE_BLOCK`` cells each,
-    so the oracle's memory does not grow with ``resolution``.  Ties break
+    evaluated in blocks of whole rows (``rates._row_blocks``), so the
+    oracle's memory does not grow with ``resolution``.  Ties break
     toward the smaller lexicographic pair (P1, P2), as in one pass over the
     whole grid.
     """
@@ -321,18 +316,17 @@ def grid_oracle(
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
 
     def best_on(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-        # whole rows at a time; a later block wins only on a strictly larger
-        # value, so ties break toward the first cell in row-major order
-        rows = max(1, _ORACLE_BLOCK // ys.size)
+        # a later block wins only on a strictly larger value, so ties break
+        # toward the first cell in row-major order
         best = (-math.inf, 0.0, 0.0)
         with np.errstate(all="ignore"):
-            for start in range(0, xs.size, rows):
-                values = kernel(xs[start:start + rows, None], ys[None, :], h1, h2)
+            for rows in _row_blocks(xs.size, ys.size):
+                values = kernel(xs[rows, None], ys[None, :], h1, h2)
                 if not np.isfinite(values).all():
                     raise _too_large(h, m, "the oracle objective")
                 i, j = divmod(int(np.argmax(values)), ys.size)
                 if values[i, j] > best[0]:
-                    best = float(values[i, j]), float(xs[start + i]), float(ys[j])
+                    best = float(values[i, j]), float(xs[rows.start + i]), float(ys[j])
         return best
 
     xs = np.linspace(0.0, m1, resolution)

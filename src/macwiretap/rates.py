@@ -15,7 +15,7 @@ references that tests compare the kernels with live in
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +25,13 @@ from .errors import ValidationError
 
 # 2**K subsets are materialized; beyond this the constraint sets explode.
 MAX_SUBSET_USERS = 20
+# cells per block of a grid evaluated in blocks of whole rows (the oracle's
+# grids, a boundary's power and time-share grids).  A float64 temporary of a
+# block takes at most 64 KiB, and a boundary block's candidate columns 128
+# KiB each, about glibc's initial mmap threshold, so the blocks reuse heap
+# memory instead of faulting in fresh pages, and memory does not grow with
+# the grid
+_GRID_BLOCK = 8192
 
 UserSubset = frozenset[int]
 PowerVector = Sequence[float]
@@ -56,6 +63,13 @@ def _clamp0(x):
     """max(x, 0) elementwise, unchecked: 0.0 unless x > 0, so NaN maps to 0;
     a branch in Python on one value (``_pick``), with the array form's bits."""
     return _pick(x > 0.0, x, 0.0)
+
+
+def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
+    """The row slices of a rows x cols grid in blocks of whole rows, at most
+    ``_GRID_BLOCK`` cells each, or one row where a row alone holds more."""
+    step = max(1, _GRID_BLOCK // cols)
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def _overflow(what: str) -> ValidationError:

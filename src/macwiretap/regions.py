@@ -19,13 +19,14 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add, sub
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, StandardChannel, _as_number, _as_numbers, check_degraded
 from .errors import NonDegradedError, ValidationError
-from .rates import _clamp0, _cw, _g_arr, _overflow, enumerate_subsets, g, subset_label
+from . import rates as _rates
+from .rates import _clamp0, _cw, _g_arr, _overflow, _row_blocks, enumerate_subsets, g, subset_label
 
 ROW_SECRECY = "SECRECY"
 ROW_MAC = "MAC"
@@ -199,6 +200,28 @@ def _check_power(std: StandardChannel, powers: Sequence[float]) -> tuple[float, 
     return p
 
 
+def _eaves(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[Any]:
+    """Each user's eavesdropper term g(h_k p_k), which the SECRECY rows of
+    the individual kinds subtract; none for the collective kinds."""
+    if kind not in (KIND_INDIVIDUAL, KIND_OUTER_INDIVIDUAL):
+        return []
+    return [_g_arr(h_k * p_k) for h_k, p_k in zip(h, p)]
+
+
+def _subset_bound(kind: str, h: Sequence[float], p: Sequence[Any], eaves: Sequence[Any],
+                  members: Sequence[int]) -> tuple[Any, Any]:
+    """(SECRECY rhs or None, MAC rhs) of the subset with the given ascending
+    members, as ``_subset_bounds`` defines them, from ``_eaves(kind, h, p)``;
+    unchecked, and to be called under ``np.errstate(all="ignore")``."""
+    mac = _g_arr(reduce(add, (p[k - 1] for k in members)))
+    secrecy = None
+    if kind == KIND_INDIVIDUAL or (kind == KIND_OUTER_INDIVIDUAL and len(members) == 1):
+        secrecy = reduce(sub, (eaves[k - 1] for k in members), mac)
+    elif kind in (KIND_COLLECTIVE, KIND_OUTER_COLLECTIVE) and len(members) == len(p):
+        secrecy = mac - _g_arr(reduce(add, (h[k - 1] * p[k - 1] for k in members)))
+    return None if secrecy is None else _clamp0(secrecy), mac
+
+
 def _subset_bounds(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[tuple[Any, ...]]:
     """(S, SECRECY rhs or None, MAC rhs g(p(S))) of a fixed-power region of
     the given kind for every nonempty subset S, in ``enumerate_subsets`` order.
@@ -208,20 +231,10 @@ def _subset_bounds(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[tupl
     floats or arrays of broadcastable shapes, evaluated elementwise and
     unchecked: a term of one user has that user's shape, a joint term the
     broadcast shape, and a non-finite MAC value means a power sum overflowed."""
-    individual = kind in (KIND_INDIVIDUAL, KIND_OUTER_INDIVIDUAL)
-    out = []
     with np.errstate(all="ignore"):
-        eaves = [_g_arr(h_k * p_k) for h_k, p_k in zip(h, p)] if individual else []
-        for subset in enumerate_subsets(len(p))[1:]:
-            members = sorted(subset)
-            mac = _g_arr(reduce(add, (p[k - 1] for k in members)))
-            secrecy = None
-            if individual and (kind == KIND_INDIVIDUAL or len(members) == 1):
-                secrecy = reduce(sub, (eaves[k - 1] for k in members), mac)
-            elif not individual and len(members) == len(p):
-                secrecy = mac - _g_arr(reduce(add, (h[k - 1] * p[k - 1] for k in members)))
-            out.append((subset, None if secrecy is None else _clamp0(secrecy), mac))
-    return out
+        eaves = _eaves(kind, h, p)
+        return [(subset, *_subset_bound(kind, h, p, eaves, sorted(subset)))
+                for subset in enumerate_subsets(len(p))[1:]]
 
 
 def _require_finite(values: Any, what: str) -> None:
@@ -265,15 +278,17 @@ def collective_region_at(std: StandardChannel, powers: Sequence[float]) -> RateC
 
 def _tdma_bound(h: Any, p: Any, a: Any) -> tuple[Any, Any]:
     """(secrecy, total) rate bounds of a user with gain h sending at power
-    p/a for a share a of the time, zero for a zero share; elementwise over
+    p/a for a share a of the time, zero for a zero share and the secrecy
+    bound zero where its SNR argument is not positive; elementwise over
     broadcastable arrays and unchecked, like ``_subset_bounds``.  ``p`` or
     ``a`` must be a numpy array: a zero share then divides to inf or nan,
     which the ``np.where`` discards, where Python floats would raise
     ZeroDivisionError."""
     with np.errstate(all="ignore"):
+        on = a > 0.0
         arg = (1.0 - h) * p / (a + h * p)
-        secrecy = np.where((a > 0.0) & (arg > 0.0), a * _g_arr(_clamp0(arg)), 0.0)
-        total = np.where(a > 0.0, a * _g_arr(p / a), 0.0)
+        secrecy = np.where(on & (arg > 0.0), a * _g_arr(arg), 0.0)
+        total = np.where(on, a * _g_arr(p / a), 0.0)
     return secrecy, total
 
 
@@ -443,93 +458,125 @@ def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> 
     return x, y
 
 
-def _fixed_power_bounds(std: StandardChannel, kind: str, delta: float, res: int) -> tuple[np.ndarray, ...]:
+def _fixed_power_bounds(
+    std: StandardChannel, kind: str, delta: float, res: int
+) -> Iterator[tuple[np.ndarray, ...]]:
     """The total-rate bounds (u1, u2, u12) of the fixed-power region on the
     res x res power grid, user 1's power along axis 0 and user 2's along
-    axis 1.  The powers enter as a column and a row, so a single-user bound
-    is computed once per axis, with shape (res, 1) or (1, res), and only the
-    joint terms once per cell; broadcast, they are the bounds of each cell.
-    An overflow in linspace's step product or in s / delta is harmless: the
+    axis 1, per block of whole rows (``_row_blocks``): the block's rows of
+    u1 with shape (rows, 1), the whole row u2 with shape (1, res), and u12
+    of the block's cells; broadcast, they are the bounds of each cell.  The
+    single-user bounds and eavesdropper terms are computed once per axis,
+    before the first block, and only the joint terms per cell.  A MAC bound
+    that overflows is refused at the first block that holds one.  An
+    overflow in linspace's step product or in s / delta is harmless: the
     grid's last point is set to pmax exactly, and min(inf, mac) = mac."""
     with np.errstate(all="ignore"):
-        p = [np.linspace(0.0, std.pmax[0], res)[:, None], np.linspace(0.0, std.pmax[1], res)[None, :]]
-        bounds = _subset_bounds(kind, std.h, p)
-        for _, _, mac in bounds:
-            _require_finite(mac, f"pmax {std.pmax}")
-        return tuple(mac if s is None else np.minimum(s / delta, mac) for _, s, mac in bounds)
+        p1, p2 = np.linspace(0.0, std.pmax[0], res)[:, None], np.linspace(0.0, std.pmax[1], res)[None, :]
+        eaves = _eaves(kind, std.h, (p1, p2))
+
+    def bound(rows: slice, members: tuple[int, ...]) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            s, mac = _subset_bound(kind, std.h, (p1[rows], p2), eaves and (eaves[0][rows], eaves[1]), members)
+            u = mac if s is None else np.minimum(s / delta, mac)
+        _require_finite(mac, f"pmax {std.pmax}")
+        return u
+
+    u1, u2 = bound(slice(None), (1,)), bound(slice(None), (2,))
+    for rows in _row_blocks(res, res):
+        yield u1[rows], u2, bound(rows, (1, 2))
 
 
 def _tdma_bounds(std: StandardChannel, delta: float, power_res: int, alpha_res: int) -> tuple[np.ndarray, ...]:
     """Per time share of the alpha_res-point share grid, the total-rate
-    bounds (u1, u2, u12 = +inf) of the time-division region."""
+    bounds (u1, u2, u12 = +inf) of the time-division region.  Each user's
+    share x power grid is evaluated in blocks of whole rows
+    (``_row_blocks``), and an overflowing bound is refused at the first
+    block that holds one."""
     bounds = []
     with np.errstate(all="ignore"):
         alphas = np.linspace(0.0, 1.0, alpha_res)
         for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
-            secrecy, total = _tdma_bound(h, np.linspace(0.0, pmax, power_res)[None, :], a[:, None])
-            _require_finite(total, f"pmax {std.pmax}")
-            # the per-user bound grows with power, so per share only the
-            # maximum over the power grid can generate a hull vertex.  It is
-            # not always the pmax column, so the whole grid is kept: at large
-            # powers (seen from pmax 1.17e13 up) rounding breaks the growth
-            # by an ulp, and at h = 0.52193896907896 and pmax 4.54e283 for
-            # both users, res 327, alpha res 21, 20 of 21 share maxima differ
-            bounds.append(np.minimum(secrecy / delta, total).max(axis=1))
-    return bounds[0], bounds[1], np.full_like(bounds[0], np.inf)
+            p = np.linspace(0.0, pmax, power_res)[None, :]
+            u = np.empty(alpha_res)
+            for rows in _row_blocks(alpha_res, power_res):
+                secrecy, total = _tdma_bound(h, p, a[rows, None])
+                _require_finite(total, f"pmax {std.pmax}")
+                # the per-user bound grows with power, so per share only the
+                # maximum over the power grid can generate a hull vertex.  It
+                # is not always the pmax column, so the whole grid is kept: at
+                # large powers (seen from pmax 1.17e13 up) rounding breaks the
+                # growth by an ulp, and at h = 0.52193896907896 and pmax
+                # 4.54e283 for both users, res 327, alpha res 21, 20 of 21
+                # share maxima differ
+                np.minimum(secrecy / delta, total).max(axis=1, out=u[rows])
+            bounds.append(u)
+    return bounds[0], bounds[1], np.full(alpha_res, np.inf)
 
 
-# rate-1 bins of the dominance filter in front of the hull's sort
+# rate-1 bins of the staircase cut
 _HULL_BINS = 1024
+
+
+def _staircase_cut(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the first-quadrant points (x, y) that can be on their
+    Pareto staircase (``_staircase``), found by comparisons alone.  A cloud
+    on one axis keeps the two ends on that axis.  Otherwise the bin index
+    floor(x / xmax * bins) never decreases with x, so a point in a strictly
+    higher bin has a strictly larger rate 1 and comes earlier in the
+    staircase's order; a point with no larger rate 2 than some point in a
+    higher bin therefore never beats the running maximum, and is cut.  The
+    column at the largest rate 1 is the top bin and is never cut; the
+    leftmost point at the largest rate 2 is put back."""
+    xmax, ymax = x.max(), y.max()
+    if xmax == 0.0:
+        return np.array([np.argmin(y), np.argmax(y)])
+    if ymax == 0.0:
+        return np.array([np.argmax(x), np.argmin(x)])
+    bins = x / xmax
+    bins *= _HULL_BINS
+    bins = bins.astype(np.intp)
+    top = np.full(_HULL_BINS + 2, -np.inf)
+    np.maximum.at(top, bins, y)
+    # above[b]: the largest rate 2 in any bin higher than b
+    above = np.maximum.accumulate(top[::-1])[-2::-1]
+    keep = y > above[bins]
+    at_ymax = np.flatnonzero(y == ymax)
+    keep[at_ymax[np.argmin(x[at_ymax])]] = True
+    return np.flatnonzero(keep)
+
+
+def _staircase(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the Pareto staircase of the first-quadrant points (x, y),
+    in counterclockwise order: visiting the points by rate 1, then rate 2,
+    both descending, the lowest and then the top point at the largest
+    rate 1, each point whose rate 2 beats every one before it, and the
+    leftmost point at the largest rate 2.  ``_staircase_cut`` first drops
+    points that cannot be on it, so the sort sees the same staircase in the
+    same order.  A point of a cloud's staircase is on the staircase of every
+    part of the cloud that holds it, so the staircase of the union of the
+    parts' staircases is the cloud's, value for value."""
+    kept = _staircase_cut(x, y)
+    order = kept[np.lexsort((y[kept], x[kept]))[::-1]]
+    sx, sy = x[order], y[order]
+    return order[np.concatenate([
+        [np.count_nonzero(sx == sx[0]) - 1, 0],
+        1 + np.flatnonzero(sy[1:] > np.maximum.accumulate(sy[:-1])),
+        [np.flatnonzero(sy == sy.max())[-1]],
+    ])]
 
 
 def _upper_right_hull(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     """Upper-right boundary of the convex hull of the first-quadrant points
     (x, y), from the lowest point at the largest rate 1 counterclockwise to
-    the leftmost point at the largest rate 2.  Only the Pareto staircase can
-    lie on it.  Visiting the points by rate 1, then rate 2, both descending,
-    gives the staircase in counterclockwise order: the lowest and then the
-    top point at the largest rate 1, each point whose rate 2 beats every one
-    before it, and the leftmost point at the largest rate 2.  One monotone
-    chain (Andrew 1979) over it drops each point that does not turn left and
-    each point equal to the chain's last.
-
-    Before the sort, one linear pass drops points that cannot beat the
-    running maximum, by comparisons alone.  The bin index
-    floor(x / xmax * bins) never decreases with x, so a point in a strictly
-    higher bin has a strictly larger rate 1 and is visited earlier; a point
-    with no larger rate 2 than some point in a higher bin therefore never
-    beats the running maximum, and dropping it changes no running maximum.
-    The column at the largest rate 1 is the top bin and is never dropped;
-    the leftmost point at the largest rate 2 is put back.  The sort then
-    sees the same staircase in the same order, so the chain's vertices are
-    bitwise those of the unfiltered points.  A cloud on one axis is read
-    directly: its staircase is its two ends on that axis.  Boundary
-    candidates arrive with each axis family already cut to its maximum
-    (``_box_simplex_candidates``), by the same argument."""
-    xmax, ymax = x.max(), y.max()
-    if xmax == 0.0:
-        stair = [np.argmin(y), np.flatnonzero(y == ymax)[-1]]
-    elif ymax == 0.0:
-        stair = [np.argmax(x), np.argmin(x)]
-    else:
-        bins = x / xmax
-        bins *= _HULL_BINS
-        bins = bins.astype(np.intp)
-        top = np.full(_HULL_BINS + 2, -np.inf)
-        np.maximum.at(top, bins, y)
-        # above[b]: the largest rate 2 in any bin higher than b
-        above = np.maximum.accumulate(top[::-1])[-2::-1]
-        keep = y > above[bins]
-        at_ymax = np.flatnonzero(y == ymax)
-        keep[at_ymax[np.argmin(x[at_ymax])]] = True
-        kept = np.flatnonzero(keep)
-        order = kept[np.lexsort((y[kept], x[kept]))[::-1]]
-        sx, sy = x[order], y[order]
-        stair = order[np.concatenate([
-            [np.count_nonzero(sx == sx[0]) - 1, 0],
-            1 + np.flatnonzero(sy[1:] > np.maximum.accumulate(sy[:-1])),
-            [np.flatnonzero(sy == ymax)[-1]],
-        ])]
+    the leftmost point at the largest rate 2.  Only the Pareto staircase
+    (``_staircase``) can lie on it.  One monotone chain (Andrew 1979) over
+    the staircase drops each point that does not turn left and each point
+    equal to the chain's last, so the vertices are bitwise those of the
+    chain over every point.  Boundary candidates arrive with each axis
+    family already cut to its maximum (``_box_simplex_candidates``), by the
+    same argument as the cut's."""
+    stair = _staircase(x, y)
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -547,19 +594,38 @@ def _upper_right_hull(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]
 def _boundary_candidates(
     std: StandardChannel, kind: str, delta: float, power_res: int, alpha_res: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rate-1 and rate-2 columns of the hull candidates of a boundary kind,
-    and the number of generators they stand for.  The per-cell bounds are
-    freed on return, before the hull runs."""
-    bounds = []
+    """Rate-1 and rate-2 columns of the hull candidates of a boundary kind
+    that can be on its staircase, and the number of generators they stand
+    for.  The grids come in blocks of whole rows.  Each block's candidates
+    are cut (``_staircase_cut``) when the next block arrives, and the last
+    block's by the hull.  Whenever the points cut since the last merge
+    outnumber a block's cells, all that is left is merged down to its
+    staircase (``_staircase``), so no array grows with the grid."""
+    grids = []
     if kind != KIND_TDMA:
-        fixed_kind = KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind
-        bounds.append(_fixed_power_bounds(std, fixed_kind, delta, power_res))
+        grids.append(_fixed_power_bounds(std, KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind,
+                                         delta, power_res))
     if kind in (KIND_TDMA, KIND_UNION_I_T):
-        bounds.append(_tdma_bounds(std, delta, power_res, alpha_res))
-    families = [_box_simplex_candidates(*b) for b in bounds]
-    x, y = families[0] if len(families) == 1 else map(np.concatenate, zip(*families))
+        grids.append([_tdma_bounds(std, delta, power_res, alpha_res)])
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    size = cells = 0
+    for grid in grids:
+        for bounds in grid:
+            if kept:
+                x, y = kept.pop()
+                i = _staircase_cut(x, y)
+                kept.append((x[i], y[i]))
+                size += i.size
+                # the budget is read at each call, as ``_row_blocks`` reads it
+                if size > _rates._GRID_BLOCK:
+                    x, y = map(np.concatenate, zip(*kept))
+                    i = _staircase(x, y)
+                    kept, size = [(x[i], y[i])], 0
+            kept.append(_box_simplex_candidates(*bounds))
+            cells += np.broadcast(*bounds).size
+    x, y = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
     # every cell has four corners, and the origin closes the region
-    return x, y, 1 + 4 * sum(np.broadcast(*b).size for b in bounds)
+    return x, y, 1 + 4 * cells
 
 
 def region_boundary_2d(
@@ -573,7 +639,11 @@ def region_boundary_2d(
     over a uniform power grid (and a time-share grid for the time-division
     kinds), projected to per-user total rates at fractional secrecy
     ``delta``.  Kind UNION_I_T closes the union of the individual-constraint
-    and time-division families."""
+    and time-division families.  The grids are evaluated in blocks of whole
+    rows (``rates._row_blocks``), and each block's candidates are cut to the
+    points that can be on the boundary's staircase as the next block
+    arrives, so memory does not grow with the resolutions; the vertices and
+    ``generator_count`` are bitwise those of one pass over the whole grids."""
     if std.num_users != 2:
         raise ValidationError("boundary computation supports exactly two users")
     kind = _as_kind(kind)

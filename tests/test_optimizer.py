@@ -11,7 +11,7 @@ from conftest import jam_derivative_numerator, jam_mode_value, random_instances
 from hypothesis import given
 from hypothesis import strategies as st
 
-from macwiretap import optimizer
+from macwiretap import optimizer, rates
 from macwiretap.errors import ValidationError
 from macwiretap.optimizer import (
     PowerAllocation,
@@ -478,8 +478,8 @@ def test_grid_oracle_blocks_match_the_whole_grid_bit_for_bit(monkeypatch, block)
         res = draw[3]
         # one row per block, the default's partial last block, one block
         size = {"1": 1, "res-1": res - 1, "res+1": res + 1,
-                "default": optimizer._ORACLE_BLOCK, "1e9": 10**9}[block]
-        monkeypatch.setattr(optimizer, "_ORACLE_BLOCK", size)
+                "default": rates._GRID_BLOCK, "1e9": 10**9}[block]
+        monkeypatch.setattr(rates, "_GRID_BLOCK", size)
         if isinstance(expected, str):
             refusals += 1
             with pytest.raises(ValidationError) as err:
@@ -503,7 +503,7 @@ def test_grid_oracle_tie_across_blocks_keeps_the_first_cell(monkeypatch):
         return np.where((p2 == ys[7]) & ((p1 == xs[3]) | (p1 == xs[150])), 1.0, 0.0)
 
     monkeypatch.setattr(optimizer, "_sum_kernel", tied)
-    monkeypatch.setattr(optimizer, "_ORACLE_BLOCK", 5 * 201 + 200)
+    monkeypatch.setattr(rates, "_GRID_BLOCK", 5 * 201 + 200)
     alloc = grid_oracle("SUM", (0.25, 0.3), (10.0, 10.0))
     assert alloc.p == (xs[3], ys[7]) and alloc.achieved_rate == 1.0
     # 40 blocks of five rows, then the one row left, in each of the two passes
@@ -516,6 +516,8 @@ def test_grid_oracle_refuses_an_overflow_in_the_last_block(monkeypatch, bad):
         return np.where((p1 == 10.0) & (p2 >= 0.0), bad, 0.0)
 
     monkeypatch.setattr(optimizer, "_jam_kernel", late)
+    # the bad row, the grid's last, lies past the first block
+    assert rates._GRID_BLOCK // 201 < 200
     with pytest.raises(ValidationError) as err:
         grid_oracle("JAM", (0.5, 2.0), (10.0, 10.0))
     assert str(err.value) == (

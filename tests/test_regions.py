@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from reference_rates import cm, pos_part
 
+from macwiretap import rates
 from macwiretap.channel import StandardChannel
 from macwiretap.errors import NonDegradedError, ValidationError
 from macwiretap.rates import cw, enumerate_subsets, g, subset_label
@@ -308,6 +311,14 @@ def test_boundary_grows_with_resolution(kind):
         assert fine.contains(vertex, tol=1e-9), (kind, vertex)
 
 
+def _grid_bounds(std, kind, delta, res):
+    """(u1, u2, u12) of ``_fixed_power_bounds`` over the whole res x res
+    grid: its row blocks joined."""
+    blocks = list(_fixed_power_bounds(std, kind, delta, res))
+    return (np.concatenate([b[0] for b in blocks]), blocks[0][1],
+            np.concatenate([b[2] for b in blocks]))
+
+
 def _all_corners(bounds):
     """Every cell's four box-simplex corners, unfiltered, as (4 * cells, 2)
     rows: the (x_ax, 0) block, then (0, y_ax), (x_ax, c1y) and (c2x, y_ax).
@@ -321,7 +332,7 @@ def _all_corners(bounds):
 
 
 def test_boundary_contains_generators():
-    candidates = _all_corners(_fixed_power_bounds(STD_HALF, "COLLECTIVE", 1.0, 21))
+    candidates = _all_corners(_grid_bounds(STD_HALF, "COLLECTIVE", 1.0, 21))
     boundary = region_boundary_2d(STD_HALF, "COLLECTIVE", power_grid_res=21)
     for point in candidates:
         assert boundary.contains(point, tol=1e-9)
@@ -472,7 +483,7 @@ def test_fixed_power_candidates_are_the_corners_of_each_region(kind):
     rng = np.random.default_rng(RNG_SEED)
     cells = [0, res * res - 1] + rng.choice(res * res, 12, replace=False).tolist()
     for delta in (1.0, 0.4):
-        candidates = _all_corners(_fixed_power_bounds(std, kind, delta, res))
+        candidates = _all_corners(_grid_bounds(std, kind, delta, res))
         for cell in cells:
             i, j = divmod(cell, res)
             p = (float(axes[0][i]), float(axes[1][j]))
@@ -619,7 +630,7 @@ def _boundary_cases(rng):
         bounds = []
         if kind != "TDMA":
             fixed_kind = "INDIVIDUAL" if kind == "UNION_I_T" else kind
-            bounds.append(_fixed_power_bounds(std, fixed_kind, delta, res))
+            bounds.append(_grid_bounds(std, fixed_kind, delta, res))
         if kind in ("TDMA", "UNION_I_T"):
             bounds.append(_tdma_bounds(std, delta, res, alpha_res))
         boundary = region_boundary_2d(std, kind, delta, res, alpha_res)
@@ -690,9 +701,9 @@ def test_per_axis_bounds_match_the_full_grid_bitwise():
         want = _full_grid_bounds(std, kind, delta, res)
         if want is None:
             with pytest.raises(ValidationError, match="pmax .* overflows"):
-                _fixed_power_bounds(std, kind, delta, res)
+                _grid_bounds(std, kind, delta, res)
             continue
-        got = np.broadcast_arrays(*_fixed_power_bounds(std, kind, delta, res))
+        got = np.broadcast_arrays(*_grid_bounds(std, kind, delta, res))
         for name, got_u, want_u in zip(("u1", "u2", "u12"), got, want):
             assert got_u.shape == (res, res)
             assert _hex_cells(got_u) == _hex_cells(want_u), (trial, kind, h, pmax, delta, res, name)
@@ -719,6 +730,96 @@ def test_generator_count_counts_every_corner_and_the_origin(kind):
         fixed = 0 if kind == "TDMA" else 4 * res * res
         tdma = 4 * alpha_res if kind in ("TDMA", "UNION_I_T") else 0
         assert boundary.generator_count == fixed + tdma + 1, (res, alpha_res)
+
+
+def _blocked_draws():
+    """Seeded boundary inputs: every kind, each with delta 1 and a delta
+    below 1; gains 0, 1 or uniform on [0, 1.5] (equal and below 1 for the
+    outer kinds); pmax log-uniform on [1e-3, 1e5]; power res 2 to 60, every
+    fifth draw 91 to 130 (more cells than one default block), and alpha
+    res 2 to 30."""
+    rng = np.random.default_rng(RNG_SEED + 21)
+    draws = []
+    for trial in range(10):
+        for kind in BOUNDARY_KINDS:
+            for delta in (1.0, float(rng.uniform(0.05, 1.0))):
+                if kind.startswith("OUTER"):
+                    h = (float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),) * 2
+                else:
+                    h = tuple(float(v) for v in rng.choice([0.0, 1.0, rng.uniform(0.0, 1.5)], 2))
+                pmax = tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, 5.0, 2))
+                res = int(rng.integers(91, 131) if len(draws) % 5 == 0 else rng.integers(2, 61))
+                draws.append((StandardChannel(2, h, pmax), kind, delta, res, int(rng.integers(2, 31))))
+    return draws
+
+
+@functools.cache
+def _one_block_boundaries():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates, "_GRID_BLOCK", 10**9)
+        return [(draw, region_boundary_2d(*draw)) for draw in _blocked_draws()]
+
+
+@pytest.mark.parametrize("budget", ["1", "1 row", "res-1", "res+1", "res-1 rows", "default", "1e9"])
+def test_boundary_blocks_match_one_block_bit_for_bit(monkeypatch, budget):
+    # one row per block with a merge of the cut points at nearly every block,
+    # a partial last block, the default's blocks, and one block
+    default = rates._GRID_BLOCK
+    for draw, want in _one_block_boundaries():
+        res = draw[3]
+        size = {"1": 1, "1 row": res, "res-1": res - 1, "res+1": res + 1,
+                "res-1 rows": res * (res - 1), "default": default, "1e9": 10**9}[budget]
+        monkeypatch.setattr(rates, "_GRID_BLOCK", size)
+        got = region_boundary_2d(*draw)
+        assert _hex(got.vertices) == _hex(want.vertices), draw
+        assert got.generator_count == want.generator_count, draw
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("kind, pmax", [("INDIVIDUAL", 1.7e308), ("TDMA", 1e308)])
+def test_boundary_refuses_an_overflow_at_its_first_bad_block(monkeypatch, kind, pmax, rows):
+    # INDIVIDUAL: the power sum overflows from some row of the power grid on;
+    # TDMA: pmax over the smallest positive share, in row 1 of user 1's
+    # share x power grid.  Each grid has 101 x 101 cells
+    if rows is not None:
+        monkeypatch.setattr(rates, "_GRID_BLOCK", 101 * rows)
+    step = rates._GRID_BLOCK // 101
+    with np.errstate(all="ignore"):
+        if kind == "TDMA":
+            shares = np.linspace(0.0, 1.0, 101)
+            first_bad = int(np.flatnonzero((shares > 0.0) & np.isinf(pmax / shares))[0])
+        else:
+            first_bad = int(np.flatnonzero(np.isinf(np.linspace(0.0, pmax, 101) + pmax))[0])
+    # blocks of the fixed-power grid whose candidates were built, and blocks
+    # of the time-division grids evaluated
+    calls = []
+    for name, f in (("_box_simplex_candidates", _box_simplex_candidates), ("_tdma_bound", _tdma_bound)):
+        def counted(*args, _f=f, _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(f"macwiretap.regions.{name}", counted)
+    with pytest.raises(ValidationError) as err:
+        region_boundary_2d(StandardChannel(2, (0.5, 0.5), (pmax, pmax)), kind, 1.0, 101, 101)
+    assert str(err.value) == f"pmax ({pmax!r}, {pmax!r}) too large: a rate bound overflows the float range"
+    if kind == "TDMA":
+        assert calls == ["_tdma_bound"] * (first_bad // step + 1)
+    else:
+        assert calls == ["_box_simplex_candidates"] * (first_bad // step)
+
+
+@pytest.mark.parametrize("kind", ["INDIVIDUAL", "UNION_I_T", "TDMA"])
+def test_boundary_memory_does_not_grow_with_resolution(kind):
+    # whole 2001 x 2001 grids held 252 (INDIVIDUAL), 275 (UNION_I_T) and
+    # 214 MiB (TDMA at alpha res 2001) of float64 temporaries
+    tracemalloc.start()
+    try:
+        boundary = region_boundary_2d(StandardChannel(2, (0.3, 0.7), (12.0, 5.0)), kind, 0.8, 2001, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    fixed = 0 if kind == "TDMA" else 4 * 2001 * 2001
+    assert boundary.generator_count == 1 + fixed + (0 if kind == "INDIVIDUAL" else 4 * 2001)
 
 
 @given(
