@@ -264,7 +264,8 @@ def _cmd_power_opt(args: argparse.Namespace) -> int:
 
 def _cmd_tdma(args: argparse.Namespace) -> int:
     std = _std_channel(args)
-    optimal = tdma_optimal_alpha(args.power)
+    # all-zero powers have no optimal shares, but given shares still set a region
+    optimal = None if args.alpha and not any(args.power) else tdma_optimal_alpha(args.power)
     region = _constraint_set(std, KIND_TDMA, args)
     _emit("tdma", _echo(args), {"optimal_alpha": optimal, "region": region.to_json_dict()})
     return EXIT_OK
@@ -346,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="secret fraction in (0, 1]; boundaries default to 1, fixed-power "
         "sets stay in (secret, open) coordinates when omitted",
     )
-    p.add_argument("--res", type=_grid_res_arg(2), default=101, help="power grid resolution per axis")
+    p.add_argument("--res", type=_grid_res_arg(2), default=101,
+                   help="power grid resolution per axis; tdma, evaluated at full power, does not use it")
     p.add_argument("--alpha-res", type=_grid_res_arg(2), default=101, help="time-share grid resolution")
     p.add_argument("--power", type=_floats_arg, help="fixed power: emit the constraint set instead")
     p.add_argument("--alpha", type=_floats_arg, help="time shares for the fixed-power tdma set")

@@ -7,9 +7,9 @@ A region at fixed power is a list of half-space rows over the per-user
 MAC rows bound subset sums of total rates.  Fractional-secrecy regions
 (``delta_region``) reinterpret coordinates as per-user total rates with the
 SECRECY right-hand sides scaled by 1/delta.  Two-user boundaries are convex
-closures of unions of fixed-power regions over a power grid (and a
-time-share grid for the time-division kinds), computed with a monotone-chain
-hull.  Randomization-rate witnesses come from per-user formulas
+closures of unions of fixed-power regions over a power grid (for the
+time-division kinds, a time-share grid at full power), computed with a
+monotone-chain hull.  Randomization-rate witnesses come from per-user formulas
 (individual scheme) and from a polymatroid greedy (collective scheme).
 """
 
@@ -278,17 +278,15 @@ def collective_region_at(std: StandardChannel, powers: Sequence[float]) -> RateC
 
 def _tdma_bound(h: Any, p: Any, a: Any) -> tuple[Any, Any]:
     """(secrecy, total) rate bounds of a user with gain h sending at power
-    p/a for a share a of the time, zero for a zero share and the secrecy
-    bound zero where its SNR argument is not positive; elementwise over
-    broadcastable arrays and unchecked, like ``_subset_bounds``.  ``p`` or
-    ``a`` must be a numpy array: a zero share then divides to inf or nan,
-    which the ``np.where`` discards, where Python floats would raise
-    ZeroDivisionError."""
+    p/a for a share a of the time; elementwise over broadcastable arrays and
+    unchecked, like ``_subset_bounds``.  ``_clamp0`` maps to zero what a
+    zero share gives (0 * inf, or nan) and a secrecy bound whose SNR
+    argument is not positive (a rate below zero, or nan).  ``p`` or ``a``
+    must be a numpy array: a zero share then divides to inf or nan, where
+    Python floats would raise ZeroDivisionError."""
     with np.errstate(all="ignore"):
-        on = a > 0.0
-        arg = (1.0 - h) * p / (a + h * p)
-        secrecy = np.where(on & (arg > 0.0), a * _g_arr(arg), 0.0)
-        total = np.where(on, a * _g_arr(p / a), 0.0)
+        secrecy = _clamp0(a * _g_arr((1.0 - h) * p / (a + h * p)))
+        total = _clamp0(a * _g_arr(p / a))
     return secrecy, total
 
 
@@ -487,30 +485,19 @@ def _fixed_power_bounds(
         yield u1[rows], u2, bound(rows, (1, 2))
 
 
-def _tdma_bounds(std: StandardChannel, delta: float, power_res: int, alpha_res: int) -> tuple[np.ndarray, ...]:
+def _tdma_bounds(std: StandardChannel, delta: float, alpha_res: int) -> tuple[np.ndarray, ...]:
     """Per time share of the alpha_res-point share grid, the total-rate
-    bounds (u1, u2, u12 = +inf) of the time-division region.  Each user's
-    share x power grid is evaluated in blocks of whole rows
-    (``_row_blocks``), and an overflowing bound is refused at the first
-    block that holds one."""
+    bounds (u1, u2, u12 = +inf) of the time-division region, each user at
+    full power: for every share both of a user's bounds grow with its
+    power, so the share's union over powers is its region at pmax.  An
+    overflowing bound is refused at user 1 before user 2 is evaluated."""
+    alphas = np.linspace(0.0, 1.0, alpha_res)
     bounds = []
-    with np.errstate(all="ignore"):
-        alphas = np.linspace(0.0, 1.0, alpha_res)
-        for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
-            p = np.linspace(0.0, pmax, power_res)[None, :]
-            u = np.empty(alpha_res)
-            for rows in _row_blocks(alpha_res, power_res):
-                secrecy, total = _tdma_bound(h, p, a[rows, None])
-                _require_finite(total, f"pmax {std.pmax}")
-                # the per-user bound grows with power, so per share only the
-                # maximum over the power grid can generate a hull vertex.  It
-                # is not always the pmax column, so the whole grid is kept: at
-                # large powers (seen from pmax 1.17e13 up) rounding breaks the
-                # growth by an ulp, and at h = 0.52193896907896 and pmax
-                # 4.54e283 for both users, res 327, alpha res 21, 20 of 21
-                # share maxima differ
-                np.minimum(secrecy / delta, total).max(axis=1, out=u[rows])
-            bounds.append(u)
+    for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
+        secrecy, total = _tdma_bound(h, pmax, a)
+        _require_finite(total, f"pmax {std.pmax}")
+        with np.errstate(all="ignore"):
+            bounds.append(np.minimum(secrecy / delta, total))
     return bounds[0], bounds[1], np.full(alpha_res, np.inf)
 
 
@@ -596,17 +583,18 @@ def _boundary_candidates(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Rate-1 and rate-2 columns of the hull candidates of a boundary kind
     that can be on its staircase, and the number of generators they stand
-    for.  The grids come in blocks of whole rows.  Each block's candidates
-    are cut (``_staircase_cut``) when the next block arrives, and the last
-    block's by the hull.  Whenever the points cut since the last merge
-    outnumber a block's cells, all that is left is merged down to its
-    staircase (``_staircase``), so no array grows with the grid."""
+    for.  The power grid comes in blocks of whole rows, the share grid in
+    one.  Each block's candidates are cut (``_staircase_cut``) when the next
+    block arrives, and the last block's by the hull.  Whenever the points
+    cut since the last merge outnumber a block's cells, all that is left is
+    merged down to its staircase (``_staircase``), so no array grows with
+    the grid."""
     grids = []
     if kind != KIND_TDMA:
         grids.append(_fixed_power_bounds(std, KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind,
                                          delta, power_res))
     if kind in (KIND_TDMA, KIND_UNION_I_T):
-        grids.append([_tdma_bounds(std, delta, power_res, alpha_res)])
+        grids.append([_tdma_bounds(std, delta, alpha_res)])
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     size = cells = 0
     for grid in grids:
@@ -636,14 +624,16 @@ def region_boundary_2d(
     alpha_grid_res: int = 101,
 ) -> RegionBoundary2D:
     """Convex closure of the union of fixed-power regions of the given kind
-    over a uniform power grid (and a time-share grid for the time-division
-    kinds), projected to per-user total rates at fractional secrecy
-    ``delta``.  Kind UNION_I_T closes the union of the individual-constraint
-    and time-division families.  The grids are evaluated in blocks of whole
-    rows (``rates._row_blocks``), and each block's candidates are cut to the
+    over a uniform power grid, projected to per-user total rates at
+    fractional secrecy ``delta``.  The time-division family is the
+    alpha_grid_res-point time-share grid at full power (``_tdma_bounds``),
+    so ``power_grid_res`` does not change a TDMA boundary; kind UNION_I_T
+    closes the union of the individual-constraint and time-division
+    families.  The power grid is evaluated in blocks of whole rows
+    (``rates._row_blocks``), and each block's candidates are cut to the
     points that can be on the boundary's staircase as the next block
     arrives, so memory does not grow with the resolutions; the vertices and
-    ``generator_count`` are bitwise those of one pass over the whole grids."""
+    ``generator_count`` are bitwise those of one pass over the whole grid."""
     if std.num_users != 2:
         raise ValidationError("boundary computation supports exactly two users")
     kind = _as_kind(kind)

@@ -321,6 +321,20 @@ def test_tdma_command(capsys):
     assert rows["SECRECY{1}"] > 0.0
 
 
+def test_tdma_all_zero_powers_answer_with_given_shares(capsys):
+    # all-zero powers have no optimal shares; with --alpha the set is still
+    # defined, and tdma prints what region --kind tdma prints
+    flags = ["--h", "0.5,0.5", "--pmax", "2,2", "--power", "0,0", "--alpha", "0.5,0.5"]
+    env = run_json(capsys, "tdma", *flags)
+    assert env["result"]["optimal_alpha"] is None
+    region = run_json(capsys, "region", "--kind", "tdma", *flags)["result"]["constraint_set"]
+    assert env["result"]["region"] == region
+    assert {r["rhs"] for r in region["rows"]} == {0.0}
+    code, out, err = run_cli(capsys, "tdma", *flags[:-2])
+    assert (code, out) == (2, "")
+    assert err == "error: time shares undefined for all-zero powers\n"
+
+
 def test_split_command(capsys):
     rhs = math.log2(5.0 / 3.0) / 2.0
     env = run_json(
@@ -379,6 +393,8 @@ def test_scenario_bad_config_exits_2(capsys, tmp_path):
         ("power_limits", "ab"),
         ("grid", [24.7, 3.2]),
         ("grid", [True, 2]),
+        ("users", "20,35"),
+        ("users", 20.0),
     ]
     for key, value in cases:
         cfg = tmp_path / f"{key}.json"

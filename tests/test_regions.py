@@ -57,6 +57,8 @@ def test_individual_region_rows():
     assert region.row("MAC{1}").rhs == pytest.approx(MAC_1, abs=1e-12)
     assert region.row("MAC{1,2}").rhs == pytest.approx(MAC_12, abs=1e-12)
     assert len(region.rows) == 6  # 2 * (2^2 - 1)
+    with pytest.raises(KeyError):
+        region.row("SECRECY{3}")
 
 
 def test_individual_region_clamps_bad_channel():
@@ -195,6 +197,8 @@ def test_membership_coordinate_guards():
     scaled = delta_region(region, 0.5)
     with pytest.raises(ValidationError):
         membership(RateVector((0.1, 0.1), (0.0, 0.0)), scaled)
+    with pytest.raises(ValidationError, match="^unsupported rate vector type tuple$"):
+        membership((0.1, 0.1), region)
 
 
 def _first_violated(point, region, tol):
@@ -287,6 +291,8 @@ def test_boundary_zero_power_degenerates_to_origin():
     std = StandardChannel(2, (0.5, 0.5), (0.0, 0.0))
     boundary = region_boundary_2d(std, "COLLECTIVE")
     assert boundary.vertices == ((0.0, 0.0),)
+    assert boundary.contains((0.0, 0.0)) and boundary.contains((1e-10, -1e-10))
+    assert not boundary.contains((1e-3, 0.0)) and not boundary.contains((0.0, 1e-3))
 
 
 def test_boundary_vertices_ccw_and_convex():
@@ -359,6 +365,23 @@ def test_boundary_contains_refuses_a_point_or_tol_that_is_no_number():
             boundary.contains((0.0, 0.0), tol=tol)
 
 
+def test_boundary_contains_on_a_segment_and_outside_a_polygon():
+    # user 2's gain above one leaves it no secret rate: the boundary runs
+    # from one vertex on the rate-1 axis to the origin, and the region is
+    # the segment between them
+    segment = region_boundary_2d(StandardChannel(2, (0.5, 2.0), (2.0, 2.0)), "INDIVIDUAL", power_grid_res=11)
+    (x, _), = segment.vertices[:1]
+    assert segment.vertices == ((x, 0.0), (0.0, 0.0)) and x == pytest.approx(S1_IND)
+    for point in [(0.0, 0.0), (x / 2, 0.0), (x, 0.0), (x + 1e-10, 1e-10)]:
+        assert segment.contains(point), point
+    for point in [(x + 1e-3, 0.0), (x / 2, 1e-3), (-1e-3, 0.0), (0.0, -1e-3)]:
+        assert not segment.contains(point), point
+    polygon = region_boundary_2d(STD_HALF, "INDIVIDUAL", power_grid_res=11)
+    assert polygon.contains((0.1, 0.1))
+    for point in [(-1e-3, 0.1), (0.1, -1e-3), (S1_IND, S1_IND), (1.0, 0.0)]:
+        assert not polygon.contains(point), point
+
+
 def test_boundary_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         region_boundary_2d(StandardChannel(3, (0.5,) * 3, (1.0,) * 3), "COLLECTIVE")
@@ -368,6 +391,9 @@ def test_boundary_rejects_bad_inputs():
         region_boundary_2d(STD_HALF, "NOT_A_KIND")
     with pytest.raises(NonDegradedError):
         region_boundary_2d(StandardChannel(2, (0.5, 2.0), (1.0, 1.0)), "OUTER_COLLECTIVE")
+    for res in ((1, 101), (101, 1)):
+        with pytest.raises(ValidationError, match="^grid resolutions must be at least 2$"):
+            region_boundary_2d(STD_HALF, "TDMA", 1.0, *res)
 
 
 def test_delta_collective_rhs_monotone_and_bounded():
@@ -632,7 +658,7 @@ def _boundary_cases(rng):
             fixed_kind = "INDIVIDUAL" if kind == "UNION_I_T" else kind
             bounds.append(_grid_bounds(std, fixed_kind, delta, res))
         if kind in ("TDMA", "UNION_I_T"):
-            bounds.append(_tdma_bounds(std, delta, res, alpha_res))
+            bounds.append(_tdma_bounds(std, delta, alpha_res))
         boundary = region_boundary_2d(std, kind, delta, res, alpha_res)
         out[kind] = boundary, np.vstack([_all_corners(b) for b in bounds] + [[[0.0, 0.0]]])
     return out
@@ -709,18 +735,43 @@ def test_per_axis_bounds_match_the_full_grid_bitwise():
             assert _hex_cells(got_u) == _hex_cells(want_u), (trial, kind, h, pmax, delta, res, name)
 
 
-def test_tdma_share_maxima_come_from_the_whole_power_grid():
-    # rounding breaks the growth of the time-division bound in power by an
-    # ulp at large powers: here the pmax column misses 20 of 21 share maxima
+def _tdma_draws():
+    """The input of the ulp case below, then seeded inputs with pmax below
+    1e9: gains 0, 1, within 1e-15 of 1, below and above 1; delta down to
+    1e-6; power res 2 to 400 and alpha res 2 to 201."""
     h, pmax = 0.52193896907896, 4.5438663135699214e283
-    got = _tdma_bounds(StandardChannel(2, (h, h), (pmax, pmax)), 1.0, 327, 21)
-    alphas = np.linspace(0.0, 1.0, 21)
-    with np.errstate(all="ignore"):
-        for u, shares in zip(got, (alphas, 1.0 - alphas)):
-            secrecy, total = _tdma_bound(h, np.linspace(0.0, pmax, 327)[None, :], shares[:, None])
-            grid = np.minimum(secrecy, total)
-            assert _hex_cells(u) == _hex_cells(grid.max(axis=1))
-            assert np.count_nonzero(grid.max(axis=1) != grid[:, -1]) == 20
+    rng = np.random.default_rng(RNG_SEED + 22)
+    draws = [((h, h), (pmax, pmax), 1.0, 327, 21)]
+    for _ in range(150):
+        gains = [0.0, 1.0, 1.0 + rng.uniform(-1e-15, 1e-15), rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0)]
+        draws.append((tuple(float(v) for v in rng.choice(gains, 2)),
+                       tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, 9.0, 2)),
+                       float(rng.choice([1.0, rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-6.0, 0.0)])),
+                       int(rng.integers(2, 401)), int(rng.integers(2, 202))))
+    return draws
+
+
+def test_tdma_share_bounds_are_the_bounds_at_full_power():
+    # both bounds of a share grow with power, so a share's bounds at pmax
+    # are its maxima over any power grid up to rounding.  Below pmax 1e9 the
+    # whole grid's maxima are the pmax column bit for bit; at h =
+    # 0.52193896907896 and pmax 4.54e283, rounding puts 20 of 21 maxima over
+    # a 327-point grid an ulp above it
+    for trial, (h, pmax, delta, res, alpha_res) in enumerate(_tdma_draws()):
+        got = _tdma_bounds(StandardChannel(2, h, pmax), delta, alpha_res)
+        alphas = np.linspace(0.0, 1.0, alpha_res)
+        assert np.all(got[2] == np.inf)
+        with np.errstate(all="ignore"):
+            for k, shares in enumerate((alphas, 1.0 - alphas)):
+                secrecy, total = _tdma_bound(h[k], pmax[k], shares)
+                assert _hex_cells(got[k]) == _hex_cells(np.minimum(secrecy / delta, total)), trial
+                secrecy, total = _tdma_bound(h[k], np.linspace(0.0, pmax[k], res)[None, :], shares[:, None])
+                grid_max = np.minimum(secrecy / delta, total).max(axis=1)
+                if trial == 0:
+                    assert np.count_nonzero(grid_max != got[k]) == 20
+                    np.testing.assert_allclose(got[k], grid_max, rtol=1e-15, atol=0.0)
+                else:
+                    assert _hex_cells(got[k]) == _hex_cells(grid_max), (trial, k)
 
 
 @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
@@ -778,20 +829,16 @@ def test_boundary_blocks_match_one_block_bit_for_bit(monkeypatch, budget):
 @pytest.mark.parametrize("rows", [1, 3, None])
 @pytest.mark.parametrize("kind, pmax", [("INDIVIDUAL", 1.7e308), ("TDMA", 1e308)])
 def test_boundary_refuses_an_overflow_at_its_first_bad_block(monkeypatch, kind, pmax, rows):
-    # INDIVIDUAL: the power sum overflows from some row of the power grid on;
-    # TDMA: pmax over the smallest positive share, in row 1 of user 1's
-    # share x power grid.  Each grid has 101 x 101 cells
+    # INDIVIDUAL: the power sum overflows from some row of its 101 x 101
+    # power grid on; TDMA: pmax over the smallest positive share, so user 1
+    # is refused before user 2 is evaluated
     if rows is not None:
         monkeypatch.setattr(rates, "_GRID_BLOCK", 101 * rows)
     step = rates._GRID_BLOCK // 101
     with np.errstate(all="ignore"):
-        if kind == "TDMA":
-            shares = np.linspace(0.0, 1.0, 101)
-            first_bad = int(np.flatnonzero((shares > 0.0) & np.isinf(pmax / shares))[0])
-        else:
-            first_bad = int(np.flatnonzero(np.isinf(np.linspace(0.0, pmax, 101) + pmax))[0])
-    # blocks of the fixed-power grid whose candidates were built, and blocks
-    # of the time-division grids evaluated
+        first_bad = int(np.flatnonzero(np.isinf(np.linspace(0.0, pmax, 101) + pmax))[0])
+    # blocks of the fixed-power grid whose candidates were built, and users
+    # whose time-division bounds were evaluated
     calls = []
     for name, f in (("_box_simplex_candidates", _box_simplex_candidates), ("_tdma_bound", _tdma_bound)):
         def counted(*args, _f=f, _name=name):
@@ -802,7 +849,7 @@ def test_boundary_refuses_an_overflow_at_its_first_bad_block(monkeypatch, kind, 
         region_boundary_2d(StandardChannel(2, (0.5, 0.5), (pmax, pmax)), kind, 1.0, 101, 101)
     assert str(err.value) == f"pmax ({pmax!r}, {pmax!r}) too large: a rate bound overflows the float range"
     if kind == "TDMA":
-        assert calls == ["_tdma_bound"] * (first_bad // step + 1)
+        assert calls == ["_tdma_bound"]
     else:
         assert calls == ["_box_simplex_candidates"] * (first_bad // step)
 
