@@ -5,9 +5,12 @@ result}; result floats are rounded to 12 significant digits and the echo is
 verbatim, so identical inputs on the same version produce byte-identical
 output.  ``_write`` gives in one pass the bytes of ``json.dumps(...,
 indent=2, sort_keys=True)``, whose indented form runs the pure-Python
-encoder.  Exit codes: 0 success, 1 internal error (a fault of the program,
-reported on one stderr line), 2 input or validation error, 3
-self-verification failure (--verify gap above tolerance).
+encoder.  ``main`` parses argv by the parser of the subcommand ``argv[0]``
+names, and by the top-level parser when it names none, when an argument
+starts with ``--=`` (refused only there) or when some are left over (for the
+top-level usage).  Exit codes: 0 success, 1 internal error (a fault of the
+program, on one stderr line) or stdout closed early (nothing on stderr), 2
+input or validation error, 3 self-verification failure (--verify gap).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
@@ -311,8 +315,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once and shared: ``main`` reuses it on every
-    call, so a caller must not change it."""
+    """The CLI parser and its ``subcommands`` (name to parser), built once and
+    shared: ``main`` reuses them, so a caller must not change them."""
     parser = argparse.ArgumentParser(
         prog="macwiretap",
         description="Secrecy rate regions and power allocation for the two-user "
@@ -389,14 +393,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=_cmd_scenario)
 
+    parser.subcommands = sub.choices
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub and not any(arg.startswith("--=") for arg in argv):
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # what is still buffered goes to devnull, not to exit's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from reference_envelope import _round12, envelope_text
 
 import macwiretap as mw
-from macwiretap.cli import MAX_GRID_RES, _emit, build_parser, main
+from macwiretap.cli import MAX_GRID_RES, _emit, _parse_args, build_parser, main
 from macwiretap.optimizer import MIN_ORACLE_RESOLUTION, PowerAllocation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -720,7 +722,13 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
         ["tdma", "--h", "0.5,0.5", "--pmax", "2,2", "--power", "1,1", "--alpha", "0.7,0.7"],
         ["region", "--kind", "collective", "--h", "0.5,0.5", "--pmax", "2,2", "--res", "21"],
     ]
+    build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
     reused = [run_cli(capsys, *argv) for argv in calls]
+    assert built == []  # no call builds a parser, not even to refuse its argv
     assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 2, 0, 2, 0]
     assert reused[0] == reused[-1]
     monkeypatch.setattr("macwiretap.cli.build_parser", build_parser.__wrapped__)
@@ -900,6 +908,18 @@ _PIN_ARGV = {
     "standardize_not_object": ["standardize", "--config", "list.json"],
     "scenario_unreadable": ["scenario", "--config", "missing/scenario.json"],
     "standardize_unreadable": ["standardize", "--config", "missing/channel.json"],
+    # the edges of argument parsing: argparse's texts, top level and subcommand
+    "jam_empty_prefix_flag": ["jam", "--h", "0.5,2", "--pmax", "10,10", "--=x"],
+    "region_version": ["region", "--kind", "individual", *_PIN_H_PMAX, "--version"],
+    "jam_help": ["jam", "-h"],
+    "jam_prefix_flag": ["jam", "--h", "0.5,2", "--pm", "10,10"],
+    "jam_repeated_flag": ["jam", "--h", "0.1,0.1", "--h", "0.5,2", "--pmax", "10,10"],
+    "jam_flag_equals_value": ["jam", "--h=0.5,2", "--pmax=10,10"],
+    "jam_double_dash_before_value": ["jam", "--h", "0.5,2", "--pmax", "--", "10,10"],
+    "region_negative_number": ["region", "--kind", "individual", *_PIN_H_PMAX, "--power", "1,3",
+                               "--delta", "-0.5"],
+    "empty_argv": [],
+    "unknown_subcommand": ["frobnicate", "--h", "0.5,2"],
 }
 _PIN_SHA256 = {
     "standardize": "c62252f5b238ed01627998318dfa38f7be0f57a58c287a5b6ba5860e40dc7dcf",
@@ -926,6 +946,16 @@ _PIN_SHA256 = {
     "standardize_not_object": "b80b95fa977f54ce1f548482c0ff62f56357acf68f3cd81074dea84449af2257",
     "scenario_unreadable": "5b1b1cfff40ec8b74574306394d81d7303951b66ca2f2a76325b0c444b6ee7f5",
     "standardize_unreadable": "762b6da21b15828b01a97ab27df24e5823df9ab582772664e67070fd4522a798",
+    "jam_empty_prefix_flag": "1028b9b986cd0f8af2841b37b839da5799650bae0a6d19c1daadefb15f849575",
+    "region_version": "a2199be66a10b3d449a06a86c9c3a3765bd49bf1dbe2a8805b540bf0aec6cfc8",
+    "jam_help": "aa8047d0be777b24768cc78c167a733d1d27a5f0cb068bb878837ceb11bd477a",
+    "jam_prefix_flag": "1ff918ac7df456a101a2999fdeb11cf47540ec8ecd7e3e90f430b9c423140938",
+    "jam_repeated_flag": "1ff918ac7df456a101a2999fdeb11cf47540ec8ecd7e3e90f430b9c423140938",
+    "jam_flag_equals_value": "1ff918ac7df456a101a2999fdeb11cf47540ec8ecd7e3e90f430b9c423140938",
+    "jam_double_dash_before_value": "7032aed00e4675977859a6780aec57abf56ce79982f1f9ef9a9d890510159131",
+    "region_negative_number": "9186875c9c55103648bc4e7a0112e0feee35f9e9341c27515a877451aabbed77",
+    "empty_argv": "7e9ef47f36f3615bffb4adecca0c4778587d082f542129a1b5c34c178d5d5c69",
+    "unknown_subcommand": "1a72a24468d9328c70e1ae5a7412c7e59bd76078f6be1eb2cd83328d3c406352",
 }
 
 
@@ -940,3 +970,82 @@ def test_every_cli_path_keeps_its_bytes(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         got[name] = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
     assert got == _PIN_SHA256
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _mutant(argv, k):
+    """The ``k``-th parse edge applied to ``argv``: the cases the top-level
+    parser might read differently from the subcommand's parser."""
+    flags = [i for i, arg in enumerate(argv) if arg.startswith("--") and i + 1 < len(argv)]
+    i = flags[k % len(flags)] if flags else len(argv) - 1
+    edges = [
+        argv + ["--=x"],
+        argv[:i] + ["--=", *argv[i:]],
+        argv + ["--version"],
+        argv[:1] + ["-h"],
+        argv + ["-h"],
+        argv[:i] + [argv[i][:-1]] + argv[i + 1:],
+        argv[:i] + [argv[i][:3]] + argv[i + 1:],
+        argv + argv[i:i + 2],
+        argv[:i] + [f"{argv[i]}={argv[i + 1]}" if i + 1 < len(argv) else argv[i]] + argv[i + 2:],
+        argv[:i + 1] + ["--"] + argv[i + 1:],
+        argv + ["--", "1"],
+        argv[:i + 1] + ["-" + argv[i + 1] if i + 1 < len(argv) else "-1"] + argv[i + 2:],
+        argv[:i + 1] + ["-1"] + argv[i + 2:],
+        [],
+        ["frobnicate", *argv[1:]],
+        [argv[0][:3], *argv[1:]],
+        ["--version", *argv],
+    ]
+    return edges[k % len(edges)]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(vars(parse(argv)))  # repr: a NaN flag equals itself, and key order counts
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_the_subcommand_parser_parses_as_the_full_parser(tmp_path, monkeypatch):
+    # the dispatched parse against argparse's own top-level pass, on every
+    # benchmark argv (and a parse edge applied to each), the known defects
+    # and the CLI fuzz draws: the same namespace, or the same exit and texts
+    from test_cli_fuzz import CALLS, DRAWS
+
+    monkeypatch.setenv("COLUMNS", "80")
+    workloads = _perfbench_workloads()
+    argvs = [op.argv for seed in (1, 2, 3) for op in workloads.known_defect_ops(seed)]
+    for workload in workloads.WORKLOADS:
+        argvs += [op.argv for seed in (1, 2, 3) for block in range(4)
+                  for op in workloads.block_ops(workload, seed, block)]
+    argvs += [_mutant(argv, k) for k, argv in enumerate(list(argvs))]
+    argvs += list(_PIN_ARGV.values())
+    for command, draw in DRAWS.items():
+        rng = random.Random(f"cli-fuzz:{command}")
+        argvs += [draw(rng, tmp_path) for _ in range(CALLS)]
+    full = build_parser().parse_args
+    for argv in argvs:
+        assert _parse_outcome(_parse_args, argv) == _parse_outcome(full, argv), argv
+
+
+def test_a_closed_stdout_exits_1_in_silence():
+    # the reader takes one line of the example CSV and leaves: the next
+    # write fails, and that is neither an internal error nor a traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "macwiretap.cli", "scenario", "--config", str(EXAMPLE_CONFIG)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"x,y,P1,P2,sumrate_jam,sumrate_nojam,case\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
