@@ -12,10 +12,8 @@ from .errors import NonDegradedError, ValidationError
 from .optimizer import (
     PowerAllocation,
     grid_oracle,
-    jam_objective,
     optimal_powers_jam,
     optimal_powers_sum,
-    sum_objective,
     tdma_optimal_alpha,
 )
 from .rates import cw, enumerate_subsets, g
@@ -49,10 +47,8 @@ __all__ = [
     "ValidationError",
     "PowerAllocation",
     "grid_oracle",
-    "jam_objective",
     "optimal_powers_jam",
     "optimal_powers_sum",
-    "sum_objective",
     "tdma_optimal_alpha",
     "cw",
     "enumerate_subsets",

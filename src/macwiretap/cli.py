@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from . import __version__
-from .channel import RawChannelConfig, StandardChannel, check_degraded, standardize
+from .channel import DEGRADED_TOL_DEFAULT, RawChannelConfig, StandardChannel, check_degraded, standardize
 from .errors import ValidationError
 from .optimizer import (
     CASE_BOTH_TRANSMIT,
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-main", type=float, help="receiver noise variance")
     p.add_argument("--noise-tap", type=float, help="eavesdropper noise variance")
     p.add_argument("--power-limits", type=_floats_arg, help="per-user average power limits")
-    p.add_argument("--tol", type=float, default=1e-9, help="degradedness tolerance")
+    p.add_argument("--tol", type=float, default=DEGRADED_TOL_DEFAULT, help="degradedness tolerance")
     p.set_defaults(func=_cmd_standardize)
 
     p = sub.add_parser("region", help="rate region boundary or fixed-power constraint set")

@@ -93,10 +93,8 @@ def _jam_root(h1, h2, m1):
     return disc, (-h2 * (1.0 - h1) + np.sqrt(disc)) / (h2 * (h2 - h1))
 
 
-def _too_large(h, m, what: str, m_name: str = "pmax") -> ValidationError:
-    return ValidationError(
-        f"gains {h} with {m_name} {m} too large: {what} overflows the float range"
-    )
+def _too_large(h, m, what: str) -> ValidationError:
+    return ValidationError(f"gains {h} with pmax {m} too large: {what} overflows the float range")
 
 
 # case labels in the order of the codes that ``_solve`` returns
@@ -168,29 +166,6 @@ def _solve(h_a, h_b, m_a, m_b):
          _pick(defer, sum_rate, jam_rate), _pick(defer, sum_case, jam_case)),
         np.logical_not(root_lo | root_hi) | np.isfinite(disc),
     )
-
-
-def _objective(kernel, powers, gains) -> float:
-    """``kernel`` at checked powers and gains; a rate that is not finite is
-    rejected, as the solvers reject it."""
-    p = _as_numbers(powers, "powers", 2, NONNEGATIVE)
-    h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
-    with np.errstate(all="ignore"):
-        rate = float(kernel(*p, *h))
-    if not math.isfinite(rate):
-        raise _too_large(h, p, "the secrecy rate", "powers")
-    return rate
-
-
-def sum_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
-    """Secrecy sum rate g(P1+P2) - g(h1*P1 + h2*P2); may be negative."""
-    return _objective(_sum_kernel, powers, gains)
-
-
-def jam_objective(powers: Sequence[float], gains: Sequence[float]) -> float:
-    """Single-user secrecy rate when user 2 jams: user 2's power is noise to
-    both receivers.  May be negative."""
-    return _objective(_jam_kernel, powers, gains)
 
 
 def _capacity_expr(p1: float, p2: float, h1: float, h2: float) -> float | None:
@@ -299,9 +274,10 @@ def grid_oracle(
     100x finer at the default, which keeps the value error of interior
     optima below 1e-7 on the instance scales used here).  Each grid is
     evaluated in blocks of whole rows (``rates._row_blocks``), so the
-    oracle's memory does not grow with ``resolution``.  Ties break
-    toward the smaller lexicographic pair (P1, P2), as in one pass over the
-    whole grid.
+    oracle's memory does not grow with ``resolution``.  A cell whose
+    objective is not finite (where a power sum overflows) is skipped; cell
+    (0, 0) is always 0, so some cell is always kept.  Ties break toward the
+    smaller lexicographic pair (P1, P2), as in one pass over the whole grid.
     """
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
@@ -322,8 +298,9 @@ def grid_oracle(
         with np.errstate(all="ignore"):
             for rows in _row_blocks(xs.size, ys.size):
                 values = kernel(xs[rows, None], ys[None, :], h1, h2)
-                if not np.isfinite(values).all():
-                    raise _too_large(h, m, "the oracle objective")
+                finite = np.isfinite(values)
+                if not finite.all():
+                    values[~finite] = -math.inf
                 i, j = divmod(int(np.argmax(values)), ys.size)
                 if values[i, j] > best[0]:
                     best = float(values[i, j]), float(xs[rows.start + i]), float(ys[j])

@@ -33,9 +33,6 @@ MAX_SUBSET_USERS = 20
 # the grid
 _GRID_BLOCK = 8192
 
-UserSubset = frozenset[int]
-PowerVector = Sequence[float]
-
 
 def g(x: float) -> float:
     """Gaussian channel rate 0.5*log2(1+x) for an SNR-like argument x >= 0."""
@@ -86,7 +83,7 @@ def _check_subset(subset: Iterable[int], num_users: int) -> frozenset[int]:
     return members
 
 
-def cw(powers: PowerVector, gains: Sequence[float], subset: Iterable[int]) -> float:
+def cw(powers: Sequence[float], gains: Sequence[float], subset: Iterable[int]) -> float:
     """Eavesdropper-side rate of a subset: g of the gain-weighted power sum."""
     p = _as_numbers(powers, "powers", rule=NONNEGATIVE)
     h = _as_numbers(gains, "gains", len(p), NONNEGATIVE)

@@ -586,9 +586,9 @@ def _boundary_candidates(
     for.  The power grid comes in blocks of whole rows, the share grid in
     one.  Each block's candidates are cut (``_staircase_cut``) when the next
     block arrives, and the last block's by the hull.  Whenever the points
-    cut since the last merge outnumber a block's cells, all that is left is
-    merged down to its staircase (``_staircase``), so no array grows with
-    the grid."""
+    kept by the cuts since the last merge exceed the block budget,
+    ``rates._GRID_BLOCK``, all that is left is merged down to its staircase
+    (``_staircase``), so no array grows with the grid."""
     grids = []
     if kind != KIND_TDMA:
         grids.append(_fixed_power_bounds(std, KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind,

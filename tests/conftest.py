@@ -31,11 +31,13 @@ def jam_mode_value(h, pmax):
     transmit power and a silent jammer: for h2 <= 1 the stationarity roots
     are nonpositive, so the objective is nonincreasing in the jamming power.
     """
-    from macwiretap.optimizer import jam_objective, optimal_powers_jam
+    from reference_rates import jam_rate
+
+    from macwiretap.optimizer import optimal_powers_jam
 
     alloc = optimal_powers_jam(h, pmax)
     p = (pmax[0], 0.0) if alloc.case_label == "BOTH_TRANSMIT" else alloc.p
-    return max(0.0, jam_objective(p, h)), alloc
+    return max(0.0, jam_rate(p, h)), alloc
 
 
 def jam_derivative_numerator(p1, p2, h1, h2):

@@ -178,8 +178,6 @@ ENTRIES = {
     "grid_oracle": _entry("gains", lambda v: mw.grid_oracle("SUM", v, (1.0, 1.0), 11), (0.5, 0.2)),
     "grid_oracle-resolution": _entry(
         "resolution", lambda v: mw.grid_oracle("SUM", (0.5, 0.2), (1.0, 1.0), v), 11.0, zero=False),
-    "sum_objective": _entry("gains", lambda v: mw.sum_objective((1.0, 1.0), v), (0.5, 0.2)),
-    "jam_objective": _entry("gains", lambda v: mw.jam_objective((1.0, 1.0), v), (0.5, 2.0)),
     "optimal_powers_jam-gains": _entry("gains", lambda v: mw.optimal_powers_jam(v, (1.0, 1.0)), (0.5, 2.0)),
     "tdma_optimal_alpha": _entry("powers", mw.tdma_optimal_alpha, (1.0, 1.0), length=False),
     "RateVector": _entry("secret", lambda v: mw.RateVector(v, (0.0, 0.0)), (0.1, 0.1)),

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,44 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert env["result"]["verify_gap"] > 1e-6
 
 
+def test_verify_skips_the_oracle_cells_that_overflow(capsys):
+    # the oracle grid reaches cells where a power sum overflows although the
+    # allocation does not; it skips them and verifies the answer
+    for argv in (
+        ["sumopt", "--h", "0.5,2", "--pmax", "1.797e308,1.797e308"],
+        ["sumopt", "--h", "1e308,1", "--pmax", "1e308,1"],
+        ["sumopt", "--h", "0.1,0.2", "--pmax", "1e308,1e308"],
+        # h1 * P1 overflows where the jammer cannot help
+        ["jam", "--h", "2,3", "--pmax", "1.797e308,0.5"],
+    ):
+        plain = run_json(capsys, *argv)["result"]
+        env = run_json(capsys, *argv, "--verify")
+        assert env["result"]["allocation"] == plain["allocation"], argv
+        assert env["result"]["verify_gap"] <= 1e-6, argv
+
+
+def test_verify_is_refused_nowhere_the_solver_answers(capsys):
+    # pmax log-uniform up to the float maximum, where the oracle grid meets
+    # cells that overflow.  jam may still exit 3: its oracle refines one
+    # coarse step around the incumbent, too coarse for a root far below pmax
+    rng = random.Random(7)
+    codes = Counter()
+    for k in range(1000):
+        command = ("sumopt", "jam")[k % 2]
+        h = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2)]
+        m = [10.0 ** rng.uniform(-3.0, 308.0) if rng.random() < 0.9 else sys.float_info.max
+             for _ in range(2)]
+        argv = [command, "--h=%r,%r" % tuple(h), "--pmax=%r,%r" % tuple(m)]
+        plain = run_cli(capsys, *argv)[0]
+        verified = run_cli(capsys, *argv, "--verify")[0]
+        assert not (plain == 0 and verified == 2), argv
+        assert not (command == "sumopt" and verified == 3), argv
+        # the sum rate at the box's far corner, the oracle's last cell, overflows
+        corner = math.isinf(m[0] + m[1]) or math.isinf(h[0] * m[0] + h[1] * m[1])
+        codes[command, plain, verified, corner] += 1
+    assert codes["sumopt", 0, 0, True] >= 20, codes
+
+
 def test_tdma_command(capsys):
     env = run_json(
         capsys, "tdma", "--h", "0.5,0.5", "--pmax", "2,4", "--power", "1,3"
@@ -555,16 +594,14 @@ def test_overflowing_powers_exit_2_and_never_warn(capsys):
           "--alpha", "1e-320,1"], "powers"),
         # the default time shares are proportional to the powers
         (["tdma", "--h", "0.5,0.5", "--pmax", "1e308,1e308", "--power", "1e308,1e308"], "powers"),
-        # overflows inside the split's eavesdropper rate, the jamming roots and
-        # the oracle grid name the inputs, not g()'s argument or a NaN power
+        # overflows inside the split's eavesdropper rate and the jamming roots
+        # name the inputs, not g()'s argument or a NaN power
         (["split", "--kind", "collective", "--h", "1e200,1e200", "--pmax", "1e200,1e200",
           "--power", "1e200,1e200", "--secret", "0.1,0.1"], "powers"),
         (["split", "--kind", "individual", "--h", "1e200,1e200", "--pmax", "1e200,1e200",
           "--power", "1e200,1e200", "--secret", "0.1,0.1"], "powers"),
         (["jam", "--h", "1e-300,1e300", "--pmax", "1e300,1e300"], "gains"),
         (["jam", "--h", "0.5,3", "--pmax", "1e308,1e308", "--verify"], "gains"),
-        (["sumopt", "--h", "1e308,1", "--pmax", "1e308,1", "--verify"], "gains"),
-        (["sumopt", "--h", "0.1,0.2", "--pmax", "1e308,1e308", "--verify"], "gains"),
         # the secrecy rate itself overflows at the closed-form allocation
         (["sumopt", "--h", "0,0", "--pmax", "1.7976931348623157e308,1.7976931348623157e308"],
          "gains"),
