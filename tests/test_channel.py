@@ -174,8 +174,10 @@ def _entry(field, call, valid, negatives=False, length=True, zero=True):
 
 ENTRIES = {
     "optimal_powers_sum": _entry("gains", lambda v: mw.optimal_powers_sum(v, (1.0, 1.0)), (0.5, 0.2)),
+    "optimal_powers_sum-pmax": _entry("pmax", lambda v: mw.optimal_powers_sum((0.5, 0.2), v), (1.0, 1.0)),
     "optimal_powers_jam": _entry("pmax", lambda v: mw.optimal_powers_jam((0.5, 2.0), v), (1.0, 1.0)),
     "grid_oracle": _entry("gains", lambda v: mw.grid_oracle("SUM", v, (1.0, 1.0), 11), (0.5, 0.2)),
+    "grid_oracle-pmax": _entry("pmax", lambda v: mw.grid_oracle("JAM", (0.5, 2.0), v, 11), (1.0, 1.0)),
     "grid_oracle-resolution": _entry(
         "resolution", lambda v: mw.grid_oracle("SUM", (0.5, 0.2), (1.0, 1.0), v), 11.0, zero=False),
     "optimal_powers_jam-gains": _entry("gains", lambda v: mw.optimal_powers_jam(v, (1.0, 1.0)), (0.5, 2.0)),

@@ -315,20 +315,20 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert env["result"]["verify_gap"] > 1e-6
 
 
-def test_verify_skips_the_oracle_cells_that_overflow(capsys):
+@pytest.mark.parametrize("argv", [
+    ["sumopt", "--h", "0.5,2", "--pmax", "1.797e308,1.797e308"],
+    ["sumopt", "--h", "1e308,1", "--pmax", "1e308,1"],
+    ["sumopt", "--h", "0.1,0.2", "--pmax", "1e308,1e308"],
+    # h1 * P1 overflows where the jammer cannot help
+    ["jam", "--h", "2,3", "--pmax", "1.797e308,0.5"],
+])
+def test_verify_skips_the_oracle_cells_that_overflow(capsys, argv):
     # the oracle grid reaches cells where a power sum overflows although the
     # allocation does not; it skips them and verifies the answer
-    for argv in (
-        ["sumopt", "--h", "0.5,2", "--pmax", "1.797e308,1.797e308"],
-        ["sumopt", "--h", "1e308,1", "--pmax", "1e308,1"],
-        ["sumopt", "--h", "0.1,0.2", "--pmax", "1e308,1e308"],
-        # h1 * P1 overflows where the jammer cannot help
-        ["jam", "--h", "2,3", "--pmax", "1.797e308,0.5"],
-    ):
-        plain = run_json(capsys, *argv)["result"]
-        env = run_json(capsys, *argv, "--verify")
-        assert env["result"]["allocation"] == plain["allocation"], argv
-        assert env["result"]["verify_gap"] <= 1e-6, argv
+    plain = run_json(capsys, *argv)["result"]
+    env = run_json(capsys, *argv, "--verify")
+    assert env["result"]["allocation"] == plain["allocation"]
+    assert env["result"]["verify_gap"] <= 1e-6
 
 
 def test_verify_is_refused_nowhere_the_solver_answers(capsys):
