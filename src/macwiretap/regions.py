@@ -7,10 +7,11 @@ A region at fixed power is a list of half-space rows over the per-user
 MAC rows bound subset sums of total rates.  Fractional-secrecy regions
 (``delta_region``) reinterpret coordinates as per-user total rates with the
 SECRECY right-hand sides scaled by 1/delta.  Two-user boundaries are convex
-closures of unions of fixed-power regions over a power grid (for the
-time-division kinds, a time-share grid at full power), computed with a
-monotone-chain hull.  Randomization-rate witnesses come from per-user formulas
-(individual scheme) and from a polymatroid greedy (collective scheme).
+closures of unions of fixed-power regions over a power grid (for the outer
+kinds, the one power cell at full power; for the time-division kinds, a
+time-share grid at full power), computed with a monotone-chain hull.
+Randomization-rate witnesses come from per-user formulas (individual
+scheme) and from a polymatroid greedy (collective scheme).
 """
 
 from __future__ import annotations
@@ -457,20 +458,19 @@ def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> 
 
 
 def _fixed_power_bounds(
-    std: StandardChannel, kind: str, delta: float, res: int
+    std: StandardChannel, kind: str, delta: float, p1: np.ndarray, p2: np.ndarray
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """The total-rate bounds (u1, u2, u12) of the fixed-power region on the
-    res x res power grid, user 1's power along axis 0 and user 2's along
-    axis 1, per block of whole rows (``_row_blocks``): the block's rows of
-    u1 with shape (rows, 1), the whole row u2 with shape (1, res), and u12
-    of the block's cells; broadcast, they are the bounds of each cell.  The
-    single-user bounds and eavesdropper terms are computed once per axis,
-    before the first block, and only the joint terms per cell.  A MAC bound
-    that overflows is refused at the first block that holds one.  An
-    overflow in linspace's step product or in s / delta is harmless: the
-    grid's last point is set to pmax exactly, and min(inf, mac) = mac."""
+    power grid of the axes p1 (user 1's powers, along axis 0) and p2 (user
+    2's, along axis 1), per block of whole rows (``_row_blocks``): the
+    block's rows of u1 with shape (rows, 1), the whole row u2 with shape
+    (1, p2.size), and u12 of the block's cells; broadcast, they are the
+    bounds of each cell.  The single-user bounds and eavesdropper terms are
+    computed once per axis, before the first block, and only the joint terms
+    per cell.  A MAC bound that overflows is refused at the first block that
+    holds one.  An overflow in s / delta is harmless: min(inf, mac) = mac."""
+    p1, p2 = p1[:, None], p2[None, :]
     with np.errstate(all="ignore"):
-        p1, p2 = np.linspace(0.0, std.pmax[0], res)[:, None], np.linspace(0.0, std.pmax[1], res)[None, :]
         eaves = _eaves(kind, std.h, (p1, p2))
 
     def bound(rows: slice, members: tuple[int, ...]) -> np.ndarray:
@@ -481,7 +481,7 @@ def _fixed_power_bounds(
         return u
 
     u1, u2 = bound(slice(None), (1,)), bound(slice(None), (2,))
-    for rows in _row_blocks(res, res):
+    for rows in _row_blocks(p1.size, p2.size):
         yield u1[rows], u2, bound(rows, (1, 2))
 
 
@@ -583,16 +583,24 @@ def _boundary_candidates(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Rate-1 and rate-2 columns of the hull candidates of a boundary kind
     that can be on its staircase, and the number of generators they stand
-    for.  The power grid comes in blocks of whole rows, the share grid in
-    one.  Each block's candidates are cut (``_staircase_cut``) when the next
-    block arrives, and the last block's by the hull.  Whenever the points
-    kept by the cuts since the last merge exceed the block budget,
+    for.  The outer kinds are the one power cell at pmax: for a degraded
+    eavesdropper each of their bounds grows with each user's power, so the
+    region at pmax holds the region at every lower power.  The other kinds'
+    power_res x power_res grid spans [0, pmax] per axis; an overflow in
+    linspace's step product is harmless, since its last point is set to
+    pmax exactly.  The power grid comes in blocks of whole rows, the share
+    grid in one.  Each block's candidates are cut (``_staircase_cut``) when
+    the next block arrives, and the last block's by the hull.  Whenever the
+    points kept by the cuts since the last merge exceed the block budget,
     ``rates._GRID_BLOCK``, all that is left is merged down to its staircase
     (``_staircase``), so no array grows with the grid."""
     grids = []
     if kind != KIND_TDMA:
+        outer = kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE)
+        with np.errstate(all="ignore"):
+            axes = [np.array([pmax]) if outer else np.linspace(0.0, pmax, power_res) for pmax in std.pmax]
         grids.append(_fixed_power_bounds(std, KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind,
-                                         delta, power_res))
+                                         delta, *axes))
     if kind in (KIND_TDMA, KIND_UNION_I_T):
         grids.append([_tdma_bounds(std, delta, alpha_res)])
     kept: list[tuple[np.ndarray, np.ndarray]] = []
@@ -625,12 +633,13 @@ def region_boundary_2d(
 ) -> RegionBoundary2D:
     """Convex closure of the union of fixed-power regions of the given kind
     over a uniform power grid, projected to per-user total rates at
-    fractional secrecy ``delta``.  The time-division family is the
+    fractional secrecy ``delta``.  An outer kind is its region at full
+    power, the one cell (pmax1, pmax2), and the time-division family is the
     alpha_grid_res-point time-share grid at full power (``_tdma_bounds``),
-    so ``power_grid_res`` does not change a TDMA boundary; kind UNION_I_T
-    closes the union of the individual-constraint and time-division
-    families.  The power grid is evaluated in blocks of whole rows
-    (``rates._row_blocks``), and each block's candidates are cut to the
+    so ``power_grid_res`` changes neither an outer nor a TDMA boundary; kind
+    UNION_I_T closes the union of the individual-constraint and
+    time-division families.  The power grid is evaluated in blocks of whole
+    rows (``rates._row_blocks``), and each block's candidates are cut to the
     points that can be on the boundary's staircase as the next block
     arrives, so memory does not grow with the resolutions; the vertices and
     ``generator_count`` are bitwise those of one pass over the whole grid."""

@@ -103,21 +103,6 @@ class ScenarioConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class CellRecord:
-    """Result at one eavesdropper position: jamming-solution powers
-    (standardized units), sum rates with and without jamming, and the
-    jamming solution's case label."""
-
-    x: float
-    y: float
-    p1: float
-    p2: float
-    sumrate_jam: float
-    sumrate_nojam: float
-    case: str
-
-
 _JAMMING = (_CODE[CASE_JAM_AT_ROOT], _CODE[CASE_JAM_AT_MAX])
 
 _CSV_HEADER = "x,y,P1,P2,sumrate_jam,sumrate_nojam,case\n"
@@ -141,16 +126,6 @@ class ScenarioResult:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    @property
-    def records(self) -> tuple[CellRecord, ...]:
-        """The cells as ``CellRecord``s, built afresh on each access."""
-        return tuple(map(
-            CellRecord,
-            self.x.tolist(), self.y.tolist(), self.p1.tolist(), self.p2.tolist(),
-            self.sumrate_jam.tolist(), self.sumrate_nojam.tolist(),
-            map(CASE_LABELS.__getitem__, self.case.tolist()),
-        ))
 
     def zero_rate_counts(self, threshold: float = ZERO_RATE_THRESHOLD) -> tuple[int, int]:
         """(cells with zero rate despite jamming, cells with zero rate

@@ -284,13 +284,14 @@ def test_criterion_09_scenario_qualitative_claims():
     result = sweep(config)
     elapsed = time.perf_counter() - t0
     dominance_violations = sum(
-        1 for r in result.records if r.sumrate_jam < r.sumrate_nojam - 1e-9
+        1 for jam, nojam in zip(result.sumrate_jam.tolist(), result.sumrate_nojam.tolist())
+        if jam < nojam - 1e-9
     )
     zero_jam, zero_nojam = result.zero_rate_counts()
     report(
         9,
         dominance_violations == 0 and zero_jam <= zero_nojam and elapsed < 30.0,
-        f"{len(result.records)} cells, {dominance_violations} dominance violations, "
+        f"{len(result)} cells, {dominance_violations} dominance violations, "
         f"zero-rate cells {zero_jam} (jam) <= {zero_nojam} (no jam), {elapsed:.1f}s",
     )
 

@@ -317,10 +317,17 @@ def test_boundary_grows_with_resolution(kind):
         assert fine.contains(vertex, tol=1e-9), (kind, vertex)
 
 
-def _grid_bounds(std, kind, delta, res):
-    """(u1, u2, u12) of ``_fixed_power_bounds`` over the whole res x res
-    grid: its row blocks joined."""
-    blocks = list(_fixed_power_bounds(std, kind, delta, res))
+def _linspace_axes(std, res):
+    """The res-point power axes from 0 to pmax; an overflow in linspace's
+    step product is harmless, since the last point is pmax exactly."""
+    with np.errstate(all="ignore"):
+        return [np.linspace(0.0, pmax, res) for pmax in std.pmax]
+
+
+def _grid_bounds(std, kind, delta, axes):
+    """(u1, u2, u12) of ``_fixed_power_bounds`` over the whole grid of the
+    two power axes: its row blocks joined."""
+    blocks = list(_fixed_power_bounds(std, kind, delta, *axes))
     return (np.concatenate([b[0] for b in blocks]), blocks[0][1],
             np.concatenate([b[2] for b in blocks]))
 
@@ -338,7 +345,7 @@ def _all_corners(bounds):
 
 
 def test_boundary_contains_generators():
-    candidates = _all_corners(_grid_bounds(STD_HALF, "COLLECTIVE", 1.0, 21))
+    candidates = _all_corners(_grid_bounds(STD_HALF, "COLLECTIVE", 1.0, _linspace_axes(STD_HALF, 21)))
     boundary = region_boundary_2d(STD_HALF, "COLLECTIVE", power_grid_res=21)
     for point in candidates:
         assert boundary.contains(point, tol=1e-9)
@@ -505,11 +512,11 @@ def test_fixed_power_candidates_are_the_corners_of_each_region(kind):
     # and simplex that the fixed-power region at p cuts out in total rates
     std = StandardChannel(2, (0.4, 0.4) if kind.startswith("OUTER") else (0.3, 0.8), (3.0, 5.0))
     res = 11
-    axes = np.linspace(0.0, std.pmax[0], res), np.linspace(0.0, std.pmax[1], res)
+    axes = _linspace_axes(std, res)
     rng = np.random.default_rng(RNG_SEED)
     cells = [0, res * res - 1] + rng.choice(res * res, 12, replace=False).tolist()
     for delta in (1.0, 0.4):
-        candidates = _all_corners(_grid_bounds(std, kind, delta, res))
+        candidates = _all_corners(_grid_bounds(std, kind, delta, axes))
         for cell in cells:
             i, j = divmod(cell, res)
             p = (float(axes[0][i]), float(axes[1][j]))
@@ -643,7 +650,8 @@ def _hull_clouds(rng):
 
 
 def _boundary_cases(rng):
-    """Per kind, a seeded boundary and all of its candidates, unfiltered."""
+    """Per kind, a seeded boundary and all of its candidates, unfiltered;
+    an outer kind's are the corners of its one power cell at pmax."""
     out = {}
     for kind in BOUNDARY_KINDS:
         if kind.startswith("OUTER"):
@@ -656,7 +664,8 @@ def _boundary_cases(rng):
         bounds = []
         if kind != "TDMA":
             fixed_kind = "INDIVIDUAL" if kind == "UNION_I_T" else kind
-            bounds.append(_grid_bounds(std, fixed_kind, delta, res))
+            axes = [np.array([v]) for v in std.pmax] if kind.startswith("OUTER") else _linspace_axes(std, res)
+            bounds.append(_grid_bounds(std, fixed_kind, delta, axes))
         if kind in ("TDMA", "UNION_I_T"):
             bounds.append(_tdma_bounds(std, delta, alpha_res))
         boundary = region_boundary_2d(std, kind, delta, res, alpha_res)
@@ -725,11 +734,12 @@ def test_per_axis_bounds_match_the_full_grid_bitwise():
         res = int(rng.integers(2, 102))
         std = StandardChannel(2, h, pmax)
         want = _full_grid_bounds(std, kind, delta, res)
+        axes = _linspace_axes(std, res)
         if want is None:
             with pytest.raises(ValidationError, match="pmax .* overflows"):
-                _grid_bounds(std, kind, delta, res)
+                _grid_bounds(std, kind, delta, axes)
             continue
-        got = np.broadcast_arrays(*_grid_bounds(std, kind, delta, res))
+        got = np.broadcast_arrays(*_grid_bounds(std, kind, delta, axes))
         for name, got_u, want_u in zip(("u1", "u2", "u12"), got, want):
             assert got_u.shape == (res, res)
             assert _hex_cells(got_u) == _hex_cells(want_u), (trial, kind, h, pmax, delta, res, name)
@@ -778,9 +788,44 @@ def test_tdma_share_bounds_are_the_bounds_at_full_power():
 def test_generator_count_counts_every_corner_and_the_origin(kind):
     for res, alpha_res in ((2, 2), (2, 7), (11, 3), (31, 101)):
         boundary = region_boundary_2d(STD_HALF, kind, power_grid_res=res, alpha_grid_res=alpha_res)
-        fixed = 0 if kind == "TDMA" else 4 * res * res
+        # an outer kind is its one power cell at pmax
+        fixed = 0 if kind == "TDMA" else 4 if kind.startswith("OUTER") else 4 * res * res
         tdma = 4 * alpha_res if kind in ("TDMA", "UNION_I_T") else 0
         assert boundary.generator_count == fixed + tdma + 1, (res, alpha_res)
+
+
+def _outer_draws():
+    """Seeded outer-boundary inputs: both outer kinds; equal gains 0 or
+    uniform on [0, 1]; pmax log-uniform on [1e-3, 1e5]; delta 1 or uniform
+    on [0.01, 1]; power res log-uniform on 2 to 301, so that a check of
+    every grid corner stays cheap."""
+    rng = np.random.default_rng(RNG_SEED + 25)
+    draws = []
+    for kind in ("OUTER_INDIVIDUAL", "OUTER_COLLECTIVE") * 8:
+        h = (float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),) * 2
+        pmax = tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, 5.0, 2))
+        delta = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
+        res = int(np.rint(np.exp(rng.uniform(math.log(2), math.log(301)))))
+        draws.append((kind, StandardChannel(2, h, pmax), delta, res))
+    return draws
+
+
+def test_outer_boundary_is_the_region_at_full_power():
+    # for a degraded eavesdropper every outer bound grows with each user's
+    # power, so the boundary is the one cell at pmax: (a) the same at any
+    # res, (b) bitwise the chain over that cell of the res x res grid, and
+    # (c) holding every corner of every cell of that grid
+    for kind, std, delta, res in _outer_draws():
+        boundary = region_boundary_2d(std, kind, delta, res)
+        for other in (2, 2001):
+            assert _hex(region_boundary_2d(std, kind, delta, other).vertices) == _hex(boundary.vertices)
+        grid = np.broadcast_arrays(*_grid_bounds(std, kind, delta, _linspace_axes(std, res)))
+        corners = _all_corners([b[-1:, -1] for b in grid])
+        want = _unfiltered_hull(np.vstack([corners, [[0.0, 0.0]]]))
+        assert _hex(boundary.vertices) == _hex(want), (kind, std, delta, res)
+        tol = 1e-12 * max(map(max, boundary.vertices))
+        for corner in _all_corners(grid).tolist():
+            assert boundary.contains(corner, tol=tol), (kind, std, delta, res, corner)
 
 
 def _blocked_draws():

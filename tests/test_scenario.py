@@ -130,14 +130,13 @@ def test_gains_at_rejects_outside_area():
 
 def test_sweep_single_cell():
     result = sweep(small_config(grid=(1, 1)))
-    assert len(result.records) == 1
-    rec = result.records[0]
-    assert rec.x == 50.0 and rec.y == 50.0
+    assert len(result) == 1
+    assert result.x[0] == 50.0 and result.y[0] == 50.0
 
 
 def test_sweep_row_major_order():
     result = sweep(small_config(grid=(3, 2)))
-    coords = [(r.x, r.y) for r in result.records]
+    coords = list(zip(result.x.tolist(), result.y.tolist()))
     # y varies slowest, x fastest
     assert coords == sorted(coords, key=lambda c: (c[1], c[0]))
     assert len(coords) == 6
@@ -154,12 +153,11 @@ def test_sweep_far_eavesdropper_approaches_open_mac():
     )
     # the single cell sits at the far center (2000, 2000)
     result = sweep(cfg)
-    rec = result.records[0]
     std = standardize(gains_at(cfg, (2000.0, 2000.0)))
     open_mac = g(std.pmax[0] + std.pmax[1])
-    assert rec.sumrate_nojam == pytest.approx(open_mac, rel=1e-2)
-    assert rec.sumrate_jam == pytest.approx(open_mac, rel=1e-2)
-    assert rec.case == "BOTH_TRANSMIT"
+    assert result.sumrate_nojam[0] == pytest.approx(open_mac, rel=1e-2)
+    assert result.sumrate_jam[0] == pytest.approx(open_mac, rel=1e-2)
+    assert scenario.CASE_LABELS[result.case[0]] == "BOTH_TRANSMIT"
 
 
 def test_sweep_eavesdropper_at_bs_kills_rate():
@@ -175,8 +173,8 @@ def test_sweep_eavesdropper_at_bs_kills_rate():
 
 def test_sweep_jamming_dominates():
     result = sweep(small_config(grid=(12, 12)))
-    for rec in result.records:
-        assert rec.sumrate_jam >= rec.sumrate_nojam - 1e-9
+    for jam, nojam in zip(result.sumrate_jam.tolist(), result.sumrate_nojam.tolist()):
+        assert jam >= nojam - 1e-9
 
 
 def test_sweep_zero_rate_counts():
@@ -309,24 +307,14 @@ def test_sweep_never_patches_a_cell_the_solvers_accept(monkeypatch):
         sweep(small_config(grid=(4, 5)))
 
 
-def test_records_follow_the_columns():
-    result = sweep(small_config(grid=(5, 4)))
-    assert len(result) == len(result.records) == 20
-    for k, rec in enumerate(result.records):
-        assert (rec.x, rec.y, rec.p1, rec.p2) == (
-            result.x[k], result.y[k], result.p1[k], result.p2[k]
-        )
-        assert (rec.sumrate_jam, rec.sumrate_nojam) == (
-            result.sumrate_jam[k], result.sumrate_nojam[k]
-        )
-        assert rec.case == scenario.CASE_LABELS[result.case[k]]
-
-
 def reference_jam_power_by_bs_distance(result, bins):
-    """The per-record diagnostic the column version replaces."""
+    """The per-cell diagnostic the column version replaces, over the
+    columns' scalar values."""
     bx, by = result.config.base_station
-    jamming = [r for r in result.records if r.case in ("JAM_AT_ROOT", "JAM_AT_MAX")]
-    dists = [math.hypot(r.x - bx, r.y - by) for r in jamming]
+    cells = zip(result.x.tolist(), result.y.tolist(), result.p2.tolist(), result.case.tolist())
+    jamming = [(x, y, p2) for x, y, p2, case in cells
+               if scenario.CASE_LABELS[case] in ("JAM_AT_ROOT", "JAM_AT_MAX")]
+    dists = [math.hypot(x - bx, y - by) for x, y, _ in jamming]
     dmax = max(dists) if dists else 0.0
     width = dmax / bins if dmax > 0 else 1.0
     out = []
@@ -337,7 +325,7 @@ def reference_jam_power_by_bs_distance(result, bins):
             out.append({
                 "distance_lo": lo,
                 "distance_hi": hi,
-                "mean_jam_power": sum(c.p2 for c in cells) / len(cells),
+                "mean_jam_power": sum(p2 for _, _, p2 in cells) / len(cells),
                 "cells": float(len(cells)),
             })
     return out
@@ -349,8 +337,8 @@ def test_diagnostics_match_the_per_record_reference():
         result = sweep(cfg)
         for threshold in (scenario.ZERO_RATE_THRESHOLD, 0.5):
             assert result.zero_rate_counts(threshold) == (
-                sum(1 for r in result.records if r.sumrate_jam <= threshold),
-                sum(1 for r in result.records if r.sumrate_nojam <= threshold),
+                sum(1 for v in result.sumrate_jam.tolist() if v <= threshold),
+                sum(1 for v in result.sumrate_nojam.tolist() if v <= threshold),
             )
         for bins in (1, 3, 8, 10):
             assert result.jam_power_by_bs_distance(bins) == reference_jam_power_by_bs_distance(result, bins)
@@ -540,4 +528,4 @@ def test_a_clamped_tap_gain_is_bitwise_the_clamped_receiver_gain():
     assert raw.gains_tap == raw.gains_main == (7579786.075000084 ** -4.0,) * 2
     assert standardize(raw).h == (1.0, 1.0)
     result = sweep(cfg)
-    assert Counter(r.case for r in result.records) == Counter({"NO_JAM": 15})
+    assert Counter(scenario.CASE_LABELS[c] for c in result.case.tolist()) == Counter({"NO_JAM": 15})
