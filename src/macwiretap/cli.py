@@ -57,8 +57,7 @@ VERIFY_GAP_TOL = 1e-6
 # largest --res and --alpha-res.  A boundary evaluates its grids in blocks
 # of whole rows and keeps only what can be on its staircase, so at this cap
 # it peaks at ~1.4 MiB of numpy memory (tracemalloc, union-i-t at --res 2001
-# --alpha-res 2001; an outer kind, one power cell, at ~18 KiB), and a CLI
-# call at ~32 MB of RSS, the interpreter's ~30 MB included
+# --alpha-res 2001) and a CLI call at ~32 MB of RSS (~30 MB interpreter)
 MAX_GRID_RES = 2001
 
 EXIT_OK = 0
@@ -352,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sets stay in (secret, open) coordinates when omitted",
     )
     p.add_argument("--res", type=_grid_res_arg(2), default=101,
-                   help="power grid resolution per axis; tdma and the outer kinds, evaluated at full "
-                   "power, do not use it")
+                   help="power grid resolution per axis; an axis whose bounds all grow with that "
+                   "user's power is evaluated at full power alone (see README)")
     p.add_argument("--alpha-res", type=_grid_res_arg(2), default=101, help="time-share grid resolution")
     p.add_argument("--power", type=_floats_arg, help="fixed power: emit the constraint set instead")
     p.add_argument("--alpha", type=_floats_arg, help="time shares for the fixed-power tdma set")

@@ -7,9 +7,9 @@ A region at fixed power is a list of half-space rows over the per-user
 MAC rows bound subset sums of total rates.  Fractional-secrecy regions
 (``delta_region``) reinterpret coordinates as per-user total rates with the
 SECRECY right-hand sides scaled by 1/delta.  Two-user boundaries are convex
-closures of unions of fixed-power regions over a power grid (for the outer
-kinds, the one power cell at full power; for the time-division kinds, a
-time-share grid at full power), computed with a monotone-chain hull.
+closures of unions of fixed-power regions over a power grid whose axes
+shrink to full power where every bound grows with power (``_dominated``),
+computed with a monotone-chain hull.
 Randomization-rate witnesses come from per-user formulas (individual
 scheme) and from a polymatroid greedy (collective scheme).
 """
@@ -485,12 +485,27 @@ def _fixed_power_bounds(
         yield u1[rows], u2, bound(rows, (1, 2))
 
 
+def _dominated(std: StandardChannel, kind: str, k: int) -> bool:
+    """The one rule that leaves power cells unevaluated: whether every bound
+    of ``kind`` is nondecreasing in user k's power (k = 0 or 1) at every
+    power p_o of the other user o in [0, pmax_o], so that the cell at pmax_k
+    holds its row.  MAC bounds and clamped single-user secrecy bounds grow
+    with p_k (g(p) - g(h p) grows for h <= 1 and clamps to 0 for h >= 1).
+    The joint secrecy bound's slope in p_k has the sign of (1 - h_k) + c p_o,
+    c = h_o - h_k for COLLECTIVE and -h_k for INDIVIDUAL: affine in p_o, so
+    least at p_o = 0 or pmax_o.  The outer kinds hold, as the converse the
+    paper states for the degraded channel, whose gains count as equal."""
+    h_k = std.h[k]
+    c = std.h[1 - k] - h_k if kind == KIND_COLLECTIVE else -h_k
+    return kind.startswith("OUTER_") or 1.0 - h_k + min(0.0, c * std.pmax[1 - k]) >= 0.0
+
+
 def _tdma_bounds(std: StandardChannel, delta: float, alpha_res: int) -> tuple[np.ndarray, ...]:
     """Per time share of the alpha_res-point share grid, the total-rate
     bounds (u1, u2, u12 = +inf) of the time-division region, each user at
-    full power: for every share both of a user's bounds grow with its
-    power, so the share's union over powers is its region at pmax.  An
-    overflowing bound is refused at user 1 before user 2 is evaluated."""
+    full power by the rule of ``_dominated``: both of a share's bounds grow
+    with the user's power.  An overflowing bound is refused at user 1 before
+    user 2 is evaluated."""
     alphas = np.linspace(0.0, 1.0, alpha_res)
     bounds = []
     for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
@@ -560,9 +575,8 @@ def _upper_right_hull(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]
     (``_staircase``) can lie on it.  One monotone chain (Andrew 1979) over
     the staircase drops each point that does not turn left and each point
     equal to the chain's last, so the vertices are bitwise those of the
-    chain over every point.  Boundary candidates arrive with each axis
-    family already cut to its maximum (``_box_simplex_candidates``), by the
-    same argument as the cut's."""
+    chain over every point, axis families cut to their maxima included
+    (``_box_simplex_candidates``)."""
     stair = _staircase(x, y)
 
     def cross(o, a, b):
@@ -583,24 +597,22 @@ def _boundary_candidates(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Rate-1 and rate-2 columns of the hull candidates of a boundary kind
     that can be on its staircase, and the number of generators they stand
-    for.  The outer kinds are the one power cell at pmax: for a degraded
-    eavesdropper each of their bounds grows with each user's power, so the
-    region at pmax holds the region at every lower power.  The other kinds'
-    power_res x power_res grid spans [0, pmax] per axis; an overflow in
-    linspace's step product is harmless, since its last point is set to
-    pmax exactly.  The power grid comes in blocks of whole rows, the share
-    grid in one.  Each block's candidates are cut (``_staircase_cut``) when
-    the next block arrives, and the last block's by the hull.  Whenever the
-    points kept by the cuts since the last merge exceed the block budget,
+    for.  A user's power axis is its pmax alone where ``_dominated`` holds,
+    and power_res points on [0, pmax] otherwise; an overflow in linspace's
+    step product is harmless, since its last point is set to pmax exactly.
+    The power grid comes in blocks of whole rows, the share grid in one.
+    Each block's candidates are cut (``_staircase_cut``) when the next block
+    arrives, and the last block's by the hull.  Whenever the points kept by
+    the cuts since the last merge exceed the block budget,
     ``rates._GRID_BLOCK``, all that is left is merged down to its staircase
     (``_staircase``), so no array grows with the grid."""
     grids = []
     if kind != KIND_TDMA:
-        outer = kind in (KIND_OUTER_INDIVIDUAL, KIND_OUTER_COLLECTIVE)
+        fixed = KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind
         with np.errstate(all="ignore"):
-            axes = [np.array([pmax]) if outer else np.linspace(0.0, pmax, power_res) for pmax in std.pmax]
-        grids.append(_fixed_power_bounds(std, KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind,
-                                         delta, *axes))
+            axes = [np.array([pmax]) if _dominated(std, fixed, k) else np.linspace(0.0, pmax, power_res)
+                    for k, pmax in enumerate(std.pmax)]
+        grids.append(_fixed_power_bounds(std, fixed, delta, *axes))
     if kind in (KIND_TDMA, KIND_UNION_I_T):
         grids.append([_tdma_bounds(std, delta, alpha_res)])
     kept: list[tuple[np.ndarray, np.ndarray]] = []
@@ -633,16 +645,11 @@ def region_boundary_2d(
 ) -> RegionBoundary2D:
     """Convex closure of the union of fixed-power regions of the given kind
     over a uniform power grid, projected to per-user total rates at
-    fractional secrecy ``delta``.  An outer kind is its region at full
-    power, the one cell (pmax1, pmax2), and the time-division family is the
-    alpha_grid_res-point time-share grid at full power (``_tdma_bounds``),
-    so ``power_grid_res`` changes neither an outer nor a TDMA boundary; kind
-    UNION_I_T closes the union of the individual-constraint and
-    time-division families.  The power grid is evaluated in blocks of whole
-    rows (``rates._row_blocks``), and each block's candidates are cut to the
-    points that can be on the boundary's staircase as the next block
-    arrives, so memory does not grow with the resolutions; the vertices and
-    ``generator_count`` are bitwise those of one pass over the whole grid."""
+    fractional secrecy ``delta``; UNION_I_T joins the individual and the
+    time-division families.  ``power_grid_res`` sets the power axes that
+    ``_dominated`` leaves, the share grid is at full power (``_tdma_bounds``),
+    and the vertices and ``generator_count`` are bitwise those of one pass
+    over the evaluated grid, whose memory does not grow with it."""
     if std.num_users != 2:
         raise ValidationError("boundary computation supports exactly two users")
     kind = _as_kind(kind)

@@ -127,12 +127,11 @@ class ScenarioResult:
     def __len__(self) -> int:
         return len(self.x)
 
-    def zero_rate_counts(self, threshold: float = ZERO_RATE_THRESHOLD) -> tuple[int, int]:
+    def zero_rate_counts(self) -> tuple[int, int]:
         """(cells with zero rate despite jamming, cells with zero rate
-        without jamming)."""
-        threshold = _as_number(threshold, "threshold", NONNEGATIVE)
-        jam = int(np.count_nonzero(self.sumrate_jam <= threshold))
-        nojam = int(np.count_nonzero(self.sumrate_nojam <= threshold))
+        without jamming): sum rates at most ``ZERO_RATE_THRESHOLD``."""
+        jam = int(np.count_nonzero(self.sumrate_jam <= ZERO_RATE_THRESHOLD))
+        nojam = int(np.count_nonzero(self.sumrate_nojam <= ZERO_RATE_THRESHOLD))
         return jam, nojam
 
     def jam_power_by_bs_distance(self, bins: int = 10) -> list[dict[str, float]]:

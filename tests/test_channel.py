@@ -232,8 +232,6 @@ ENTRIES = {
         "power_limits", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "power_limits": v}), (1.0, 1.0)),
     "ScenarioConfig-min_distance": _entry(
         "min_distance", lambda v: mw.ScenarioConfig(**{**_SCENARIO, "min_distance": v}), 1.0),
-    "ScenarioResult.zero_rate_counts": _entry(
-        "threshold", lambda v: mw.sweep(mw.ScenarioConfig(**_SCENARIO)).zero_rate_counts(v), 1e-9),
     "ScenarioResult.jam_power_by_bs_distance": _entry(
         "bins", lambda v: mw.sweep(mw.ScenarioConfig(**_SCENARIO)).jam_power_by_bs_distance(v), 10,
         zero=False),

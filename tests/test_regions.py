@@ -20,6 +20,7 @@ from macwiretap.regions import (
     BOUNDARY_KINDS,
     _HULL_BINS,
     _box_simplex_candidates,
+    _dominated,
     _fixed_power_bounds,
     _subset_bounds,
     _tdma_bound,
@@ -649,9 +650,30 @@ def _hull_clouds(rng):
     return {**clouds, "lone_point": np.array([[x, y]])}
 
 
+def _evaluated_cells(std, kind, res):
+    """The power cells a boundary evaluates: a user's axis is pmax alone
+    where ``_dominated`` holds, res points otherwise; none for TDMA."""
+    if kind == "TDMA":
+        return 0
+    fixed = "INDIVIDUAL" if kind == "UNION_I_T" else kind
+    return math.prod(1 if _dominated(std, fixed, k) else res for k in range(2))
+
+
+def _full_grid_corners(std, kind, delta, res, alpha_res):
+    """All candidates of a boundary, unfiltered, over the full res x res
+    power grid and the share grid, with the origin."""
+    bounds = []
+    if kind != "TDMA":
+        fixed = "INDIVIDUAL" if kind == "UNION_I_T" else kind
+        bounds.append(_grid_bounds(std, fixed, delta, _linspace_axes(std, res)))
+    if kind in ("TDMA", "UNION_I_T"):
+        bounds.append(_tdma_bounds(std, delta, alpha_res))
+    return np.vstack([_all_corners(b) for b in bounds] + [[[0.0, 0.0]]])
+
+
 def _boundary_cases(rng):
-    """Per kind, a seeded boundary and all of its candidates, unfiltered;
-    an outer kind's are the corners of its one power cell at pmax."""
+    """Per kind, a seeded boundary, all candidates of its full power grid,
+    unfiltered, and the generators it evaluates."""
     out = {}
     for kind in BOUNDARY_KINDS:
         if kind.startswith("OUTER"):
@@ -661,15 +683,10 @@ def _boundary_cases(rng):
         std = StandardChannel(2, h, tuple(float(v) for v in 10.0 ** rng.uniform(-1.0, 1.5, 2)))
         delta = float(rng.choice([1.0, rng.uniform(0.1, 1.0)]))
         res, alpha_res = (int(v) for v in rng.integers(2, 24, 2))
-        bounds = []
-        if kind != "TDMA":
-            fixed_kind = "INDIVIDUAL" if kind == "UNION_I_T" else kind
-            axes = [np.array([v]) for v in std.pmax] if kind.startswith("OUTER") else _linspace_axes(std, res)
-            bounds.append(_grid_bounds(std, fixed_kind, delta, axes))
-        if kind in ("TDMA", "UNION_I_T"):
-            bounds.append(_tdma_bounds(std, delta, alpha_res))
         boundary = region_boundary_2d(std, kind, delta, res, alpha_res)
-        out[kind] = boundary, np.vstack([_all_corners(b) for b in bounds] + [[[0.0, 0.0]]])
+        tdma = alpha_res if kind in ("TDMA", "UNION_I_T") else 0
+        generators = 1 + 4 * (_evaluated_cells(std, kind, res) + tdma)
+        out[kind] = boundary, _full_grid_corners(std, kind, delta, res, alpha_res), generators
     return out
 
 
@@ -678,22 +695,23 @@ def _hex(vertices):
 
 
 def test_pareto_prefiltered_hull_matches_the_unfiltered_chain():
-    # the collapsed axis families and the bin filter only drop points that
-    # cannot reach the staircase, so every vertex is bitwise the same
+    # the collapsed power axes, the collapsed axis families and the bin
+    # filter only drop points that cannot reach the staircase, so every
+    # vertex is bitwise that of the full grid
     rng = np.random.default_rng(RNG_SEED)
     for trial in range(60):
         clouds = _hull_clouds(rng)
         cases = _boundary_cases(rng)
         pairs = [(name, _upper_right_hull(points[:, 0], points[:, 1]), points)
                  for name, points in clouds.items()]
-        pairs += [(kind, boundary.vertices, corners) for kind, (boundary, corners) in cases.items()]
+        pairs += [(kind, boundary.vertices, corners) for kind, (boundary, corners, _) in cases.items()]
         for name, got, points in pairs:
             assert _hex(got) == _hex(_unfiltered_hull(points)), (trial, name)
             want = _two_chain_hull(points)
             assert len(got) == len(want), (trial, name)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=f"{trial} {name}")
-        for kind, (boundary, corners) in cases.items():
-            assert boundary.generator_count == len(corners), (trial, kind)
+        for kind, (boundary, _, generators) in cases.items():
+            assert boundary.generator_count == generators, (trial, kind)
 
 
 def test_collapsed_candidates_keep_each_axis_maximum():
@@ -786,54 +804,88 @@ def test_tdma_share_bounds_are_the_bounds_at_full_power():
 
 @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
 def test_generator_count_counts_every_corner_and_the_origin(kind):
+    # at equal gains 1/2 every collective and outer bound grows with each
+    # user's power, so those kinds evaluate the one cell at pmax; the
+    # individual joint bound's slope in p_k has the sign of 1/2 - p_o / 2,
+    # negative up to pmax 2, so individual kinds keep the res x res grid
     for res, alpha_res in ((2, 2), (2, 7), (11, 3), (31, 101)):
         boundary = region_boundary_2d(STD_HALF, kind, power_grid_res=res, alpha_grid_res=alpha_res)
-        # an outer kind is its one power cell at pmax
-        fixed = 0 if kind == "TDMA" else 4 if kind.startswith("OUTER") else 4 * res * res
+        fixed = {"TDMA": 0, "INDIVIDUAL": 4 * res * res, "UNION_I_T": 4 * res * res}.get(kind, 4)
         tdma = 4 * alpha_res if kind in ("TDMA", "UNION_I_T") else 0
         assert boundary.generator_count == fixed + tdma + 1, (res, alpha_res)
 
 
-def _outer_draws():
-    """Seeded outer-boundary inputs: both outer kinds; equal gains 0 or
-    uniform on [0, 1]; pmax log-uniform on [1e-3, 1e5]; delta 1 or uniform
-    on [0.01, 1]; power res log-uniform on 2 to 301, so that a check of
-    every grid corner stays cheap."""
-    rng = np.random.default_rng(RNG_SEED + 25)
+def _power_grid_draws(kind, pmax_exp):
+    """Seeded inputs of a boundary kind with a power grid: gains uniform on
+    [0, 1] or [1, 3], log-uniform on [1e-3, 10], or 0 or 1, one pair in ten
+    equal (equal and uniform on [0, 1] or 0 for the outer kinds); pmax
+    log-uniform on [1e-3, 10**pmax_exp]; delta 1 or uniform on [0.05, 1];
+    power res log-uniform on 2 to 301 and alpha res 2 to 30."""
+    rng = np.random.default_rng([RNG_SEED, BOUNDARY_KINDS.index(kind), pmax_exp])
     draws = []
-    for kind in ("OUTER_INDIVIDUAL", "OUTER_COLLECTIVE") * 8:
-        h = (float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),) * 2
-        pmax = tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, 5.0, 2))
-        delta = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
+    for _ in range(40):
+        if kind.startswith("OUTER"):
+            h = (float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),) * 2
+        else:
+            gains = [rng.uniform(0.0, 1.0, 2), rng.uniform(1.0, 3.0, 2), 10.0 ** rng.uniform(-3.0, 1.0, 2),
+                     rng.integers(0, 2, 2)]
+            h = tuple(float(gains[i][j]) for j, i in enumerate(rng.integers(0, 4, 2)))
+            h = (h[0], h[0]) if rng.uniform() < 0.1 else h
+        pmax = tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, pmax_exp, 2))
+        delta = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
         res = int(np.rint(np.exp(rng.uniform(math.log(2), math.log(301)))))
-        draws.append((kind, StandardChannel(2, h, pmax), delta, res))
+        draws.append((StandardChannel(2, h, pmax), delta, res, int(rng.integers(2, 31))))
     return draws
 
 
-def test_outer_boundary_is_the_region_at_full_power():
-    # for a degraded eavesdropper every outer bound grows with each user's
-    # power, so the boundary is the one cell at pmax: (a) the same at any
-    # res, (b) bitwise the chain over that cell of the res x res grid, and
-    # (c) holding every corner of every cell of that grid
-    for kind, std, delta, res in _outer_draws():
-        boundary = region_boundary_2d(std, kind, delta, res)
-        for other in (2, 2001):
-            assert _hex(region_boundary_2d(std, kind, delta, other).vertices) == _hex(boundary.vertices)
-        grid = np.broadcast_arrays(*_grid_bounds(std, kind, delta, _linspace_axes(std, res)))
-        corners = _all_corners([b[-1:, -1] for b in grid])
-        want = _unfiltered_hull(np.vstack([corners, [[0.0, 0.0]]]))
-        assert _hex(boundary.vertices) == _hex(want), (kind, std, delta, res)
-        tol = 1e-12 * max(map(max, boundary.vertices))
-        for corner in _all_corners(grid).tolist():
-            assert boundary.contains(corner, tol=tol), (kind, std, delta, res, corner)
+@pytest.mark.parametrize("kind", ["INDIVIDUAL", "COLLECTIVE", "OUTER_INDIVIDUAL", "OUTER_COLLECTIVE", "UNION_I_T"])
+def test_a_dominated_power_axis_is_its_pmax_alone(kind):
+    # a user's axis collapses to pmax only where every bound grows with its
+    # power (_dominated), so with pmax up to 1e5 the vertices are bitwise the
+    # chain over every corner of the full res x res grid.  With pmax up to
+    # 1e9 rounding may break a bound's growth; the boundary still holds every
+    # corner within 1e-12 of its scale, and by convexity it is enough to
+    # check the full grid's own vertices, of which every corner and the
+    # origin are convex combinations.  Where both axes collapse, as for the
+    # outer kinds, res changes nothing
+    for pmax_exp in (5, 9):
+        for std, delta, res, alpha_res in _power_grid_draws(kind, pmax_exp):
+            draw = (kind, std, delta, res, alpha_res)
+            boundary = region_boundary_2d(std, kind, delta, res, alpha_res)
+            if _evaluated_cells(std, kind, res) == 1:
+                for other in (2, 2001):
+                    got = region_boundary_2d(std, kind, delta, other, alpha_res)
+                    assert _hex(got.vertices) == _hex(boundary.vertices), (draw, other)
+            want = _unfiltered_hull(_full_grid_corners(std, kind, delta, res, alpha_res))
+            if pmax_exp == 5:
+                assert _hex(boundary.vertices) == _hex(want), draw
+            tol = 1e-12 * max(map(max, boundary.vertices))
+            for vertex in want:
+                assert boundary.contains(vertex, tol=tol), (draw, vertex)
+
+
+@pytest.mark.parametrize("res", [2, 101, 2001])
+def test_equal_gain_collective_is_outer_collective(res):
+    # at equal gains below 1 every collective bound grows with each user's
+    # power, so the collective boundary is the one cell at pmax, the
+    # outer-collective one
+    rng = np.random.default_rng(RNG_SEED + res)
+    for _ in range(20):
+        std = StandardChannel(2, (float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),) * 2,
+                              tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, 5.0, 2)))
+        delta = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
+        got = region_boundary_2d(std, "COLLECTIVE", delta, res)
+        want = region_boundary_2d(std, "OUTER_COLLECTIVE", delta, res)
+        assert _hex(got.vertices) == _hex(want.vertices), (std, delta)
+        assert got.generator_count == want.generator_count == 5, (std, delta)
 
 
 def _blocked_draws():
     """Seeded boundary inputs: every kind, each with delta 1 and a delta
     below 1; gains 0, 1 or uniform on [0, 1.5] (equal and below 1 for the
     outer kinds); pmax log-uniform on [1e-3, 1e5]; power res 2 to 60, every
-    fifth draw 91 to 130 (more cells than one default block), and alpha
-    res 2 to 30."""
+    fifth draw 91 to 130 (more cells than one default block where no axis
+    collapses), and alpha res 2 to 30."""
     rng = np.random.default_rng(RNG_SEED + 21)
     draws = []
     for trial in range(10):
@@ -856,19 +908,47 @@ def _one_block_boundaries():
         return [(draw, region_boundary_2d(*draw)) for draw in _blocked_draws()]
 
 
-@pytest.mark.parametrize("budget", ["1", "1 row", "res-1", "res+1", "res-1 rows", "default", "1e9"])
+_DEFAULT_BLOCK = rates._GRID_BLOCK
+# block budgets, in cells, as functions of the power res
+_BLOCK_BUDGETS = {"1": lambda res: 1, "1 row": lambda res: res, "res-1": lambda res: res - 1,
+                  "res+1": lambda res: res + 1, "res-1 rows": lambda res: res * (res - 1),
+                  "default": lambda res: _DEFAULT_BLOCK, "1e9": lambda res: 10**9}
+
+
+@pytest.mark.parametrize("budget", list(_BLOCK_BUDGETS))
 def test_boundary_blocks_match_one_block_bit_for_bit(monkeypatch, budget):
     # one row per block with a merge of the cut points at nearly every block,
     # a partial last block, the default's blocks, and one block
-    default = rates._GRID_BLOCK
     for draw, want in _one_block_boundaries():
-        res = draw[3]
-        size = {"1": 1, "1 row": res, "res-1": res - 1, "res+1": res + 1,
-                "res-1 rows": res * (res - 1), "default": default, "1e9": 10**9}[budget]
-        monkeypatch.setattr(rates, "_GRID_BLOCK", size)
+        monkeypatch.setattr(rates, "_GRID_BLOCK", _BLOCK_BUDGETS[budget](draw[3]))
         got = region_boundary_2d(*draw)
         assert _hex(got.vertices) == _hex(want.vertices), draw
         assert got.generator_count == want.generator_count, draw
+
+
+@pytest.mark.parametrize("kind", ["INDIVIDUAL", "COLLECTIVE", "UNION_I_T"])
+def test_blocked_draws_split_every_power_grid_kind(monkeypatch, kind):
+    # a collapsed power axis (_dominated) may leave a draw one row, which no
+    # budget splits; at every budget below the default, each kind with a
+    # power grid keeps a draw whose evaluated grid spans several blocks, so
+    # the test above merges blocks of that kind
+    blocks = []
+
+    def counted(*args):
+        out = list(_fixed_power_bounds(*args))
+        blocks.append(len(out))
+        return out
+
+    monkeypatch.setattr("macwiretap.regions._fixed_power_bounds", counted)
+    draws = [draw for draw in _blocked_draws() if draw[1] == kind]
+    for budget in ("1", "1 row", "res-1", "res+1", "res-1 rows"):
+        split = 0
+        for draw in draws:
+            monkeypatch.setattr(rates, "_GRID_BLOCK", _BLOCK_BUDGETS[budget](draw[3]))
+            blocks.clear()
+            region_boundary_2d(*draw)
+            split += blocks[0] > 1
+        assert split >= 1, budget
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])
