@@ -47,10 +47,10 @@ class PowerAllocation:
     reporting (a negative objective means silence is optimal and the
     allocation is all-zero anyway).  For jamming results the objective is
     evaluated with the lower-gain user transmitting.  ``capacity_expr_rate``
-    is an alternative closed-form capacity expression evaluated at the
-    allocation, reported on jamming results as a diagnostic: it can disagree
+    is the sum rate (``_sum_kernel``) at a jamming allocation, unclamped, as
+    a diagnostic: it counts the jammer's power as a message, so it disagrees
     with the maximized objective when the jammer is active, and the gap is
-    surfaced rather than hidden.
+    surfaced rather than hidden; None where it is not finite.
     """
 
     p: tuple[float, float]
@@ -70,11 +70,18 @@ class PowerAllocation:
 
 
 def _sum_kernel(p1, p2, h1: float, h2: float):
-    return _g_arr(p1 + p2) - _g_arr(h1 * p1 + h2 * p2)
+    """g(p1 + p2) - g(h1 p1 + h2 p2) as g of its SNR gap, the same bits in either
+    user order; + 0 * den gives NaN where den overflows (the gap would read 0), not -0.0."""
+    den = 1.0 + (h1 * p1 + h2 * p2)
+    return _g_arr(((1.0 - h1) * p1 + (1.0 - h2) * p2) / den) + 0.0 * den
 
 
 def _jam_kernel(p1, p2, h1: float, h2: float):
-    return _g_arr(p1 / (1.0 + p2)) - _g_arr(h1 * p1 / (1.0 + h2 * p2))
+    """g(p1 / (1 + p2)) - g(h1 p1 / u), u = 1 + h2 p2, as g of its SNR gap, as in
+    ``_sum_kernel``, whose bits it gives at p2 = 0; den stays finite where h1 p1 does not."""
+    u = 1.0 + h2 * p2
+    den = 1.0 + h1 * (p1 / u)
+    return _g_arr(p1 / (1.0 + p2) * (((1.0 - h1) + (h2 - h1) * p2) / u) / den) + 0.0 * den
 
 
 def _threshold(h1, m1):
@@ -168,13 +175,6 @@ def _solve(h_a, h_b, m_a, m_b):
     )
 
 
-def _capacity_expr(p1: float, p2: float, h1: float, h2: float) -> float | None:
-    arg = ((1.0 - h1) * p1 + (1.0 - h2) * p2) / (1.0 + h1 * p1 + h2 * p2)
-    if arg <= -1.0:
-        return None
-    return 0.5 * math.log2(1.0 + arg)
-
-
 def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation]:
     """One 0-d ``_solve`` of a two-user channel, as the allocation of each
     of ``objectives`` (OBJECTIVE_SUM, OBJECTIVE_JAM) in turn: the powers in
@@ -186,6 +186,7 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
     m = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
     with np.errstate(all="ignore"):
         nojam, jam, roots_ok = _solve(*map(np.float64, h + m))
+        capacity = float(_sum_kernel(jam[0], jam[1], *h))
     out = []
     for objective in objectives:
         extra = {}
@@ -196,8 +197,8 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
                 raise _too_large(h, m, "the jamming-root discriminant")
             p1, p2, rate, code = jam
             # a request that deferred to the sum-rate answer returns it as is
-            if code not in (_CODE[CASE_BOTH_TRANSMIT], _CODE[CASE_ONE_TRANSMITS]):
-                extra["capacity_expr_rate"] = _capacity_expr(float(p1), float(p2), *h)
+            if code not in (_CODE[CASE_BOTH_TRANSMIT], _CODE[CASE_ONE_TRANSMITS]) and math.isfinite(capacity):
+                extra["capacity_expr_rate"] = capacity
         rate = float(rate)
         if not math.isfinite(rate):
             raise _too_large(h, m, "the secrecy rate")

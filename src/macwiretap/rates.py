@@ -5,11 +5,13 @@ All rates are in bits per channel use (log base 2 throughout; multiply by
 is any iterable of 1-based indices; a power vector is any sequence of
 nonnegative floats in standardized units.
 
-Each rate term is written once.  The region kernels and the solvers use the
-unchecked array forms ``_g_arr`` and ``_clamp0`` (which take one value too);
-``g`` and ``cw`` are the checked scalar forms of the public API.  The scalar
-references that tests compare the kernels with live in
-``tests/reference_rates.py``.
+One formula gives every rate: g(x) = log1p(x) * _BITS, libm's log1p in the
+checked ``g`` and ``cw``, numpy's in the kernels' ``_g_arr`` (which takes one
+value too).  A secrecy rate g(a) - g(b) with one eavesdropper term is g of
+its SNR gap (a - b)/(1 + b), built from the channel, within a few ulps: the
+sum and jamming rates, the collective and single-user rows, time division and
+the degraded sum capacity.  An INDIVIDUAL row of several users stays a
+difference, off by up to 3 ulps of g(p(S)).  Tests: ``tests/reference_rates.py``.
 """
 
 from __future__ import annotations
@@ -32,17 +34,18 @@ MAX_SUBSET_USERS = 20
 # memory instead of faulting in fresh pages, and memory does not grow with
 # the grid
 _GRID_BLOCK = 8192
+_BITS = 0.5 / math.log(2.0)
 
 
 def g(x: float) -> float:
     """Gaussian channel rate 0.5*log2(1+x) for an SNR-like argument x >= 0."""
-    return 0.5 * math.log2(1.0 + _as_number(x, "x", NONNEGATIVE))
+    return math.log1p(_as_number(x, "x", NONNEGATIVE)) * _BITS
 
 
 def _g_arr(x: np.ndarray) -> np.ndarray:
     """``g`` elementwise over an array of arguments, unchecked: for the
-    grid kernels, whose arguments are nonnegative by construction."""
-    return 0.5 * np.log2(1.0 + x)
+    kernels, whose arguments are SNRs or SNR gaps (x > -1) by construction."""
+    return np.log1p(x) * _BITS
 
 
 def _pick(cond, a, b):

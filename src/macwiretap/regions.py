@@ -202,9 +202,9 @@ def _check_power(std: StandardChannel, powers: Sequence[float]) -> tuple[float, 
 
 
 def _eaves(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[Any]:
-    """Each user's eavesdropper term g(h_k p_k), which the SECRECY rows of
-    the individual kinds subtract; none for the collective kinds."""
-    if kind not in (KIND_INDIVIDUAL, KIND_OUTER_INDIVIDUAL):
+    """Each user's eavesdropper term g(h_k p_k), which the INDIVIDUAL
+    SECRECY rows of two or more users subtract; none for the other kinds."""
+    if kind != KIND_INDIVIDUAL:
         return []
     return [_g_arr(h_k * p_k) for h_k, p_k in zip(h, p)]
 
@@ -213,14 +213,15 @@ def _subset_bound(kind: str, h: Sequence[float], p: Sequence[Any], eaves: Sequen
                   members: Sequence[int]) -> tuple[Any, Any]:
     """(SECRECY rhs or None, MAC rhs) of the subset with the given ascending
     members, as ``_subset_bounds`` defines them, from ``_eaves(kind, h, p)``;
-    unchecked, and to be called under ``np.errstate(all="ignore")``."""
+    unchecked, and to be called under ``np.errstate(all="ignore")``.  A row
+    with one eavesdropper term is g of its SNR gap, as in ``optimizer._sum_kernel``."""
     mac = _g_arr(reduce(add, (p[k - 1] for k in members)))
-    secrecy = None
-    if kind == KIND_INDIVIDUAL or (kind == KIND_OUTER_INDIVIDUAL and len(members) == 1):
-        secrecy = reduce(sub, (eaves[k - 1] for k in members), mac)
-    elif kind in (KIND_COLLECTIVE, KIND_OUTER_COLLECTIVE) and len(members) == len(p):
-        secrecy = mac - _g_arr(reduce(add, (h[k - 1] * p[k - 1] for k in members)))
-    return None if secrecy is None else _clamp0(secrecy), mac
+    if kind == KIND_INDIVIDUAL and len(members) > 1:
+        return _clamp0(reduce(sub, (eaves[k - 1] for k in members), mac)), mac
+    if len(members) != (1 if kind in (KIND_INDIVIDUAL, KIND_OUTER_INDIVIDUAL) else len(p)):
+        return None, mac
+    gap = reduce(add, ((1.0 - h[k - 1]) * p[k - 1] for k in members))
+    return _clamp0(_g_arr(gap / (1.0 + reduce(add, (h[k - 1] * p[k - 1] for k in members))))), mac
 
 
 def _subset_bounds(kind: str, h: Sequence[float], p: Sequence[Any]) -> list[tuple[Any, ...]]:
@@ -693,7 +694,7 @@ def rate_split_individual(
     for k in range(1, std.num_users + 1):
         if rates.secret[k - 1] > 0.0:
             x_k = _cw(p, std.h, {k}) - rates.open[k - 1]
-            if x_k < -1e-12:
+            if x_k < -SPLIT_TOL:
                 return RateSplitResult(False, None, f"RANDOMIZATION{{{k}}}")
             extra.append(max(x_k, 0.0))
         else:

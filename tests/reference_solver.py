@@ -3,9 +3,10 @@ floats: an independent reference for ``macwiretap.optimizer._solve``, the
 package's one form of the case logic.
 
 Tests compare the public solvers and the sweep with it value for value and
-message for message.  The rate kernels, the input parsing and the capacity
-expression are the package's own; the relabelling, the case logic, the
-sum-rate threshold and the jamming root are written here.
+message for message.  The rate kernels and the input parsing are the
+package's own, and the capacity expression is the sum-rate kernel at the
+jamming allocation; the relabelling, the case logic, the sum-rate threshold
+and the jamming root are written here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from macwiretap.optimizer import (
     CASE_NONE,
     CASE_ONE_TRANSMITS,
     PowerAllocation,
-    _capacity_expr,
     _jam_kernel,
     _sum_kernel,
 )
@@ -140,7 +140,8 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
         case = CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
     else:
         p_sorted, case = (0.0, 0.0), CASE_NONE
+    capacity = float(_sum_kernel(*p_sorted, *h))
     return _allocation(
         _jam_kernel, p_sorted, case, h, m, swapped,
-        capacity_expr_rate=_capacity_expr(*_restore(p_sorted, swapped), *_restore(h, swapped)),
+        capacity_expr_rate=capacity if math.isfinite(capacity) else None,
     )

@@ -6,7 +6,8 @@ draws across the float range), some negative values, mismatched lengths,
 and scenario configs on grids up to 5 x 5.  Whatever the input, the call
 exits 0 or 2 (3 only under ``--verify``), prints a JSON envelope free of
 NaN and Infinity on success and nothing on stdout on refusal, and never
-prints a traceback or warns.
+prints a traceback or warns.  An envelope's result holds no -0.0 unless the
+input holds one.
 """
 
 import contextlib
@@ -14,7 +15,9 @@ import io
 import json
 import math
 import random
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +179,23 @@ def _assert_finite_csv(text: str, columns: int) -> None:
         assert all(math.isfinite(float(v)) for v in row.split(",")[:columns]), row
 
 
+def _holds_negative_zero(argv) -> bool:
+    """Whether a value of the argv, or of the config file it names, is -0.0
+    (written as repr and json.dumps write it)."""
+    texts = list(argv)
+    if "--config" in argv:
+        texts.append(Path(argv[argv.index("--config") + 1]).read_text())
+    return any(re.search(r"-0\.0(?![0-9])", text) for text in texts)
+
+
+def _has_negative_zero(obj) -> bool:
+    if isinstance(obj, float):
+        return obj == 0.0 and math.copysign(1.0, obj) < 0.0
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return isinstance(obj, list) and any(map(_has_negative_zero, obj))
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -201,11 +221,14 @@ def test_cli_contract_under_fuzz(command, tmp_path):
             assert not err.startswith("error: row "), (argv, err)
             continue
         if command == "scenario" and "--out" not in argv:
-            json.loads(err, parse_constant=_reject_constant)
+            envelope = json.loads(err, parse_constant=_reject_constant)
             _assert_finite_csv(out, 6)
         elif "csv" in argv:
+            envelope = None
             _assert_finite_csv(out, 2)
         else:
-            json.loads(out, parse_constant=_reject_constant)
+            envelope = json.loads(out, parse_constant=_reject_constant)
+        if envelope is not None and not _holds_negative_zero(argv):
+            assert not _has_negative_zero(envelope["result"]), argv
         if command == "scenario" and "--out" in argv:
             _assert_finite_csv((tmp_path / "cells.csv").read_text(), 6)

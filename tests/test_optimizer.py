@@ -231,15 +231,20 @@ def test_jam_roots_outside_the_float_range_leave_a_finite_allocation():
 
 
 def test_solvers_reject_an_overflowing_secrecy_rate():
-    # g(P1 + P2) overflows at the both-transmit allocation
-    for solver in (optimal_powers_sum, optimal_powers_jam):
-        with pytest.raises(ValidationError, match="the secrecy rate overflows"):
-            solver((0.0, 0.0), (FLOAT_MAX, FLOAT_MAX))
-    # h1 * P1 overflows inside the jamming objective, whose true value is
-    # finite and positive; clamping its -inf to zero would hide that
-    with pytest.raises(ValidationError, match=r"^gains \(1\.41.*, 1\.13.*\) with pmax"):
-        optimal_powers_jam((1.4112098634870498, 1.1372276019244711),
-                           (1.6577117771685576e78, FLOAT_MAX))
+    # at the both-transmit allocation, the SNR gap P1 + P2 overflows; at
+    # gains 0.99 its denominator 1 + 0.99 (P1 + P2) does, where the gap
+    # would read 0
+    for gains, pmax in (((0.0, 0.0), (FLOAT_MAX, FLOAT_MAX)), ((0.99, 0.99), (1e308, 1e308))):
+        for solver in (optimal_powers_sum, optimal_powers_jam):
+            with pytest.raises(ValidationError, match="the secrecy rate overflows"):
+                solver(gains, pmax)
+    # h1 * P1 overflows, but the jamming rate's SNR gap does not: its true
+    # value, 0.1557057645206..., is answered; its capacity expression's
+    # denominator overflows, so that is left out rather than read as zero
+    alloc = optimal_powers_jam((1.4112098634870498, 1.1372276019244711),
+                               (1.6577117771685576e78, FLOAT_MAX))
+    assert f"{alloc.achieved_rate:.12g}" == "0.155705764521"
+    assert alloc.capacity_expr_rate is None
 
 
 def _solver_draws(rng: random.Random, n: int):
@@ -325,12 +330,12 @@ def test_the_0d_solve_gives_the_bits_of_the_array_solve():
 
 
 @pytest.mark.parametrize("gains, nojam, jam", [
-    ((0.5, 0.5), PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.29248125036057804),
-     PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.29248125036057804)),
+    ((0.5, 0.5), PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.2924812503605781),
+     PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.2924812503605781)),
     ((2.0, 2.0), PowerAllocation((0.0, 0.0), "NONE", 0.0),
      PowerAllocation((0.0, 0.0), "NO_JAM", 0.0, 0.0)),
-    ((0.0, 0.0), PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.792481250360578),
-     PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.792481250360578)),
+    ((0.0, 0.0), PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.7924812503605781),
+     PowerAllocation((1.0, 1.0), "BOTH_TRANSMIT", 0.7924812503605781)),
 ])
 def test_equal_gains_solve_on_numpy_scalars(gains, nojam, jam):
     # the 0-d solve divides by h2 - h1, which equal gains make zero: on

@@ -18,6 +18,7 @@ from macwiretap.regions import (
     DeltaRateVector,
     RateVector,
     BOUNDARY_KINDS,
+    SPLIT_TOL,
     _HULL_BINS,
     _box_simplex_candidates,
     _dominated,
@@ -783,7 +784,7 @@ def test_tdma_share_bounds_are_the_bounds_at_full_power():
     # both bounds of a share grow with power, so a share's bounds at pmax
     # are its maxima over any power grid up to rounding.  Below pmax 1e9 the
     # whole grid's maxima are the pmax column bit for bit; at h =
-    # 0.52193896907896 and pmax 4.54e283, rounding puts 20 of 21 maxima over
+    # 0.52193896907896 and pmax 4.54e283, rounding puts 15 of 21 maxima over
     # a 327-point grid an ulp above it
     for trial, (h, pmax, delta, res, alpha_res) in enumerate(_tdma_draws()):
         got = _tdma_bounds(StandardChannel(2, h, pmax), delta, alpha_res)
@@ -796,7 +797,7 @@ def test_tdma_share_bounds_are_the_bounds_at_full_power():
                 secrecy, total = _tdma_bound(h[k], np.linspace(0.0, pmax[k], res)[None, :], shares[:, None])
                 grid_max = np.minimum(secrecy / delta, total).max(axis=1)
                 if trial == 0:
-                    assert np.count_nonzero(grid_max != got[k]) == 20
+                    assert np.count_nonzero(grid_max != got[k]) == 15
                     np.testing.assert_allclose(got[k], grid_max, rtol=1e-15, atol=0.0)
                 else:
                     assert _hex_cells(got[k]) == _hex_cells(grid_max), (trial, k)
@@ -1059,6 +1060,13 @@ def test_rate_split_individual_examples():
 
     result = rate_split_individual(STD_HALF, (2.0, 2.0), RateVector((0.3, 0.3), (0.0, 0.0)))
     assert not result.feasible
+
+    # user 1's eavesdropper rate at power 2 is g(1) = 1/2: an open rate above
+    # it is refused past the split tolerance and kept within it
+    result = rate_split_individual(STD_HALF, (2.0, 2.0), RateVector((0.1, 0.0), (0.5 + 2 * SPLIT_TOL, 0.0)))
+    assert result == (False, None, "RANDOMIZATION{1}")
+    result = rate_split_individual(STD_HALF, (2.0, 2.0), RateVector((0.1, 0.0), (0.5 + SPLIT_TOL / 2, 0.0)))
+    assert result == (True, (0.0, 0.0), None)
 
 
 def test_rate_split_witness_resubstitution():

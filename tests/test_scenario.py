@@ -23,7 +23,7 @@ EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "scripts" / "example_s
 
 # sha256 of the example config's CSV: standardize, then the tests-side
 # scalar solvers in reference_solver.py at every cell (see scalar_csv)
-EXAMPLE_CSV_SHA256 = "f8d0fa89fb26ae55bf0eaf523a01f2bef8e3079a5bd9a06e1ef546afa74a19ed"
+EXAMPLE_CSV_SHA256 = "614e6cec751106e974210b56e063641cff8ada8ea0c9cc59fda3dab4219106bc"
 
 
 def small_config(**overrides):
