@@ -5,12 +5,14 @@ result}; result floats are rounded to 12 significant digits and the echo is
 verbatim, so identical inputs on the same version produce byte-identical
 output.  ``_write`` gives in one pass the bytes of ``json.dumps(...,
 indent=2, sort_keys=True)``, whose indented form runs the pure-Python
-encoder.  ``main`` parses argv by the parser of the subcommand ``argv[0]``
-names, and by the top-level parser when it names none, when an argument
-starts with ``--=`` (refused only there) or when some are left over (for the
-top-level usage).  Exit codes: 0 success, 1 internal error (a fault of the
-program, on one stderr line) or stdout closed early (nothing on stderr), 2
-input or validation error, 3 self-verification failure (--verify gap).
+encoder.  ``main`` parses argv by the flag table of the subcommand ``argv[0]``
+names, which only accepts (``_table_parse``); when it declines, by that
+subcommand's parser; and by the top-level parser when ``argv[0]`` names none,
+when an argument starts with ``--=`` (refused only there) or when some are
+left over (for the top-level usage).  So every usage and error text is
+argparse's.  Exit codes: 0 success, 1 internal error (a fault of the program,
+on one stderr line) or stdout closed early (nothing on stderr), 2 input or
+validation error, 3 self-verification failure (--verify gap).
 """
 
 from __future__ import annotations
@@ -303,7 +305,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     }
     echo = {"config": config.to_dict(), "out": args.out}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
+        try:  # opened only now, so a refused config leaves no file behind
+            fp = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc}") from exc
+        with fp:
             result.to_csv(fp)
         _emit("scenario", echo, summary)
     else:
@@ -314,8 +320,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser and its ``subcommands`` (name to parser), built once and
-    shared: ``main`` reuses them, so a caller must not change them."""
+    """The CLI parser, its ``subcommands`` and their flag ``tables`` (by name),
+    built once and shared: ``main`` reuses them, so a caller must not change them."""
     parser = argparse.ArgumentParser(
         prog="macwiretap",
         description="Secrecy rate regions and power allocation for the two-user "
@@ -394,13 +400,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scenario)
 
     parser.subcommands = sub.choices
+    parser.tables = {name: _flag_table(p) for name, p in sub.choices.items()}
     return parser
+
+
+def _flag_table(p: argparse.ArgumentParser) -> tuple[dict[str, argparse.Action], dict[str, Any], set[str]]:
+    """The flags of ``p``'s store and store_true actions, the namespace
+    argparse starts from (each default, then ``func``) and the required dests."""
+    flags = {flag: action for action in p._actions
+             if type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
+             for flag in action.option_strings}
+    defaults = {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS}
+    return flags, {**defaults, "func": p.get_default("func")}, {a.dest for a in p._actions if a.required}
+
+
+def _table_parse(argv: Sequence[str], flags, defaults, required) -> argparse.Namespace | None:
+    """argparse's namespace for the subcommand ``argv[0]`` when the rest is
+    exact ``--flag value`` or ``--flag=value`` pairs and bare store_true
+    flags, no value starts with "-", each converts by its flag's type into
+    its choices and every required flag is there; else None (argparse parses)."""
+    parsed = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        action = flags.get(flag)
+        if action is not None and action.nargs == 0 and not eq:
+            parsed[action.dest] = action.const
+            continue
+        text = text if eq else next(tokens, "-")  # a missing value declines as "-" does
+        if action is None or action.nargs == 0 or text.startswith("-"):
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        parsed[action.dest] = value  # a repeated flag keeps its last value, as in argparse
+    return argparse.Namespace(command=argv[0], **(defaults | parsed)) if required <= parsed.keys() else None
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub and (args := _table_parse(argv, *parser.tables[argv[0]])) is not None:
+        return args
     if sub and not any(arg.startswith("--=") for arg in argv):
         args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not extras:

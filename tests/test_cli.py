@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from reference_envelope import _round12, envelope_text
 
 import macwiretap as mw
-from macwiretap.cli import MAX_GRID_RES, _emit, _parse_args, build_parser, main
+from macwiretap.cli import MAX_GRID_RES, _emit, _parse_args, _table_parse, build_parser, main
 from macwiretap.optimizer import MIN_ORACLE_RESOLUTION, PowerAllocation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -407,6 +407,19 @@ def test_scenario_command_with_out(capsys, tmp_path):
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "x,y,P1,P2,sumrate_jam,sumrate_nojam,case"
     assert len(lines) == 31
+
+
+def test_scenario_out_that_cannot_be_opened_exits_2(capsys, tmp_path):
+    # an unwritable --out is the user's input, not a fault of the program
+    cfg = tmp_path / "scenario.json"
+    data = json.loads(EXAMPLE_CONFIG.read_text())
+    data["grid"] = [3, 3]
+    cfg.write_text(json.dumps(data))
+    for out in (tmp_path / "missing" / "cells.csv", tmp_path):
+        code, stdout, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
+        assert (code, stdout) == (2, ""), out
+        assert err.startswith(f"error: cannot write {out}: [Errno ") and err.count("\n") == 1, err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_scenario_command_stdout(capsys, tmp_path):
@@ -1018,8 +1031,8 @@ def _perfbench_workloads():
 
 
 def _mutant(argv, k):
-    """The ``k``-th parse edge applied to ``argv``: the cases the top-level
-    parser might read differently from the subcommand's parser."""
+    """The ``k``-th parse edge applied to ``argv``: the cases the flag table,
+    the subcommand's parser and the top-level parser might read differently."""
     flags = [i for i, arg in enumerate(argv) if arg.startswith("--") and i + 1 < len(argv)]
     i = flags[k % len(flags)] if flags else len(argv) - 1
     edges = [
@@ -1040,6 +1053,9 @@ def _mutant(argv, k):
         ["frobnicate", *argv[1:]],
         [argv[0][:3], *argv[1:]],
         ["--version", *argv],
+        argv + ["--kind", "nosuch"],
+        argv + ["--format", "xml"],
+        argv + ["--verify=yes"],
     ]
     return edges[k % len(edges)]
 
@@ -1056,23 +1072,34 @@ def _parse_outcome(parse, argv):
 def test_the_subcommand_parser_parses_as_the_full_parser(tmp_path, monkeypatch):
     # the dispatched parse against argparse's own top-level pass, on every
     # benchmark argv (and a parse edge applied to each), the known defects
-    # and the CLI fuzz draws: the same namespace, or the same exit and texts
+    # and the CLI fuzz draws: the same namespace, or the same exit and texts.
+    # The flag table alone gives that namespace or declines, and it declines
+    # no well-formed benchmark argv
     from test_cli_fuzz import CALLS, DRAWS
 
     monkeypatch.setenv("COLUMNS", "80")
     workloads = _perfbench_workloads()
+    ops = [op for workload in workloads.WORKLOADS for seed in (1, 2, 3) for block in range(4)
+           for op in workloads.block_ops(workload, seed, block)]
     argvs = [op.argv for seed in (1, 2, 3) for op in workloads.known_defect_ops(seed)]
-    for workload in workloads.WORKLOADS:
-        argvs += [op.argv for seed in (1, 2, 3) for block in range(4)
-                  for op in workloads.block_ops(workload, seed, block)]
+    argvs += [op.argv for op in ops]
     argvs += [_mutant(argv, k) for k, argv in enumerate(list(argvs))]
     argvs += list(_PIN_ARGV.values())
     for command, draw in DRAWS.items():
         rng = random.Random(f"cli-fuzz:{command}")
         argvs += [draw(rng, tmp_path) for _ in range(CALLS)]
-    full = build_parser().parse_args
+    parser = build_parser()
+
+    def table_parse(argv):
+        table = parser.tables.get(argv[0]) if argv else None
+        return table and _table_parse(argv, *table)
+
     for argv in argvs:
-        assert _parse_outcome(_parse_args, argv) == _parse_outcome(full, argv), argv
+        expected = _parse_outcome(parser.parse_args, argv)
+        assert _parse_outcome(_parse_args, argv) == expected, argv
+        table = table_parse(argv)
+        assert table is None or repr(vars(table)) == expected, argv
+    assert all(table_parse(op.argv) is not None for op in ops if op.klass != "malformed")
 
 
 def test_a_closed_stdout_exits_1_in_silence():
