@@ -37,6 +37,10 @@ OBJECTIVE_SUM = "SUM"
 OBJECTIVE_JAM = "JAM"
 
 MIN_ORACLE_RESOLUTION = 11
+# the oracle's screen keeps the gaps within this relative tolerance (or this
+# floor, near 0) of the largest, far above the few ulps by which the kernels
+# round apart from it; a block with more than this share of candidates is flat
+_GAP_TOL, _GAP_FLOOR, _GAP_SHARE = 1e-12, 2.0**-1000, 1 / 16
 
 
 @dataclass(frozen=True)
@@ -278,7 +282,13 @@ def grid_oracle(
     oracle's memory does not grow with ``resolution``.  A cell whose
     objective is not finite (where a power sum overflows) is skipped; cell
     (0, 0) is always 0, so some cell is always kept.  Ties break toward the
-    smaller lexicographic pair (P1, P2), as in one pass over the whole grid.
+    smaller lexicographic pair (P1, P2), as in one pass over the whole grid,
+    whose bits the result keeps: each block is first screened on its SNR gap,
+    three numpy operations on 1-D terms, and as g is monotone only the cells
+    within ``_GAP_TOL`` of the largest gap are rescored with the kernel,
+    about once per pass.  A pass is evaluated in whole blocks where a 1-D
+    bound shows a screen term may overflow, from a flat block or one whose
+    largest gap is not finite, and anew where the rescored best is not finite.
     """
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
@@ -292,19 +302,54 @@ def grid_oracle(
     (h1, h2), (m1, m2) = h[order], m[order]
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
 
-    def best_on(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    def cut(gap):  # the least gap whose rate may match the rate at gap
+        return gap - max(_GAP_TOL * abs(gap), _GAP_FLOOR)
+
+    def best_on(xs: np.ndarray, ys: np.ndarray, screened: bool = True) -> tuple[float, float, float]:
         # a later block wins only on a strictly larger value, so ties break
         # toward the first cell in row-major order
-        best = (-math.inf, 0.0, 0.0)
+        n, best, kept, count = ys.size, (-math.inf, 0.0, 0.0), [], 0
+
+        def take(values, cells) -> bool:
+            # the first largest of values at flat grid cells, if it beats best
+            nonlocal best
+            k = int(np.argmax(values))  # the first NaN, if any
+            if values[k] > best[0]:
+                i, j = divmod(int(cells[k]), n)
+                best = float(values[k]), float(xs[i]), float(ys[j])
+            return math.isfinite(values[k])
+
         with np.errstate(all="ignore"):
-            for rows in _row_blocks(xs.size, ys.size):
-                values = kernel(xs[rows, None], ys[None, :], h1, h2)
-                finite = np.isfinite(values)
-                if not finite.all():
-                    values[~finite] = -math.inf
-                i, j = divmod(int(np.argmax(values)), ys.size)
-                if values[i, j] > best[0]:
-                    best = float(values[i, j]), float(xs[rows.start + i]), float(ys[j])
+            # gap = outer(top) / add.outer(bottom), bottom > 0 (if it overflows, gaps read 0)
+            if obj == OBJECTIVE_SUM:
+                outer, top, bottom = np.add, ((1.0 - h1) * xs, (1.0 - h2) * ys), (1.0 + h1 * xs, h2 * ys)
+            else:
+                w = ((1.0 - h1) + (h2 - h1) * ys) / (1.0 + ys)
+                outer, top, bottom = np.multiply, (xs, w), (h1 * xs, 1.0 + h2 * ys)
+            screened = screened and math.isfinite(bottom[0].max() + bottom[1].max())
+            for rows in _row_blocks(xs.size, n):
+                if screened:
+                    gap = (outer.outer(top[0][rows], top[1]) / np.add.outer(bottom[0][rows], bottom[1])).ravel()
+                    # empty where the largest gap is inf or NaN
+                    cells = np.flatnonzero(gap >= cut(gap.max()))
+                    screened = 0 < cells.size <= gap.size * _GAP_SHARE
+                    if screened:
+                        kept.append((rows.start * n + cells, gap[cells]))
+                        count += cells.size
+                # rescore the candidates before a whole block, after the last
+                # block, and where they outgrow one block's share
+                if kept and (not screened or rows.stop >= xs.size or count > gap.size * _GAP_SHARE):
+                    cells, gaps = map(np.concatenate, zip(*kept))
+                    kept, count = [], 0
+                    cells = cells[gaps >= cut(gaps.max())]
+                    if not take(kernel(xs[cells // n], ys[cells % n], h1, h2), cells):
+                        return best_on(xs, ys, False)
+                if not screened:
+                    values = kernel(xs[rows, None], ys[None, :], h1, h2).ravel()
+                    finite = np.isfinite(values)
+                    if not finite.all():
+                        values[~finite] = -math.inf
+                    take(values, range(rows.start * n, rows.stop * n))
         return best
 
     xs = np.linspace(0.0, m1, resolution)

@@ -490,9 +490,77 @@ def test_grid_oracle_blocks_match_the_whole_grid_bit_for_bit(monkeypatch, block)
     assert 0 < masked < len(_oracle_cases())
 
 
+# a draw of _oracle_draws whose screen bottom overflows: h1 pmax1 leaves the
+# float range, which rounds the screen's gaps on the last row to 0; without
+# the 1-D bound check that hides the winner, and the oracle returns another p1
+_OVERFLOWING_BOTTOM = ("JAM", (1.0461581414924466, 1.3471712255084358), (FLOAT_MAX, 1e308), 12)
+
+
+def _screen_draws(n):
+    """Seeded oracle inputs at the default resolution where the screen is
+    hardest to trust: plateaus (gain * pmax >= 1e12, the gap flat to a few
+    ulps), gains of exactly 1 and equal gains (zero rows and ties),
+    subnormal, zero and float-maximum pmax, gains within 1e-10 to 1e-1 of 1,
+    the benchmark's range and wide scales; gains in either order, and the
+    overflowing draw above, pinned."""
+    rng = random.Random(RNG_SEED + 29)
+
+    def loguniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    yield _OVERFLOWING_BOTTOM
+    yield _OVERFLOWING_BOTTOM[:3] + (201,)
+    for k in range(n - 2):
+        kind = k % 8
+        if kind == 0:  # plateau
+            h = [loguniform(1e-3, 1e3), loguniform(1e-3, 1e3)]
+            m = [loguniform(1e12, 1e200) / g for g in h]
+        elif kind == 1:  # plateau at equal gains
+            h = [rng.uniform(0.0, 3.0)] * 2
+            m = [loguniform(1e12, 1e200) / h[0], loguniform(1e-3, 1e200)]
+        elif kind == 2:  # a gain of exactly 1
+            h = [1.0, rng.choice([1.0, rng.uniform(0.0, 3.0)])]
+            m = [loguniform(1e-3, 1e15), loguniform(1e-3, 1e15)]
+        elif kind == 3:  # equal gains
+            h = [rng.uniform(0.0, 3.0)] * 2
+            m = [loguniform(1e-3, 1e5), loguniform(1e-3, 1e5)]
+        elif kind == 4:  # subnormal, zero and float-maximum pmax
+            h = [rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)]
+            m = [rng.choice([5e-324, loguniform(5e-324, 2.2e-308), 0.0, FLOAT_MAX,
+                             loguniform(1e-3, 1e5)]) for _ in h]
+        elif kind == 5:  # gains close to 1
+            h = [1.0 + rng.choice((-1, 1)) * loguniform(1e-10, 1e-1) for _ in range(2)]
+            m = [loguniform(1e-3, 1e15), loguniform(1e-3, 1e15)]
+        elif kind == 6:  # the benchmark's range
+            h = [rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)]
+            m = [rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0)]
+        else:  # wide scales
+            h = [loguniform(1e-150, 1e150), loguniform(1e-150, 1e150)]
+            m = [loguniform(1e-150, 1e150), loguniform(1e-150, 1e150)]
+        if rng.random() < 0.5:
+            h, m = h[::-1], m[::-1]
+        yield rng.choice(("SUM", "JAM")), tuple(h), tuple(m), 201
+
+
+@functools.cache
+def _screen_cases():
+    return [(draw, _whole_grid_oracle(*draw)[0]) for draw in _screen_draws(1000)]
+
+
+@pytest.mark.parametrize("block", ["default", "1"])
+def test_grid_oracle_screen_matches_the_whole_grid_bit_for_bit(monkeypatch, block):
+    if block == "1":
+        monkeypatch.setattr(rates, "_GRID_BLOCK", 1)
+    for draw, expected in _screen_cases():
+        alloc = grid_oracle(*draw)
+        assert _bits(alloc.p, alloc.achieved_rate, alloc.case_label) == _bits(*expected), draw
+
+
 def test_grid_oracle_tie_across_blocks_keeps_the_first_cell(monkeypatch):
     # the maximum repeats at rows 3 and 150 of the coarse 201-point grid;
-    # blocks of five whole rows put them in blocks 0 and 30
+    # blocks of five whole rows put them in blocks 0 and 30.  Gains of 1
+    # make every SNR gap 0, so the screen finds each grid flat and its
+    # blocks are evaluated whole, where the fake kernel alone steers
     xs = np.linspace(0.0, 10.0, 201)
     ys = np.linspace(0.0, 10.0, 201)
     blocks = []
@@ -503,22 +571,57 @@ def test_grid_oracle_tie_across_blocks_keeps_the_first_cell(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_sum_kernel", tied)
     monkeypatch.setattr(rates, "_GRID_BLOCK", 5 * 201 + 200)
-    alloc = grid_oracle("SUM", (0.25, 0.3), (10.0, 10.0))
+    alloc = grid_oracle("SUM", (1.0, 1.0), (10.0, 10.0))
     assert alloc.p == (xs[3], ys[7]) and alloc.achieved_rate == 1.0
     # 40 blocks of five rows, then the one row left, in each of the two passes
     assert blocks == 2 * ([5 * 201] * 40 + [201])
 
 
+def test_grid_oracle_screened_tie_across_blocks_keeps_the_first_cell(monkeypatch):
+    # at h1 pmax1 ~ 5e14 the gap on column 0 rounds to the same few values, so
+    # the largest rate repeats in rows 180 to 200, which blocks of five whole
+    # rows put in blocks 36 to 40; the screen keeps them all as candidates
+    h, m = (0.25, 1.5), (2161681935320287.0, 1e6)
+    xs, ys = np.linspace(0.0, m[0], 201), np.linspace(0.0, m[1], 201)
+    values = optimizer._sum_kernel(xs[:, None], ys[None, :], *h)
+    rows = np.flatnonzero((values == values.max()).any(axis=1))
+    monkeypatch.setattr(rates, "_GRID_BLOCK", 5 * 201 + 200)
+    blocks = list(rates._row_blocks(201, 201))
+    assert blocks[-1] == slice(200, 205) and all(b.stop - b.start == 5 for b in blocks)
+    assert rows[0] == 180 and rows[-1] == 200 and rows.size > 2
+    ndims, kernel = [], optimizer._sum_kernel
+
+    def spy(p1, p2, h1, h2):
+        ndims.append(np.ndim(p1))
+        return kernel(p1, p2, h1, h2)
+
+    monkeypatch.setattr(optimizer, "_sum_kernel", spy)
+    alloc = grid_oracle("SUM", h, m)
+    # only candidates were rescored, never a whole block, and the first
+    # tied row wins, as in one pass over the whole grid
+    assert set(ndims) == {1}
+    assert alloc.p == (xs[180], 0.0) and alloc.achieved_rate == values.max()
+    assert _bits(alloc.p, alloc.achieved_rate, alloc.case_label) == _bits(*_whole_grid_oracle("SUM", h, m, 201)[0])
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_grid_oracle_skips_an_overflow_in_the_last_block(monkeypatch, bad):
     # the objective grows toward the last row, which is not finite
+    ndims = []
+
     def late(p1, p2, h1, h2):
+        ndims.append(np.ndim(p1))
         return np.where(p1 == 10.0, bad, p1 + p2)
 
     monkeypatch.setattr(optimizer, "_jam_kernel", late)
     # the bad row, the grid's last, lies past the first block
     assert rates._GRID_BLOCK // 201 < 200
     alloc = grid_oracle("JAM", (0.5, 2.0), (10.0, 10.0))
+    # the screen's largest gap lies on the last row, so each pass rescores
+    # candidates there once; they are not finite, and the pass is evaluated
+    # again in whole blocks
+    blocks = len(list(rates._row_blocks(201, 201)))
+    assert ndims == 2 * ([1] + [2] * blocks)
     # the coarse pass keeps the row before it, (9.95, 10); the fine pass
     # re-grids [9.9, 10] x [9.95, 10] and again skips its last row
     p1 = np.linspace(9.9, 10.0, 201)[199]
@@ -527,15 +630,19 @@ def test_grid_oracle_skips_an_overflow_in_the_last_block(monkeypatch, bad):
 
 
 def test_grid_oracle_memory_does_not_grow_with_resolution():
-    # one whole 2001 x 2001 grid would hold ~120 MiB of float64 temporaries
-    tracemalloc.start()
-    try:
-        alloc = grid_oracle("JAM", (0.7, 1.9), (12.0, 7.0), 2001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
-    assert alloc.case_label == "JAM_AT_ROOT"
+    # one whole 2001 x 2001 grid would hold ~120 MiB of float64 temporaries;
+    # the second draw is a plateau, its gap flat to a few ulps over most of
+    # the grid, where the screen finds its blocks flat
+    for draw, label in ((("JAM", (0.7, 1.9), (12.0, 7.0)), "JAM_AT_ROOT"),
+                        (("SUM", (0.17, 0.6), (5e266, 1.3e40)), "ONE_TRANSMITS")):
+        tracemalloc.start()
+        try:
+            alloc = grid_oracle(*draw, 2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (draw, peak)
+        assert alloc.case_label == label
 
 
 def test_oracle_agreement_sample():
