@@ -68,35 +68,63 @@ EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 
 
+def _float_text(value: float, rounded: bool) -> str:
+    """``float.__repr__`` of ``value``, first rounded to 12 significant digits
+    if ``rounded``; json's ValueError if that is not finite.  No two 12-digit
+    decimals round to one normal float, so the ``%.12g`` text is the repr,
+    with ".0" added to a fixed form without ".", except at exponents 12 to 15
+    (which repr writes in fixed form), for subnormals (exponent -308 or less)
+    and for what is not finite: those go through ``float``."""
+    if rounded:
+        text = "%.12g" % value
+        if "e" in text:
+            exp = int(text[text.index("e") + 1:])
+            if exp > -308 and not 12 <= exp <= 15:
+                return text
+        elif "." in text:
+            return text
+        elif text[-1].isdigit():
+            return text + ".0"
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
 def _write(value: Any, rounded: bool, indent: str, out: list[str]) -> None:
     """Append to ``out`` the text, or raise the error, of ``json.dumps(value,
     indent=2, sort_keys=True, allow_nan=False)`` nested at ``indent`` (str
-    keys), each float first rounded to 12 significant digits if ``rounded``."""
-    if isinstance(value, str):
+    keys), each float first rounded to 12 significant digits if ``rounded``
+    (``_float_text``).  Floats and containers, most of a result, are told by
+    their exact type, and a container writes its float items itself; any
+    other value (a subclass, such as numpy's float64) by ``isinstance``."""
+    kind = type(value)
+    if kind is float:
+        out.append(_float_text(value, rounded))
+    elif kind is tuple or kind is list or kind is dict or isinstance(value, (list, tuple, dict)):
+        keyed = isinstance(value, dict)
+        out.append("{" if keyed else "[")
+        inner = indent + "  "
+        sep, comma = "\n" + inner, ",\n" + inner
+        for item in sorted(value.items()) if keyed else value:
+            if keyed:
+                key, item = item
+                sep += encode_basestring_ascii(key) + ": "
+            out.append(sep)
+            if type(item) is float:
+                out.append(_float_text(item, rounded))
+            else:
+                _write(item, rounded, inner, out)
+            sep = comma
+        out.append(("\n" + indent if value else "") + ("}" if keyed else "]"))
+    elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        if rounded:
-            value = float(f"{value:.12g}")
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        out.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple, dict)):
-        keyed = isinstance(value, dict)
-        out.append("{" if keyed else "[")
-        inner = indent + "  "
-        sep = "\n" + inner
-        for item in sorted(value.items()) if keyed else value:
-            if keyed:
-                key, item = item
-                sep += encode_basestring_ascii(key) + ": "
-            out.append(sep)
-            _write(item, rounded, inner, out)
-            sep = ",\n" + inner
-        out.append(("\n" + indent if value else "") + ("}" if keyed else "]"))
+        out.append(_float_text(value, rounded))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

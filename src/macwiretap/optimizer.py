@@ -330,10 +330,12 @@ def grid_oracle(
             for rows in _row_blocks(xs.size, n):
                 if screened:
                     gap = (outer.outer(top[0][rows], top[1]) / np.add.outer(bottom[0][rows], bottom[1])).ravel()
-                    # empty where the largest gap is inf or NaN
-                    cells = np.flatnonzero(gap >= cut(gap.max()))
-                    screened = 0 < cells.size <= gap.size * _GAP_SHARE
+                    # none kept where the largest gap is inf or NaN; a flat
+                    # block is told by the count, before any index is built
+                    keep = gap >= cut(gap.max())
+                    screened = 0 < np.count_nonzero(keep) <= gap.size * _GAP_SHARE
                     if screened:
+                        cells = keep.nonzero()[0]
                         kept.append((rows.start * n + cells, gap[cells]))
                         count += cells.size
                 # rescore the candidates before a whole block, after the last

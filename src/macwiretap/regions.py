@@ -280,15 +280,15 @@ def collective_region_at(std: StandardChannel, powers: Sequence[float]) -> RateC
 
 def _tdma_bound(h: Any, p: Any, a: Any) -> tuple[Any, Any]:
     """(secrecy, total) rate bounds of a user with gain h sending at power
-    p/a for a share a of the time; elementwise over broadcastable arrays and
-    unchecked, like ``_subset_bounds``.  ``_clamp0`` maps to zero what a
-    zero share gives (0 * inf, or nan) and a secrecy bound whose SNR
-    argument is not positive (a rate below zero, or nan).  ``p`` or ``a``
-    must be a numpy array: a zero share then divides to inf or nan, where
-    Python floats would raise ZeroDivisionError."""
-    with np.errstate(all="ignore"):
-        secrecy = _clamp0(a * _g_arr((1.0 - h) * p / (a + h * p)))
-        total = _clamp0(a * _g_arr(p / a))
+    p/a for a share a of the time; elementwise over broadcastable arrays,
+    unchecked, and to be called under ``np.errstate(all="ignore")``, like
+    ``_subset_bound``.  ``_clamp0`` maps to zero what a zero share gives
+    (0 * inf, or nan) and a secrecy bound whose SNR argument is not positive
+    (a rate below zero, or nan).  ``p`` or ``a`` must be a numpy array: a
+    zero share then divides to inf or nan, where Python floats would raise
+    ZeroDivisionError."""
+    secrecy = _clamp0(a * _g_arr((1.0 - h) * p / (a + h * p)))
+    total = _clamp0(a * _g_arr(p / a))
     return secrecy, total
 
 
@@ -302,7 +302,8 @@ def tdma_region_at(
     a = _as_numbers(alpha, "alpha", std.num_users, NONNEGATIVE)
     if any(v > 1.0 for v in a) or abs(sum(a) - 1.0) > ALPHA_SUM_TOL:
         raise ValidationError(f"alpha must lie in [0, 1] and sum to 1, got {a}")
-    secrecy, total = _tdma_bound(np.array(std.h), np.array(p), np.array(a))
+    with np.errstate(all="ignore"):
+        secrecy, total = _tdma_bound(np.array(std.h), np.array(p), np.array(a))
     _require_finite(total, f"powers {p} over time shares {a}")
     bounds = [(frozenset({k}), s, t) for k, s, t in zip(range(1, std.num_users + 1), secrecy, total)]
     return RateConstraintSet(KIND_TDMA, std.num_users, p, _rows(bounds), alpha=a)
@@ -444,8 +445,8 @@ def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> 
     which closes the region, is left out for the same reason.  The columns
     hold the two axis maxima, then the (x_ax, c1y) and the (c2x, y_ax)
     corners of every cell in row-major order, each written once in place."""
-    shape = np.broadcast_shapes(u1.shape, u2.shape, u12.shape)
-    cells = math.prod(shape)
+    grid = np.broadcast(u1, u2, u12)
+    shape, cells = grid.shape, grid.size
     x, y = np.empty(2 + 2 * cells), np.empty(2 + 2 * cells)
     x_ax, c2x = x[2:2 + cells].reshape(shape), x[2 + cells:].reshape(shape)
     c1y, y_ax = y[2:2 + cells].reshape(shape), y[2 + cells:].reshape(shape)
@@ -468,22 +469,24 @@ def _fixed_power_bounds(
     (1, p2.size), and u12 of the block's cells; broadcast, they are the
     bounds of each cell.  The single-user bounds and eavesdropper terms are
     computed once per axis, before the first block, and only the joint terms
-    per cell.  A MAC bound that overflows is refused at the first block that
-    holds one.  An overflow in s / delta is harmless: min(inf, mac) = mac."""
+    per cell, each under one ``np.errstate``.  A joint MAC bound that
+    overflows is refused at the first block that holds one; a single-user
+    one, g of one finite power, never overflows.  An overflow in s / delta is
+    harmless: min(inf, mac) = mac."""
     p1, p2 = p1[:, None], p2[None, :]
+
+    def bound(rows: slice, members: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        s, mac = _subset_bound(kind, std.h, (p1[rows], p2), eaves and (eaves[0][rows], eaves[1]), members)
+        return mac, mac if s is None else np.minimum(s / delta, mac)
+
     with np.errstate(all="ignore"):
         eaves = _eaves(kind, std.h, (p1, p2))
-
-    def bound(rows: slice, members: tuple[int, ...]) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            s, mac = _subset_bound(kind, std.h, (p1[rows], p2), eaves and (eaves[0][rows], eaves[1]), members)
-            u = mac if s is None else np.minimum(s / delta, mac)
-        _require_finite(mac, f"pmax {std.pmax}")
-        return u
-
-    u1, u2 = bound(slice(None), (1,)), bound(slice(None), (2,))
+        u1, u2 = bound(slice(None), (1,))[1], bound(slice(None), (2,))[1]
     for rows in _row_blocks(p1.size, p2.size):
-        yield u1[rows], u2, bound(rows, (1, 2))
+        with np.errstate(all="ignore"):
+            mac, u12 = bound(rows, (1, 2))
+        _require_finite(mac, f"pmax {std.pmax}")
+        yield u1[rows], u2, u12
 
 
 def _dominated(std: StandardChannel, kind: str, k: int) -> bool:
@@ -505,20 +508,23 @@ def _tdma_bounds(std: StandardChannel, delta: float, alpha_res: int) -> tuple[np
     """Per time share of the alpha_res-point share grid, the total-rate
     bounds (u1, u2, u12 = +inf) of the time-division region, each user at
     full power by the rule of ``_dominated``: both of a share's bounds grow
-    with the user's power.  An overflowing bound is refused at user 1 before
-    user 2 is evaluated."""
+    with the user's power.  Both users are evaluated in one (2, alpha_res)
+    call, user 1 on the shares and user 2 on one minus them, and an
+    overflowing bound is refused before any candidate is built."""
     alphas = np.linspace(0.0, 1.0, alpha_res)
-    bounds = []
-    for h, pmax, a in zip(std.h, std.pmax, (alphas, 1.0 - alphas)):
-        secrecy, total = _tdma_bound(h, pmax, a)
-        _require_finite(total, f"pmax {std.pmax}")
-        with np.errstate(all="ignore"):
-            bounds.append(np.minimum(secrecy / delta, total))
-    return bounds[0], bounds[1], np.full(alpha_res, np.inf)
+    with np.errstate(all="ignore"):
+        secrecy, total = _tdma_bound(np.array(std.h)[:, None], np.array(std.pmax)[:, None],
+                                     np.stack([alphas, 1.0 - alphas]))
+        u1, u2 = np.minimum(secrecy / delta, total)
+    _require_finite(total, f"pmax {std.pmax}")
+    return u1, u2, np.full(alpha_res, np.inf)
 
 
-# rate-1 bins of the staircase cut
+# rate-1 bins of the staircase cut, and the largest cloud that ``_staircase``
+# sorts without the cut: on random points the cut's fixed cost, a pass over
+# the bins, pays for itself only from some 500-700 points on
 _HULL_BINS = 1024
+_CUT_POINTS = 512
 
 
 def _staircase_cut(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -556,10 +562,12 @@ def _staircase(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     rate 1, each point whose rate 2 beats every one before it, and the
     leftmost point at the largest rate 2.  ``_staircase_cut`` first drops
     points that cannot be on it, so the sort sees the same staircase in the
-    same order.  A point of a cloud's staircase is on the staircase of every
-    part of the cloud that holds it, so the staircase of the union of the
-    parts' staircases is the cloud's, value for value."""
-    kept = _staircase_cut(x, y)
+    same order; on a cloud of at most ``_CUT_POINTS`` points, where the cut
+    costs more than it saves, the sort sees every point.  A point of a
+    cloud's staircase is on the staircase of every part of the cloud that
+    holds it, so the staircase of the union of the parts' staircases is the
+    cloud's, value for value."""
+    kept = _staircase_cut(x, y) if x.size > _CUT_POINTS else np.arange(x.size)
     order = kept[np.lexsort((y[kept], x[kept]))[::-1]]
     sx, sy = x[order], y[order]
     return order[np.concatenate([

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from reference_envelope import _round12, envelope_text
 
 import macwiretap as mw
-from macwiretap.cli import MAX_GRID_RES, _emit, _parse_args, _table_parse, build_parser, main
+from macwiretap.cli import MAX_GRID_RES, _emit, _float_text, _parse_args, _table_parse, build_parser, main
 from macwiretap.optimizer import MIN_ORACLE_RESOLUTION, PowerAllocation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -664,7 +664,12 @@ def test_envelopes_refuse_what_json_cannot_write(capsys):
 
 
 _ENVELOPE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, -1e22,
-                    1.7976931348623157e308, 0.1 + 0.2, 0.30000000000000004e-7)
+                    1.7976931348623157e308, 0.1 + 0.2, 0.30000000000000004e-7,
+                    # the layout edges of a rounded float's text: %.12g's
+                    # exponent form from 1e12, repr's from 1e16, both below
+                    # 1e-4, and the smallest normal float
+                    1e12, 123456789012.0, 999999999999.5, 1e15, 9.99999999999e15,
+                    1e-4, 9.99999999999e-5, 2.2250738585072014e-308, -2.0)
 _envelope_text = st.one_of(
     st.text(max_size=12),
     st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\r\t\b\x0cé€\u2028\U0001f600\U0010ffffa ', max_size=12),
@@ -689,6 +694,20 @@ _envelope_values = st.recursive(
     ),
     max_leaves=16,
 )
+
+
+def test_rounded_floats_are_written_as_the_repr_of_the_rounded_value():
+    # the writer takes the %.12g text as it stands wherever that is already
+    # the repr; 120,000 seeded floats, log-uniform over every binary exponent
+    # (subnormals included) with either sign, and the layout edges, each as a
+    # float and as a numpy float64, against the long way round
+    rng = np.random.default_rng(30)
+    n = 120_000
+    values = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 1024, n)) * rng.choice([-1.0, 1.0], n)
+    for v in [*values.tolist(), *_ENVELOPE_FLOATS]:
+        want = float.__repr__(float(f"{v:.12g}"))
+        assert _float_text(v, True) == want, v
+        assert _float_text(np.float64(v), True) == want, v
 
 
 @settings(max_examples=200, deadline=None)

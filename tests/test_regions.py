@@ -19,10 +19,12 @@ from macwiretap.regions import (
     RateVector,
     BOUNDARY_KINDS,
     SPLIT_TOL,
+    _CUT_POINTS,
     _HULL_BINS,
     _box_simplex_candidates,
     _dominated,
     _fixed_power_bounds,
+    _staircase,
     _subset_bounds,
     _tdma_bound,
     _tdma_bounds,
@@ -950,6 +952,52 @@ def test_blocked_draws_split_every_power_grid_kind(monkeypatch, kind):
             region_boundary_2d(*draw)
             split += blocks[0] > 1
         assert split >= 1, budget
+
+
+def _cut_draws():
+    """Seeded boundary inputs, 12 of every kind: each gain uniform on [0, 1]
+    or on [1, 3], so a pair lies below, across or above 1 (equal and below 1
+    for the outer kinds); pmax log-uniform on [1e-3, 1e5]; delta 1 or
+    uniform on [0.05, 1]; power res log-uniform on 2 to 301 and alpha res 2
+    to 301."""
+    rng = np.random.default_rng(RNG_SEED + 30)
+    draws = []
+    for kind in BOUNDARY_KINDS:
+        for _ in range(12):
+            if kind.startswith("OUTER"):
+                h = (float(rng.uniform(0.0, 1.0)),) * 2
+            else:
+                h = tuple(float(rng.choice([rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0)])) for _ in range(2))
+            pmax = tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, 5.0, 2))
+            delta = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
+            res = int(np.rint(np.exp(rng.uniform(np.log(2.0), np.log(301.0)))))
+            draws.append((StandardChannel(2, h, pmax), kind, delta, res, int(rng.integers(2, 302))))
+    return draws
+
+
+@functools.cache
+def _default_cut_boundaries():
+    """The boundaries of ``_cut_draws`` as they are, and the size of every
+    cloud that ``_staircase`` was given."""
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        staircase = _staircase
+        mp.setattr("macwiretap.regions._staircase", lambda x, y: sizes.append(x.size) or staircase(x, y))
+        return [(draw, region_boundary_2d(*draw)) for draw in _cut_draws()], sizes
+
+
+@pytest.mark.parametrize("cut_points", [0, 10**9])
+def test_boundaries_match_with_and_without_the_staircase_cut(monkeypatch, cut_points):
+    # the hull cuts only a cloud of more than _CUT_POINTS points: cut every
+    # cloud (0) or none (1e9), and every boundary keeps its bits.  The draws
+    # hold clouds on both sides of the default, so it is exercised both ways
+    boundaries, sizes = _default_cut_boundaries()
+    assert min(sizes) <= _CUT_POINTS < max(sizes)
+    monkeypatch.setattr("macwiretap.regions._CUT_POINTS", cut_points)
+    for draw, want in boundaries:
+        got = region_boundary_2d(*draw)
+        assert _hex(got.vertices) == _hex(want.vertices), draw
+        assert got.generator_count == want.generator_count, draw
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])
