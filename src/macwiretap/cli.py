@@ -57,9 +57,10 @@ from .scenario import ScenarioConfig, sweep
 
 VERIFY_GAP_TOL = 1e-6
 # largest --res and --alpha-res.  A boundary evaluates its grids in blocks
-# of whole rows and keeps only what can be on its staircase, so at this cap
-# it peaks at ~1.4 MiB of numpy memory (tracemalloc, union-i-t at --res 2001
-# --alpha-res 2001) and a CLI call at ~32 MB of RSS (~30 MB interpreter)
+# of whole rows and keeps one candidate per row and per column, so at this
+# cap it peaks at ~0.84 MiB of numpy memory (tracemalloc, individual or
+# union-i-t at --res 2001 --alpha-res 2001) and a CLI call at ~31 MB of RSS
+# (~30 MB interpreter)
 MAX_GRID_RES = 2001
 
 EXIT_OK = 0

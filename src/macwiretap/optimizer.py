@@ -94,14 +94,40 @@ def _threshold(h1, m1):
 
 
 def _jam_root(h1, h2, m1):
-    """(discriminant, larger root) of the jamming-power stationarity
-    parabola at full transmit power m1, elementwise and unchecked; call it
-    under ``np.errstate(all="ignore")``.  The root is
-    (-h2(1-h1) + sqrt(disc)) / (h2(h2-h1)), the larger one when h2 > h1 (the
-    only root ``_solve`` reads), and inf or NaN where the division leaves
-    the float range or the discriminant is negative or overflows."""
+    """The larger root of the jamming-power stationarity parabola at full
+    transmit power m1, elementwise and unchecked; call it under
+    ``np.errstate(all="ignore")``.  The root is
+    (-h2(1-h1) + sqrt(disc)) / (h2(h2-h1)) with
+    disc = h1 h2 (h2-1) ((h2-1) + (h2-h1) m1), the larger one when h2 > h1
+    (the only root ``_solve`` reads), and inf or NaN where the division
+    leaves the float range or disc is negative.  Where disc is not finite,
+    and only there, the root is ``_jam_root_scaled``'s."""
     disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * m1)
-    return disc, (-h2 * (1.0 - h1) + np.sqrt(disc)) / (h2 * (h2 - h1))
+    root = (-h2 * (1.0 - h1) + np.sqrt(disc)) / (h2 * (h2 - h1))
+    finite = np.isfinite(disc)
+    if getattr(finite, "ndim", 0) == 0:
+        return root if finite else _jam_root_scaled(h1, h2, m1)
+    if not finite.all():
+        big = ~finite
+        root[big] = _jam_root_scaled(*(v[big] for v in np.broadcast_arrays(h1, h2, m1)))
+    return root
+
+
+def _jam_root_scaled(h1, h2, m1):
+    """``_jam_root`` with h2 (h2-h1)^2 divided out under the square root:
+    with d = h2 - h1, sqrt(disc) / (h2 d) = sqrt(h1 (1 - 1/h2) q / d) and
+    q = (h2-1)/d + m1.  Wherever the root is read (h2 > 1 and h2 > h1,
+    finite), q and (1-h1)/d are finite: h1/d and (h2-1)/d are at most about
+    2^53, since d is at least the float spacing at h1 when h1 > 1, and at
+    least h2 - 1 otherwise.  The binary exponents of h1, q and d are taken
+    out (frexp) and put back after the square root (ldexp), so no product
+    leaves the float range, and the root is finite where disc overflows."""
+    d = h2 - h1
+    (f1, e1), (fq, eq), (fd, ed) = np.frexp(h1), np.frexp((h2 - 1.0) / d + m1), np.frexp(d)
+    e = e1 + eq - ed
+    odd = e & 1
+    s = np.ldexp(np.sqrt(f1 * (1.0 - 1.0 / h2) * fq / fd * (1 + odd)), (e - odd) // 2)
+    return s - (1.0 - h1) / d
 
 
 def _too_large(h, m, what: str) -> ValidationError:
@@ -123,10 +149,8 @@ def _solve(h_a, h_b, m_a, m_b):
     it under ``np.errstate(all="ignore")``.
 
     Returns ((P1, P2, rate, case code) of the sum-rate allocation,
-    (P1, P2, rate, case code) of the jamming allocation, roots_ok), powers
-    in the given user order, rates unclamped, codes indexing
-    ``CASE_LABELS``.  ``roots_ok`` is false where the jamming allocation
-    reads a root whose discriminant is not finite.
+    (P1, P2, rate, case code) of the jamming allocation), powers in the
+    given user order, rates unclamped, codes indexing ``CASE_LABELS``.
     """
     swapped = h_a > h_b
     h1, h2 = _pick(swapped, h_b, h_a), _pick(swapped, h_a, h_b)
@@ -149,7 +173,7 @@ def _solve(h_a, h_b, m_a, m_b):
     # h1 <= 1, and user 2 then jams at the root clamped to [0, m2] when
     # h2 > 1; when 1 < h1 both act only if jamming is worthwhile, user 2 at
     # min(root, m2).  Wherever the root is read, h2 > 1 and h1 >= 0, so the
-    # discriminant is never negative
+    # discriminant is never negative, and the root is finite
     distinct = h1 != h2
     weak = h2 <= 1.0
     defer = _pick(distinct, weak & under, below)
@@ -157,7 +181,7 @@ def _solve(h_a, h_b, m_a, m_b):
     strong = distinct & (h1 > 1.0)
     root_lo = lo & (h2 > 1.0)
     root_hi = strong & ((h1 - 1.0) / (h2 - h1) < m2)
-    disc, root = _jam_root(h1, h2, m1)
+    root = _jam_root(h1, h2, m1)
     capped = _pick(m2 < root, m2, root)  # min(root, m2), ties to root
     jams = root_hi | (root_lo & (capped > 0.0))
     j2 = _pick(jams, capped, 0.0)
@@ -175,7 +199,6 @@ def _solve(h_a, h_b, m_a, m_b):
         (_pick(swapped, s2, s1), _pick(swapped, s1, s2), sum_rate, sum_case),
         (_pick(swapped, p2, p1), _pick(swapped, p1, p2),
          _pick(defer, sum_rate, jam_rate), _pick(defer, sum_case, jam_case)),
-        np.logical_not(root_lo | root_hi) | np.isfinite(disc),
     )
 
 
@@ -183,13 +206,13 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
     """One 0-d ``_solve`` of a two-user channel, as the allocation of each
     of ``objectives`` (OBJECTIVE_SUM, OBJECTIVE_JAM) in turn: the powers in
     the caller's order and the objective clamped at zero.  An allocation
-    whose jamming root or objective leaves the float range is rejected.
+    whose objective leaves the float range is rejected.
     ``_solve`` gets numpy scalars (see ``_pick``); the refusals print the
     parsed floats, which numpy 2 would print as ``np.float64(...)``."""
     h = _as_numbers(gains, "gains", 2, NONNEGATIVE)
     m = _as_numbers(pmax, "pmax", 2, NONNEGATIVE)
     with np.errstate(all="ignore"):
-        nojam, jam, roots_ok = _solve(*map(np.float64, h + m))
+        nojam, jam = _solve(*map(np.float64, h + m))
         capacity = float(_sum_kernel(jam[0], jam[1], *h))
     out = []
     for objective in objectives:
@@ -197,8 +220,6 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
         if objective == OBJECTIVE_SUM:
             p1, p2, rate, code = nojam
         else:
-            if not roots_ok:
-                raise _too_large(h, m, "the jamming-root discriminant")
             p1, p2, rate, code = jam
             # a request that deferred to the sum-rate answer returns it as is
             if code not in (_CODE[CASE_BOTH_TRANSMIT], _CODE[CASE_ONE_TRANSMITS]) and math.isfinite(capacity):

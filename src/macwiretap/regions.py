@@ -26,7 +26,6 @@ import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, StandardChannel, _as_number, _as_numbers, check_degraded
 from .errors import NonDegradedError, ValidationError
-from . import rates as _rates
 from .rates import _clamp0, _cw, _g_arr, _overflow, _row_blocks, enumerate_subsets, g, subset_label
 
 ROW_SECRECY = "SECRECY"
@@ -431,32 +430,36 @@ class RegionBoundary2D:
         return "\n".join(lines) + "\n"
 
 
-def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rate-1 and rate-2 columns of the hull candidates of all cells, for
-    the per-cell total-rate bounds u1, u2 and u12 (broadcastable; u12 may be
-    +inf when no joint row exists) of {x,y >= 0, x <= u1, y <= u2,
-    x+y <= u12}.  The box-simplex vertices of a cell are (x_ax, 0),
-    (0, y_ax), (x_ax, c1y) and (c2x, y_ax), with x_ax = min(u1, u12),
-    y_ax = min(u2, u12), c1y = min(u2, u12 - x_ax) and
-    c2x = min(u1, u12 - y_ax).  Since c1y, c2x >= 0, an axis vertex is never
-    above or right of its cell's corner at the same rate, so it can never
-    raise the staircase's running maximum: of each axis family only the
-    maximum, which may be an end of the staircase, is kept.  The origin,
-    which closes the region, is left out for the same reason.  The columns
-    hold the two axis maxima, then the (x_ax, c1y) and the (c2x, y_ax)
-    corners of every cell in row-major order, each written once in place."""
-    grid = np.broadcast(u1, u2, u12)
-    shape, cells = grid.shape, grid.size
-    x, y = np.empty(2 + 2 * cells), np.empty(2 + 2 * cells)
-    x_ax, c2x = x[2:2 + cells].reshape(shape), x[2 + cells:].reshape(shape)
-    c1y, y_ax = y[2:2 + cells].reshape(shape), y[2 + cells:].reshape(shape)
-    np.minimum(u1, u12, out=x_ax)
-    np.minimum(u2, u12, out=y_ax)
-    np.minimum(u2, np.subtract(u12, x_ax, out=c1y), out=c1y)
-    np.minimum(u1, np.subtract(u12, y_ax, out=c2x), out=c2x)
-    x[:2] = x_ax.max(), 0.0
-    y[:2] = 0.0, y_ax.max()
-    return x, y
+def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The hull candidates of one block of cells, for the per-cell total-rate
+    bounds u1, u2 and u12 (broadcastable; u12 may be +inf when no joint row
+    exists) of {x,y >= 0, x <= u1, y <= u2, x+y <= u12}.  The box-simplex
+    vertices of a cell are (x_ax, 0), (0, y_ax), (x_ax, c1y) and
+    (c2x, y_ax), with x_ax = min(u1, u12), y_ax = min(u2, u12),
+    c1y = min(u2, u12 - x_ax) and c2x = min(u1, u12 - y_ax); the caller adds
+    the axis maxima, which no other axis vertex can beat.  Returns
+    (x_ax, c1y, c2x, y_ax).  On a power-grid block, u1 of shape (rows, 1)
+    and u2 of shape (1, cols), these are reduced to their row and column
+    maxima: c1y > 0 only where u12 > u1, and there x_ax = u1 is constant
+    along the row, while elsewhere c1y = 0 and x_ax = u12 <= u1.  So the row
+    maxima (max x_ax, max c1y) are a corner of some cell of the row that
+    every (x_ax, c1y) corner of the row lies below and left of, or on; the
+    column maxima (max c2x, max y_ax) likewise.  min and max never round, so
+    the staircase keeps its values.  An axis of length 1 is raveled rather
+    than reduced, and a 1-D share grid, along which u1 and u2 both vary, is
+    left whole."""
+    x_ax, y_ax = np.minimum(u1, u12), np.minimum(u2, u12)
+    c1y, c2x = np.subtract(u12, x_ax), np.subtract(u12, y_ax)
+    np.minimum(u2, c1y, out=c1y)
+    np.minimum(u1, c2x, out=c2x)
+    if x_ax.ndim == 1:
+        return x_ax, c1y, c2x, y_ax
+    rows, cols = x_ax.shape
+    if cols > 1:
+        x_ax, c1y = x_ax.max(axis=1), c1y.max(axis=1)
+    if rows > 1:
+        c2x, y_ax = c2x.max(axis=0), y_ax.max(axis=0)
+    return x_ax.ravel(), c1y.ravel(), c2x.ravel(), y_ax.ravel()
 
 
 def _fixed_power_bounds(
@@ -520,55 +523,15 @@ def _tdma_bounds(std: StandardChannel, delta: float, alpha_res: int) -> tuple[np
     return u1, u2, np.full(alpha_res, np.inf)
 
 
-# rate-1 bins of the staircase cut, and the largest cloud that ``_staircase``
-# sorts without the cut: on random points the cut's fixed cost, a pass over
-# the bins, pays for itself only from some 500-700 points on
-_HULL_BINS = 1024
-_CUT_POINTS = 512
-
-
-def _staircase_cut(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the first-quadrant points (x, y) that can be on their
-    Pareto staircase (``_staircase``), found by comparisons alone.  A cloud
-    on one axis keeps the two ends on that axis.  Otherwise the bin index
-    floor(x / xmax * bins) never decreases with x, so a point in a strictly
-    higher bin has a strictly larger rate 1 and comes earlier in the
-    staircase's order; a point with no larger rate 2 than some point in a
-    higher bin therefore never beats the running maximum, and is cut.  The
-    column at the largest rate 1 is the top bin and is never cut; the
-    leftmost point at the largest rate 2 is put back."""
-    xmax, ymax = x.max(), y.max()
-    if xmax == 0.0:
-        return np.array([np.argmin(y), np.argmax(y)])
-    if ymax == 0.0:
-        return np.array([np.argmax(x), np.argmin(x)])
-    bins = x / xmax
-    bins *= _HULL_BINS
-    bins = bins.astype(np.intp)
-    top = np.full(_HULL_BINS + 2, -np.inf)
-    np.maximum.at(top, bins, y)
-    # above[b]: the largest rate 2 in any bin higher than b
-    above = np.maximum.accumulate(top[::-1])[-2::-1]
-    keep = y > above[bins]
-    at_ymax = np.flatnonzero(y == ymax)
-    keep[at_ymax[np.argmin(x[at_ymax])]] = True
-    return np.flatnonzero(keep)
-
-
 def _staircase(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Indices of the Pareto staircase of the first-quadrant points (x, y),
     in counterclockwise order: visiting the points by rate 1, then rate 2,
     both descending, the lowest and then the top point at the largest
     rate 1, each point whose rate 2 beats every one before it, and the
-    leftmost point at the largest rate 2.  ``_staircase_cut`` first drops
-    points that cannot be on it, so the sort sees the same staircase in the
-    same order; on a cloud of at most ``_CUT_POINTS`` points, where the cut
-    costs more than it saves, the sort sees every point.  A point of a
-    cloud's staircase is on the staircase of every part of the cloud that
-    holds it, so the staircase of the union of the parts' staircases is the
-    cloud's, value for value."""
-    kept = _staircase_cut(x, y) if x.size > _CUT_POINTS else np.arange(x.size)
-    order = kept[np.lexsort((y[kept], x[kept]))[::-1]]
+    leftmost point at the largest rate 2.  A point below and left of
+    another, or on it, never beats the running maximum, so dropping it
+    before the sort leaves the staircase's values as they are."""
+    order = np.lexsort((y, x))[::-1]
     sx, sy = x[order], y[order]
     return order[np.concatenate([
         [np.count_nonzero(sx == sx[0]) - 1, 0],
@@ -584,8 +547,8 @@ def _upper_right_hull(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]
     (``_staircase``) can lie on it.  One monotone chain (Andrew 1979) over
     the staircase drops each point that does not turn left and each point
     equal to the chain's last, so the vertices are bitwise those of the
-    chain over every point, axis families cut to their maxima included
-    (``_box_simplex_candidates``)."""
+    chain over every point, the corners that ``_box_simplex_candidates``
+    leaves out included."""
     stair = _staircase(x, y)
 
     def cross(o, a, b):
@@ -609,38 +572,37 @@ def _boundary_candidates(
     for.  A user's power axis is its pmax alone where ``_dominated`` holds,
     and power_res points on [0, pmax] otherwise; an overflow in linspace's
     step product is harmless, since its last point is set to pmax exactly.
-    The power grid comes in blocks of whole rows, the share grid in one.
-    Each block's candidates are cut (``_staircase_cut``) when the next block
-    arrives, and the last block's by the hull.  Whenever the points kept by
-    the cuts since the last merge exceed the block budget,
-    ``rates._GRID_BLOCK``, all that is left is merged down to its staircase
-    (``_staircase``), so no array grows with the grid."""
-    grids = []
+    The power grid comes in blocks of whole rows, each adding its row maxima
+    (``_box_simplex_candidates``); the column maxima are joined across the
+    blocks by np.maximum.  The share grid comes in one block, left whole.
+    The cloud is the two axis maxima (max x_ax, 0) and (0, max y_ax), then
+    at most rows + cols points of the power grid and 2 * alpha_res of the
+    share grid, so no array grows with the grid's cells.  Per cell
+    c1y <= y_ax and c2x <= x_ax, so each axis maximum is the cloud's
+    largest rate."""
+    xs, ys = [np.zeros(2)], [np.zeros(2)]
+    cells = 0
     if kind != KIND_TDMA:
         fixed = KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind
         with np.errstate(all="ignore"):
             axes = [np.array([pmax]) if _dominated(std, fixed, k) else np.linspace(0.0, pmax, power_res)
                     for k, pmax in enumerate(std.pmax)]
-        grids.append(_fixed_power_bounds(std, fixed, delta, *axes))
-    if kind in (KIND_TDMA, KIND_UNION_I_T):
-        grids.append([_tdma_bounds(std, delta, alpha_res)])
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    size = cells = 0
-    for grid in grids:
-        for bounds in grid:
-            if kept:
-                x, y = kept.pop()
-                i = _staircase_cut(x, y)
-                kept.append((x[i], y[i]))
-                size += i.size
-                # the budget is read at each call, as ``_row_blocks`` reads it
-                if size > _rates._GRID_BLOCK:
-                    x, y = map(np.concatenate, zip(*kept))
-                    i = _staircase(x, y)
-                    kept, size = [(x[i], y[i])], 0
-            kept.append(_box_simplex_candidates(*bounds))
+        cols: list[np.ndarray] = []
+        for bounds in _fixed_power_bounds(std, fixed, delta, *axes):
+            x_ax, c1y, *col = _box_simplex_candidates(*bounds)
+            xs.append(x_ax)
+            ys.append(c1y)
+            cols = [np.maximum(a, b, out=a) for a, b in zip(cols, col)] if cols else col
             cells += np.broadcast(*bounds).size
-    x, y = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+        xs.append(cols[0])
+        ys.append(cols[1])
+    if kind in (KIND_TDMA, KIND_UNION_I_T):
+        x_ax, c1y, c2x, y_ax = _box_simplex_candidates(*_tdma_bounds(std, delta, alpha_res))
+        xs += [x_ax, c2x]
+        ys += [c1y, y_ax]
+        cells += alpha_res
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    x[0], y[1] = x.max(), y.max()
     # every cell has four corners, and the origin closes the region
     return x, y, 1 + 4 * cells
 
@@ -656,9 +618,11 @@ def region_boundary_2d(
     over a uniform power grid, projected to per-user total rates at
     fractional secrecy ``delta``; UNION_I_T joins the individual and the
     time-division families.  ``power_grid_res`` sets the power axes that
-    ``_dominated`` leaves, the share grid is at full power (``_tdma_bounds``),
-    and the vertices and ``generator_count`` are bitwise those of one pass
-    over the evaluated grid, whose memory does not grow with it."""
+    ``_dominated`` leaves, the share grid is at full power (``_tdma_bounds``).
+    The hull runs over each row's and column's maxima
+    (``_boundary_candidates``), and the vertices and ``generator_count`` are
+    bitwise those of the hull over every corner of the evaluated grid, whose
+    memory does not grow with it."""
     if std.num_users != 2:
         raise ValidationError("boundary computation supports exactly two users")
     kind = _as_kind(kind)

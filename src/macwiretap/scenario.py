@@ -292,12 +292,13 @@ def sweep(config: ScenarioConfig) -> ScenarioResult:
             _standard_form(*gains_limit, config.noise_var_main, config.noise_var_tap)
             for gains_limit in zip(gains_main, gains_tap, config.power_limits)
         )
-        (_, _, nojam, _), (p1, p2, jam, case), ok = _solve(h_a, h_b, m_a, m_b)
+        (_, _, nojam, _), (p1, p2, jam, case) = _solve(h_a, h_b, m_a, m_b)
         # vouch only for cells on which ``_cell`` cannot raise or warn:
         # h and pmax finite (a zero or overflowing gain makes one of them
-        # non-finite), every jamming-root discriminant it reads finite,
-        # outputs finite.  The config keeps every cell centre inside the area
-        for column in (h_a, h_b, m_a, m_b, p1, p2, jam, nojam):
+        # non-finite) and outputs finite.  The config keeps every cell centre
+        # inside the area
+        ok = np.isfinite(p1)
+        for column in (p2, jam, nojam, h_a, h_b, m_a, m_b):
             ok &= np.isfinite(column)
         jam, nojam = _clamp0(jam), _clamp0(nojam)
     if not ok.all():

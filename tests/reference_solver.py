@@ -55,7 +55,8 @@ def _jam_root(h1, h2, m1, sign: float = 1.0):
     full transmit power m1, elementwise and unchecked.  The root is
     (-h2(1-h1) + sign*sqrt(disc)) / (h2(h2-h1)): the larger one for the
     default sign when h2 > h1, and inf or NaN where the division leaves the
-    float range or the discriminant is negative or overflows."""
+    float range or the discriminant is negative or overflows (see
+    ``_read_jam_root``)."""
     with np.errstate(all="ignore"):
         disc = h1 * h2 * (h2 - 1.0) * ((h2 - 1.0) + (h2 - h1) * m1)
         return disc, (-h2 * (1.0 - h1) + sign * np.sqrt(disc)) / (h2 * (h2 - h1))
@@ -98,14 +99,18 @@ def optimal_powers_sum(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     return _sum_allocation(*_sorted_two(gains, pmax))
 
 
-def _checked_jam_root(h, m, swapped: bool) -> tuple[float, float]:
-    disc, root = _jam_root(h[0], h[1], m[0])
-    if not math.isfinite(disc):
-        raise ValidationError(
-            f"gains {_restore(h, swapped)} with pmax {_restore(m, swapped)} too large: "
-            "the jamming-root discriminant overflows the float range"
-        )
-    return disc, float(root)
+def _read_jam_root(h1: float, h2: float, m1: float) -> float:
+    """The larger jamming root where the solver reads it (h2 > 1, h2 > h1).
+    Where the discriminant overflows, the root is sqrt(h1 (1 - 1/h2) q / d)
+    - (1-h1)/d with d = h2 - h1 and q = (h2-1)/d + m1, the square root taken
+    on the mantissas of h1, q and d and scaled by their binary exponents."""
+    disc, root = _jam_root(h1, h2, m1)
+    if math.isfinite(disc):
+        return float(root)
+    d = h2 - h1
+    (f1, e1), (fq, eq), (fd, ed) = math.frexp(h1), math.frexp((h2 - 1.0) / d + m1), math.frexp(d)
+    e = e1 + eq - ed
+    return math.ldexp(math.sqrt(f1 * (1.0 - 1.0 / h2) * fq / fd * (1 + e % 2)), e // 2) - (1.0 - h1) / d
 
 
 def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAllocation:
@@ -129,18 +134,19 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     elif h2 <= 1.0:
         p_sorted, case = (m1, 0.0), CASE_NO_JAM
     elif h1 <= 1.0:
-        # h2 > 1 and h1 >= 0, so the discriminant is nonnegative (or NaN
-        # after an overflow, which _checked_jam_root rejects)
-        p2 = max(0.0, min(_checked_jam_root(h, m, swapped)[1], m2))
+        # h2 > 1 and h1 >= 0, so the discriminant is nonnegative
+        p2 = max(0.0, min(_read_jam_root(h1, h2, m1), m2))
         p_sorted = (m1, p2)
         case = CASE_NO_JAM if p2 == 0.0 else CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
     elif (h1 - 1.0) / (h2 - h1) < m2:
-        p2 = min(_checked_jam_root(h, m, swapped)[1], m2)
+        p2 = min(_read_jam_root(h1, h2, m1), m2)
         p_sorted = (m1, p2)
         case = CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
     else:
         p_sorted, case = (0.0, 0.0), CASE_NONE
-    capacity = float(_sum_kernel(*p_sorted, *h))
+    # a gap that rounds to -1 or below has no finite logarithm: left out
+    with np.errstate(all="ignore"):
+        capacity = float(_sum_kernel(*p_sorted, *h))
     return _allocation(
         _jam_kernel, p_sorted, case, h, m, swapped,
         capacity_expr_rate=capacity if math.isfinite(capacity) else None,

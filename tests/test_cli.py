@@ -531,13 +531,12 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
          "error: cell (8.33333, 8.33333): path-loss gain max(distance, min_distance) "
          "** -pathloss_exponent underflows to zero: distance 33.54101966249684, "
          "min_distance 1.0, pathloss_exponent 300.0\n"),
-        # the jamming-root discriminant grows with the cube of a gain
-        ({"pathloss_exponent": 150, "noise_var_tap": 1e-10}, 2,
-         "error: cell (25, 75): gains (0.010530204003645497, 9.094718346467746e+130) with "
-         "pmax (8.74403861447459e-226, 9.4158893436889e-223) too large: the jamming-root "
-         "discriminant overflows the float range\n"),
+        # the jamming-root discriminant grows with the cube of a gain and
+        # overflows at cell (25, 75), whose root the scaled form gives
+        ({"pathloss_exponent": 150, "noise_var_tap": 1e-10}, 0,
+         ("6e0c530f0a96f7794e2ec25a7fa9056c7d1689cdbd1a5a61f2a51e14d9b31003", 9.41588934369e-223)),
         ({"power_limits": [1e300, 1e300]}, 0,
-         "292aa1f0ecc91c5d4a24e46dbb5f725195cf8538987c61df9b4fc2d27e01d207"),
+         ("292aa1f0ecc91c5d4a24e46dbb5f725195cf8538987c61df9b4fc2d27e01d207", 9.756e296)),
         # the cell centre (i + 0.5) * width / nx overflows: the config is
         # rejected at the edge
         ({"area": [1.7e308, 1.7e308], "grid": [2, 2]}, 2,
@@ -584,10 +583,28 @@ def test_scenario_edge_configs_keep_their_scalar_outcome(capsys, tmp_path):
         if code:
             assert (out, err) == ("", expected)
         else:
-            assert hashlib.sha256(out.encode()).hexdigest() == expected
+            sha, p2 = expected
+            assert hashlib.sha256(out.encode()).hexdigest() == sha
             assert json.loads(err)["result"]["cells"] == 36
-            p2 = float(out.splitlines()[1].split(",")[3])
-            assert p2 == pytest.approx(9.756e296, rel=1e-4)
+            assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(p2, rel=1e-4)
+
+
+def test_jam_answers_where_the_root_discriminant_overflows(capsys):
+    # h1 h2 (h2-1) ((h2-1) + (h2-h1) m1) overflows in each call, so the
+    # root is the scaled form's; the jamming power is the exact root to 12
+    # digits: 1e-75 at gains 0.5 and 1e150 (h1 (h2-1) ((h2-1) + (h2-h1) m1)
+    # / h2 is 1e150 there, and the root its square root over h2 - h1)
+    cases = [
+        (("0.5,1e150", "1,1"), [1.0, 1e-75]),
+        (("1e-300,1e300", "1e300,1e300"), [1e300, 1e-150]),
+        (("0.5,3", "1e308,1e308"), [1e308, 3.6514837167e153]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (h, pmax), p in cases:
+            allocation = run_json(capsys, "jam", "--h", h, "--pmax", pmax)["result"]["allocation"]
+            assert (allocation["p"], allocation["case"]) == (p, "JAM_AT_ROOT"), h
+            assert math.isfinite(allocation["achieved_rate"]), h
 
 
 def test_overflowing_powers_exit_2_and_never_warn(capsys):
@@ -607,14 +624,12 @@ def test_overflowing_powers_exit_2_and_never_warn(capsys):
           "--alpha", "1e-320,1"], "powers"),
         # the default time shares are proportional to the powers
         (["tdma", "--h", "0.5,0.5", "--pmax", "1e308,1e308", "--power", "1e308,1e308"], "powers"),
-        # overflows inside the split's eavesdropper rate and the jamming roots
-        # name the inputs, not g()'s argument or a NaN power
+        # overflows inside the split's eavesdropper rate name the inputs,
+        # not g()'s argument
         (["split", "--kind", "collective", "--h", "1e200,1e200", "--pmax", "1e200,1e200",
           "--power", "1e200,1e200", "--secret", "0.1,0.1"], "powers"),
         (["split", "--kind", "individual", "--h", "1e200,1e200", "--pmax", "1e200,1e200",
           "--power", "1e200,1e200", "--secret", "0.1,0.1"], "powers"),
-        (["jam", "--h", "1e-300,1e300", "--pmax", "1e300,1e300"], "gains"),
-        (["jam", "--h", "0.5,3", "--pmax", "1e308,1e308", "--verify"], "gains"),
         # the secrecy rate itself overflows at the closed-form allocation
         (["sumopt", "--h", "0,0", "--pmax", "1.7976931348623157e308,1.7976931348623157e308"],
          "gains"),

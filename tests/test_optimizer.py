@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -87,9 +88,9 @@ def test_optimal_powers_sum_rate_recomputable():
 def _jam_roots(h, pmax1):
     """(discriminant, larger root, smaller root) of the jamming-power
     stationarity parabola: the larger from the solver's own ``_jam_root``,
-    the smaller from the reference."""
-    disc, root = _jam_root(*h, pmax1)
-    return disc, root, reference_solver._jam_root(*h, pmax1, sign=-1.0)[1]
+    the discriminant and the smaller from the reference."""
+    disc, root_bar = reference_solver._jam_root(*h, pmax1, sign=-1.0)
+    return disc, _jam_root(*h, pmax1), root_bar
 
 
 def test_jam_roots_pinned():
@@ -103,7 +104,7 @@ def test_jam_roots_no_real_roots():
     # h2 < 1 with large transmit power drives the discriminant negative:
     # D = h1*h2*(h2-1)*[(h2-1)+(h2-h1)*P1] = 0.1*(-0.5)*(2.5) < 0 at P1=10
     with np.errstate(all="ignore"):
-        disc, root = _jam_root(0.2, 0.5, 10.0)
+        disc, root = reference_solver._jam_root(0.2, 0.5, 10.0)[0], _jam_root(0.2, 0.5, 10.0)
     assert disc < 0.0 and math.isnan(root)
     # with no real root the solver does not jam
     alloc = optimal_powers_jam((0.2, 0.5), (10.0, 10.0))
@@ -215,7 +216,7 @@ def test_jam_roots_outside_the_float_range_leave_a_finite_allocation():
     ]
     for gains, pmax1 in cases:
         with np.errstate(all="ignore"):
-            disc, root = _jam_root(*gains, pmax1)
+            disc, root = reference_solver._jam_root(*gains, pmax1)[0], _jam_root(*gains, pmax1)
         assert math.isfinite(disc) and not math.isfinite(root)
         for pmax in ((pmax1, 1.0), (pmax1, FLOAT_MAX)):
             alloc = optimal_powers_jam(gains, pmax)
@@ -228,6 +229,49 @@ def test_jam_roots_outside_the_float_range_leave_a_finite_allocation():
                 order = sorted(range(2), key=lambda k: gains[k])
                 expected = jam_rate([alloc.p[k] for k in order], [gains[k] for k in order])
             assert alloc.achieved_rate == pytest.approx(max(0.0, expected), rel=1e-12)
+
+
+def _overflowing_root_draws(rng: random.Random, n: int):
+    """Seeded (h1, h2, m1) at which the jamming root is read (h2 > 1, h2 > h1)
+    and its discriminant overflows: h2 log-uniform on [1, 1e300]; h1 zero,
+    log-uniform on [1e-300, 1], uniform below 1 or below h2, 1, or within
+    1e-15..1e-1 of h2 relatively; m1 zero, log-uniform on [1e-3, 1e5] or on
+    [1e-300, 1e308]."""
+    def loguniform(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    draws = []
+    while len(draws) < n:
+        h2 = loguniform(0.0, 300.0)
+        h1 = rng.choice([0.0, loguniform(-300.0, 0.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, h2), 1.0,
+                         h2 * (1.0 - loguniform(-15.0, -1.0))])
+        m1 = rng.choice([0.0, loguniform(-3.0, 5.0), loguniform(-300.0, 308.0)])
+        with np.errstate(all="ignore"):
+            disc = reference_solver._jam_root(h1, h2, m1)[0]
+        if h2 > 1.0 and h2 > h1 and not math.isfinite(disc):
+            draws.append((h1, h2, m1))
+    return draws
+
+
+def test_jam_root_where_the_discriminant_overflows_matches_the_exact_root():
+    # the exact root sqrt(h1 (h2-1) ((h2-1) + d m1) / h2) / d - (1-h1)/d,
+    # d = h2 - h1, in 80-digit decimals on the floats' exact values.  Its two
+    # terms may cancel, so the error is measured against their magnitudes:
+    # at most 2 ulps of it, and the same bits on arrays as on numpy scalars
+    draws = _overflowing_root_draws(random.Random(RNG_SEED), 2000)
+    with np.errstate(all="ignore"):
+        whole = _jam_root(*(np.array(column) for column in zip(*draws)))
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for i, (h1, h2, m1) in enumerate(draws):
+            with np.errstate(all="ignore"):
+                got = _jam_root(*map(np.float64, (h1, h2, m1)))
+            assert np.float64(got).tobytes() == whole[i].tobytes(), (h1, h2, m1)
+            H1, H2, M1 = map(Decimal, (h1, h2, m1))
+            d = H2 - H1
+            s, t = (H1 * (H2 - 1) * ((H2 - 1) + d * M1) / H2).sqrt() / d, (1 - H1) / d
+            assert math.isfinite(got), (h1, h2, m1)
+            assert abs(Decimal(float(got)) - (s - t)) <= Decimal(2.0**-51) * (s + abs(t)), (h1, h2, m1)
 
 
 def test_solvers_reject_an_overflowing_secrecy_rate():
@@ -295,26 +339,31 @@ def test_solvers_match_the_scalar_reference_on_a_seeded_corpus():
             assert got == _outcome(reference, gains, pmax), (solver.__name__, gains, pmax)
             outcomes[got.split("case_label='")[1].split("'")[0] if "case_label" in got
                      else got.split(" too large: ")[-1]] += 1
-    # every case and both overflow messages are drawn
-    assert set(outcomes) >= {
+        # a jamming answer that read the root where its discriminant overflows
+        (h1, m1), (h2, _) = sorted(zip(gains, pmax), key=lambda hm: hm[0])
+        with np.errstate(all="ignore"):
+            scaled = h1 != h2 and h2 > 1.0 and not math.isfinite(reference_solver._jam_root(h1, h2, m1)[0])
+        outcomes["scaled root"] += scaled and "case_label" in got
+    # every case, the scaled root and the overflow message are drawn
+    assert set(k for k, n in outcomes.items() if n) >= {
         "BOTH_TRANSMIT", "ONE_TRANSMITS", "NONE", "JAM_AT_ROOT", "JAM_AT_MAX", "NO_JAM",
-        "the secrecy rate overflows the float range",
-        "the jamming-root discriminant overflows the float range",
+        "the secrecy rate overflows the float range", "scaled root",
     }, outcomes
 
 
 def _solve_bits(solved, i=None):
     """The outputs of ``_solve`` (element ``i`` of an array call): float
-    bits, case codes and roots_ok."""
-    (s1, s2, srate, scode), (j1, j2, jrate, jcode), ok = solved
+    bits and case codes."""
+    (s1, s2, srate, scode), (j1, j2, jrate, jcode) = solved
     at = (lambda v: v) if i is None else (lambda v: v[i])
     return ([np.float64(at(v)).tobytes() for v in (s1, s2, srate, j1, j2, jrate)],
-            [int(at(v)) for v in (scode, jcode)], bool(at(ok)))
+            [int(at(v)) for v in (scode, jcode)])
 
 
 def test_the_0d_solve_gives_the_bits_of_the_array_solve():
     # on numpy scalars ``_solve`` picks with Python branches, on arrays with
-    # np.where: the same bits, codes and roots_ok, draw for draw
+    # np.where, and each reads the scaled jamming root only where the
+    # discriminant overflows: the same bits and codes, draw for draw
     ulp_below, ulp_above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
     edge_gains = [(0.5, 0.5), (2.0, 2.0), (1.0, 1.0), (0.0, 0.0), (0.0, 2.0),
                   (ulp_below, 1.0), (1.0, ulp_above), (ulp_below, ulp_above), (ulp_above, 3.0)]

@@ -19,12 +19,9 @@ from macwiretap.regions import (
     RateVector,
     BOUNDARY_KINDS,
     SPLIT_TOL,
-    _CUT_POINTS,
-    _HULL_BINS,
     _box_simplex_candidates,
     _dominated,
     _fixed_power_bounds,
-    _staircase,
     _subset_bounds,
     _tdma_bound,
     _tdma_bounds,
@@ -612,7 +609,7 @@ def _hull_clouds(rng):
     arc = rng.uniform(0.0, np.pi / 2, n)
     frontier = np.column_stack([np.cos(arc), np.sin(arc)]) * (1.0 + rng.choice([0.0, 1e-16], (n, 1)))
     steps = rng.integers(0, 4, n) / 3.0
-    edges = x * rng.integers(0, _HULL_BINS + 1, 4 * n) / _HULL_BINS
+    edges = x * rng.integers(0, 1025, 4 * n) / 1024
     line = np.sort(rng.uniform(0.0, 1.0, 20 * n)) * x
     clouds = {
         "duplicates": rng.integers(0, 4, (n, 2)) / 3.0,
@@ -634,7 +631,7 @@ def _hull_clouds(rng):
         "both_maxima": np.vstack([rng.uniform(0.0, 1.0, (n, 2)) * [x, y], [[x, y]] * int(rng.integers(1, 3))]),
         "duplicate_column": np.vstack([rng.uniform(0.0, 1.0, (n, 2)) * [x, y], np.column_stack(
             [np.full(n + 1, x), rng.integers(0, 3, n + 1) / 2.0 * y])]),
-        # rate 1 on the filter's bin edges x = xmax * k / bins, rate 2 tied
+        # rate 1 on the edges x = xmax * k / 1024 of a 1024-bin filter, rate 2 tied
         "bin_edges": np.vstack([[[x, 0.0]], np.column_stack([edges, rng.integers(0, 5, 4 * n) / 4.0 * y])]),
         # a largest rate 1 of the smallest subnormal, and of a larger one.  At
         # 5e-324 rate 2 is integral: a product of 5e-324 with a fraction
@@ -659,7 +656,7 @@ def _evaluated_cells(std, kind, res):
     if kind == "TDMA":
         return 0
     fixed = "INDIVIDUAL" if kind == "UNION_I_T" else kind
-    return math.prod(1 if _dominated(std, fixed, k) else res for k in range(2))
+    return math.prod(a.size for a in _evaluated_axes(std, fixed, res))
 
 
 def _full_grid_corners(std, kind, delta, res, alpha_res):
@@ -698,9 +695,9 @@ def _hex(vertices):
 
 
 def test_pareto_prefiltered_hull_matches_the_unfiltered_chain():
-    # the collapsed power axes, the collapsed axis families and the bin
-    # filter only drop points that cannot reach the staircase, so every
-    # vertex is bitwise that of the full grid
+    # the collapsed power axes, the collapsed axis families and the row and
+    # column maxima only drop points that cannot reach the staircase, so
+    # every vertex is bitwise that of the full grid
     rng = np.random.default_rng(RNG_SEED)
     for trial in range(60):
         clouds = _hull_clouds(rng)
@@ -717,21 +714,35 @@ def test_pareto_prefiltered_hull_matches_the_unfiltered_chain():
             assert boundary.generator_count == generators, (trial, kind)
 
 
-def test_collapsed_candidates_keep_each_axis_maximum():
-    u1, u2, u12 = np.array([1.0, 3.0, 2.0]), np.array([2.0, 0.5, 4.0]), np.array([2.5, 3.0, np.inf])
-    x, y = _box_simplex_candidates(u1, u2, u12)
-    # the two axis maxima, then the (x_ax, c1y) and the (c2x, y_ax) corners
-    assert x.tolist() == [3.0, 0.0, 1.0, 3.0, 2.0, 0.5, 2.5, 2.0]
-    assert y.tolist() == [0.0, 4.0, 1.5, 0.0, 4.0, 2.0, 0.5, 4.0]
+def test_candidates_are_the_row_and_column_maxima():
+    # a 3 x 3 power-grid block, u1 along the rows and u2 along the columns.
+    # Row 2 has u12 <= u1 in every cell, so its c1y are all 0 and its
+    # candidate is (max x_ax, 0) = (max u12, 0), not (u1, 0); column 2 has
+    # u12 <= u2 in every cell likewise
+    u1, u2 = np.array([[1.0], [2.0], [4.0]]), np.array([[0.5, 2.0, 5.0]])
+    u12 = np.array([[1.5, 2.5, 3.5], [2.0, 3.0, 1.0], [3.0, 3.5, 2.0]])
+    # x_ax [[1, 1, 1], [2, 2, 1], [3, 3.5, 2]], c1y [[.5, 1.5, 2.5], [0, 1, 0], [0, 0, 0]]
+    # y_ax [[.5, 2, 3.5], [.5, 2, 1], [.5, 2, 2]], c2x [[1, .5, 0], [1.5, 1, 0], [2.5, 1.5, 0]]
+    x_ax, c1y, c2x, y_ax = _box_simplex_candidates(u1, u2, u12)
+    assert (x_ax.tolist(), c1y.tolist()) == ([1.0, 2.0, 3.5], [2.5, 1.0, 0.0])
+    assert (c2x.tolist(), y_ax.tolist()) == ([2.5, 1.5, 0.0], [0.5, 2.0, 3.5])
+    # one row: its row maximum, and every column as it is
+    x_ax, c1y, c2x, y_ax = _box_simplex_candidates(u1[:1], u2, u12[:1])
+    assert (x_ax.tolist(), c1y.tolist()) == ([1.0], [2.5])
+    assert (c2x.tolist(), y_ax.tolist()) == ([1.0, 0.5, 0.0], [0.5, 2.0, 3.5])
+    # a share grid, u1 and u2 both varying along it and u12 = inf: not reduced
+    u1, u2 = np.array([1.0, 0.5, 0.0]), np.array([0.0, 0.5, 1.0])
+    x_ax, c1y, c2x, y_ax = _box_simplex_candidates(u1, u2, np.full(3, np.inf))
+    assert (x_ax.tolist(), c1y.tolist()) == ([1.0, 0.5, 0.0], [0.0, 0.5, 1.0])
+    assert (c2x.tolist(), y_ax.tolist()) == ([1.0, 0.5, 0.0], [0.0, 0.5, 1.0])
 
 
-def _full_grid_bounds(std, kind, delta, res):
+def _full_grid_bounds(std, kind, delta, axes):
     """The bounds of _fixed_power_bounds with every term evaluated per cell,
-    on the raveled res x res power meshgrid, or None when a MAC bound
+    on the raveled meshgrid of the two power axes, or None when a MAC bound
     overflows."""
     with np.errstate(all="ignore"):
-        grid = np.meshgrid(np.linspace(0.0, std.pmax[0], res), np.linspace(0.0, std.pmax[1], res),
-                           indexing="ij")
+        grid = np.meshgrid(*axes, indexing="ij")
         bounds = _subset_bounds(kind, std.h, [p.ravel() for p in grid])
         if not all(np.isfinite(mac).all() for _, _, mac in bounds):
             return None
@@ -754,8 +765,8 @@ def test_per_axis_bounds_match_the_full_grid_bitwise():
         delta = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
         res = int(rng.integers(2, 102))
         std = StandardChannel(2, h, pmax)
-        want = _full_grid_bounds(std, kind, delta, res)
         axes = _linspace_axes(std, res)
+        want = _full_grid_bounds(std, kind, delta, axes)
         if want is None:
             with pytest.raises(ValidationError, match="pmax .* overflows"):
                 _grid_bounds(std, kind, delta, axes)
@@ -920,8 +931,8 @@ _BLOCK_BUDGETS = {"1": lambda res: 1, "1 row": lambda res: res, "res-1": lambda 
 
 @pytest.mark.parametrize("budget", list(_BLOCK_BUDGETS))
 def test_boundary_blocks_match_one_block_bit_for_bit(monkeypatch, budget):
-    # one row per block with a merge of the cut points at nearly every block,
-    # a partial last block, the default's blocks, and one block
+    # one row per block, each block's column maxima joined with the last
+    # one's, a partial last block, the default's blocks, and one block
     for draw, want in _one_block_boundaries():
         monkeypatch.setattr(rates, "_GRID_BLOCK", _BLOCK_BUDGETS[budget](draw[3]))
         got = region_boundary_2d(*draw)
@@ -934,7 +945,7 @@ def test_blocked_draws_split_every_power_grid_kind(monkeypatch, kind):
     # a collapsed power axis (_dominated) may leave a draw one row, which no
     # budget splits; at every budget below the default, each kind with a
     # power grid keeps a draw whose evaluated grid spans several blocks, so
-    # the test above merges blocks of that kind
+    # the test above joins blocks of that kind
     blocks = []
 
     def counted(*args):
@@ -955,49 +966,70 @@ def test_blocked_draws_split_every_power_grid_kind(monkeypatch, kind):
 
 
 def _cut_draws():
-    """Seeded boundary inputs, 12 of every kind: each gain uniform on [0, 1]
-    or on [1, 3], so a pair lies below, across or above 1 (equal and below 1
-    for the outer kinds); pmax log-uniform on [1e-3, 1e5]; delta 1 or
-    uniform on [0.05, 1]; power res log-uniform on 2 to 301 and alpha res 2
-    to 301."""
+    """Seeded boundary inputs, 16 of every kind.  Each gain is uniform on
+    [0, 1] or on [1, 3], exactly 1, or within 1e-12..1e-3 of 1, and one pair
+    in four is equal (equal and below 1 for the outer kinds); each pmax is 0
+    one time in ten, else log-uniform on [1e-3, 1e5], or on [1e-3, 1e150] in
+    one draw of four; delta 1 or uniform on [0.05, 1]; power res log-uniform
+    on 2 to 301 and alpha res 2 to 301."""
     rng = np.random.default_rng(RNG_SEED + 30)
     draws = []
     for kind in BOUNDARY_KINDS:
-        for _ in range(12):
+        for _ in range(16):
+            near_1 = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -3.0)
+            gains = [rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0), 1.0, near_1]
+            h = tuple(float(rng.choice(gains)) for _ in range(2))
             if kind.startswith("OUTER"):
                 h = (float(rng.uniform(0.0, 1.0)),) * 2
-            else:
-                h = tuple(float(rng.choice([rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0)])) for _ in range(2))
-            pmax = tuple(float(v) for v in 10.0 ** rng.uniform(-3.0, 5.0, 2))
+            elif rng.uniform() < 0.25:
+                h = (h[0], h[0])
+            top = 150.0 if rng.uniform() < 0.25 else 5.0
+            pmax = tuple(float(rng.choice([0.0, 10.0 ** rng.uniform(-3.0, top)], p=[0.1, 0.9])) for _ in range(2))
             delta = float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
             res = int(np.rint(np.exp(rng.uniform(np.log(2.0), np.log(301.0)))))
             draws.append((StandardChannel(2, h, pmax), kind, delta, res, int(rng.integers(2, 302))))
     return draws
 
 
-@functools.cache
-def _default_cut_boundaries():
-    """The boundaries of ``_cut_draws`` as they are, and the size of every
-    cloud that ``_staircase`` was given."""
-    sizes = []
-    with pytest.MonkeyPatch.context() as mp:
-        staircase = _staircase
-        mp.setattr("macwiretap.regions._staircase", lambda x, y: sizes.append(x.size) or staircase(x, y))
-        return [(draw, region_boundary_2d(*draw)) for draw in _cut_draws()], sizes
+def _evaluated_axes(std, kind, res):
+    """The power axes a boundary evaluates: pmax alone where ``_dominated``
+    holds, res points on [0, pmax] otherwise."""
+    with np.errstate(all="ignore"):
+        return [np.array([pmax]) if _dominated(std, kind, k) else np.linspace(0.0, pmax, res)
+                for k, pmax in enumerate(std.pmax)]
 
 
-@pytest.mark.parametrize("cut_points", [0, 10**9])
-def test_boundaries_match_with_and_without_the_staircase_cut(monkeypatch, cut_points):
-    # the hull cuts only a cloud of more than _CUT_POINTS points: cut every
-    # cloud (0) or none (1e9), and every boundary keeps its bits.  The draws
-    # hold clouds on both sides of the default, so it is exercised both ways
-    boundaries, sizes = _default_cut_boundaries()
-    assert min(sizes) <= _CUT_POINTS < max(sizes)
-    monkeypatch.setattr("macwiretap.regions._CUT_POINTS", cut_points)
-    for draw, want in boundaries:
+@pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+def test_row_and_column_maxima_give_the_hull_of_every_corner(kind):
+    # each boundary is bitwise the staircase chain over all four corners of
+    # every evaluated cell, each bound computed per cell, and the share grid
+    for std, _, delta, res, alpha_res in (draw for draw in _cut_draws() if draw[1] == kind):
+        draw = (std, kind, delta, res, alpha_res)
+        bounds, cells = [], 0
+        if kind != "TDMA":
+            fixed = "INDIVIDUAL" if kind == "UNION_I_T" else kind
+            axes = _evaluated_axes(std, fixed, res)
+            bounds.append(_full_grid_bounds(std, fixed, delta, axes))
+            cells += axes[0].size * axes[1].size
+        if kind in ("TDMA", "UNION_I_T"):
+            bounds.append(_tdma_bounds(std, delta, alpha_res))
+            cells += alpha_res
+        assert all(b is not None for b in bounds), draw
+        want = _unfiltered_hull(np.vstack([_all_corners(b) for b in bounds] + [[[0.0, 0.0]]]))
         got = region_boundary_2d(*draw)
-        assert _hex(got.vertices) == _hex(want.vertices), draw
-        assert got.generator_count == want.generator_count, draw
+        assert _hex(got.vertices) == _hex(want), draw
+        assert got.generator_count == 1 + 4 * cells, draw
+
+
+def test_cut_draws_reach_every_evaluated_grid_shape():
+    # the evaluated power grids of the draws above are 1 x 1, 1 x n, n x 1
+    # and n x n, so rows and columns are each reduced and left whole
+    shapes = set()
+    for std, kind, _, res, _ in _cut_draws():
+        if kind != "TDMA":
+            fixed = "INDIVIDUAL" if kind == "UNION_I_T" else kind
+            shapes.add(tuple(min(a.size, 2) for a in _evaluated_axes(std, fixed, res)))
+    assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 @pytest.mark.parametrize("rows", [1, 3, None])

@@ -273,14 +273,13 @@ def test_sweep_matches_scalar_cells_on_random_geometries():
 
 
 @pytest.mark.parametrize("overrides, cell, reason", [
-    # the jamming-root discriminant overflows at this cell only
-    (dict(grid=(6, 6), pathloss_exponent=150.0, noise_var_tap=1e-10), (25.0, 75.0),
-     "the jamming-root discriminant overflows"),
+    # the receiver gains underflow, so every cell fails and the first names it
+    (dict(grid=(6, 6), pathloss_exponent=300.0), (100.0 / 12, 100.0 / 12), "underflows to zero"),
     # the secrecy rate overflows at every cell but the centre
     (dict(grid=(3, 3), users=((49.5, 50.0), (50.5, 50.0)), pathloss_exponent=250.0,
           power_limits=(1.7976931348623157e308, 1.7976931348623157e308)),
      (100.0 / 6, 100.0 / 6), "the secrecy rate overflows"),
-], ids=["root-discriminant", "secrecy-rate"])
+], ids=["gain-underflow", "secrecy-rate"])
 def test_an_unvouched_cell_raises_its_own_error(overrides, cell, reason):
     # the sweep stops at the first cell it cannot vouch for, with the
     # message the scalar solvers give for that cell
@@ -292,15 +291,28 @@ def test_an_unvouched_cell_raises_its_own_error(overrides, cell, reason):
     assert str(raised.value) == f"cell ({cell[0]:g}, {cell[1]:g}): {expected.value}"
 
 
+def test_the_sweep_answers_where_a_jamming_root_discriminant_overflows():
+    # the discriminant grows with the cube of a gain and overflows at cell
+    # (25, 75), which jams at full power; every cell is the scalar reference's
+    cfg = small_config(grid=(6, 6), pathloss_exponent=150.0, noise_var_tap=1e-10)
+    std = standardize(gains_at(cfg, (25.0, 75.0)))
+    (h1, m1), (h2, _) = sorted(zip(std.h, std.pmax))
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(reference_solver._jam_root(h1, h2, m1)[0])
+    text = csv_text(sweep(cfg))
+    assert text == scalar_csv(cfg)
+    assert "\n25,75," in text and text.split("\n25,75,")[1].split("\n")[0].endswith(",JAM_AT_MAX")
+
+
 def test_sweep_never_patches_a_cell_the_solvers_accept(monkeypatch):
     # an unvouched cell is one ``_cell`` rejects; a poisoned ``ok`` mask on
     # good cells is an internal fault, reported at its first cell
     solve = scenario._solve
 
     def poisoned(*args):
-        nojam, (p1, p2, jam, case), ok = solve(*args)
-        p1[1::3], jam[1::3], case[1::3], ok[1::3] = np.nan, np.nan, 0, False
-        return nojam, (p1, p2, jam, case), ok
+        nojam, (p1, p2, jam, case) = solve(*args)
+        p1[1::3], jam[1::3], case[1::3] = np.nan, np.nan, 0
+        return nojam, (p1, p2, jam, case)
 
     monkeypatch.setattr(scenario, "_solve", poisoned)
     with pytest.raises(RuntimeError, match=r"^cell \(37\.5, 10\): the array solve rejected"):
@@ -499,18 +511,19 @@ def test_a_gain_overflow_in_the_last_cell_costs_one_scalar_cell(monkeypatch):
 
 
 def test_an_earlier_cell_fails_before_a_gain_overflow(monkeypatch):
-    # the tap gain overflows at the last cell, a user's centre; the
-    # jamming-root discriminant overflows earlier, at (25, 41.6667)
+    # the tap gain overflows at the last cell, a user's centre; h, a tap
+    # gain times noise_var_main over the receiver gain times noise_var_tap,
+    # overflows earlier, at (25, 41.6667)
     last = 5.5 * 100.0 / 6
     cfg = small_config(grid=(6, 6), users=((20.0, 35.0), (last, last)), pathloss_exponent=150.0,
-                       noise_var_tap=1e-20, min_distance=1e-3)
+                       noise_var_tap=1e-20, noise_var_main=1e200, min_distance=1e-3)
     assert scenario._tap_gains(cfg, cfg.users[1], np.array(last), np.array(last)) == math.inf
     calls = count_cell_calls(monkeypatch)
     with pytest.raises(ValidationError) as raised:
         sweep(cfg)
     cell = (25.0, 2.5 * 100.0 / 6)
     assert calls == [cell]
-    with pytest.raises(ValidationError, match="the jamming-root discriminant overflows") as expected:
+    with pytest.raises(ValidationError, match="overflows the float range, so h is undefined") as expected:
         reference_cell(cfg, *cell)
     assert str(raised.value) == f"cell ({cell[0]:g}, {cell[1]:g}): {expected.value}"
 
