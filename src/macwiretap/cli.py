@@ -6,13 +6,12 @@ verbatim, so identical inputs on the same version produce byte-identical
 output.  ``_write`` gives in one pass the bytes of ``json.dumps(...,
 indent=2, sort_keys=True)``, whose indented form runs the pure-Python
 encoder.  ``main`` parses argv by the flag table of the subcommand ``argv[0]``
-names, which only accepts (``_table_parse``); when it declines, by that
-subcommand's parser; and by the top-level parser when ``argv[0]`` names none,
-when an argument starts with ``--=`` (refused only there) or when some are
-left over (for the top-level usage).  So every usage and error text is
-argparse's.  Exit codes: 0 success, 1 internal error (a fault of the program,
-on one stderr line) or stdout closed early (nothing on stderr), 2 input or
-validation error, 3 self-verification failure (--verify gap).
+names, which only accepts (``_table_parse``), and by argparse's top-level
+parser wherever the table declines or ``argv[0]`` names no subcommand, so
+every usage and error text is argparse's.  Exit codes: 0 success, 1 internal
+error (a fault of the program, on one stderr line) or stdout closed early
+(nothing on stderr), 2 input or validation error, 3 self-verification
+failure (--verify gap).
 """
 
 from __future__ import annotations
@@ -349,8 +348,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, its ``subcommands`` and their flag ``tables`` (by name),
-    built once and shared: ``main`` reuses them, so a caller must not change them."""
+    """The CLI parser and its subcommands' flag ``tables`` (by name), built
+    once and shared: ``main`` reuses them, so a caller must not change them."""
     parser = argparse.ArgumentParser(
         prog="macwiretap",
         description="Secrecy rate regions and power allocation for the two-user "
@@ -428,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=_cmd_scenario)
 
-    parser.subcommands = sub.choices
     parser.tables = {name: _flag_table(p) for name, p in sub.choices.items()}
     return parser
 
@@ -472,14 +470,9 @@ def _table_parse(argv: Sequence[str], flags, defaults, required) -> argparse.Nam
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub and (args := _table_parse(argv, *parser.tables[argv[0]])) is not None:
-        return args
-    if sub and not any(arg.startswith("--=") for arg in argv):
-        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    table = parser.tables.get(argv[0]) if argv else None
+    args = table and _table_parse(argv, *table)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -54,7 +54,9 @@ class PowerAllocation:
     is the sum rate (``_sum_kernel``) at a jamming allocation, unclamped, as
     a diagnostic: it counts the jammer's power as a message, so it disagrees
     with the maximized objective when the jammer is active, and the gap is
-    surfaced rather than hidden; None where it is not finite.
+    surfaced rather than hidden.  Where the kernel's SNR gap rounds to -1 or
+    below (a huge jammer gain) it is g(p1 + p2) - g(h1 p1 + h2 p2) as a
+    difference; None where that is not finite either.
     """
 
     p: tuple[float, float]
@@ -128,10 +130,6 @@ def _jam_root_scaled(h1, h2, m1):
     odd = e & 1
     s = np.ldexp(np.sqrt(f1 * (1.0 - 1.0 / h2) * fq / fd * (1 + odd)), (e - odd) // 2)
     return s - (1.0 - h1) / d
-
-
-def _too_large(h, m, what: str) -> ValidationError:
-    return ValidationError(f"gains {h} with pmax {m} too large: {what} overflows the float range")
 
 
 # case labels in the order of the codes that ``_solve`` returns
@@ -214,6 +212,8 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
     with np.errstate(all="ignore"):
         nojam, jam = _solve(*map(np.float64, h + m))
         capacity = float(_sum_kernel(jam[0], jam[1], *h))
+        if not math.isfinite(capacity):  # its gap rounded to -1 or below
+            capacity = float(_g_arr(jam[0] + jam[1]) - _g_arr(h[0] * jam[0] + h[1] * jam[1]))
     out = []
     for objective in objectives:
         extra = {}
@@ -226,7 +226,8 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
                 extra["capacity_expr_rate"] = capacity
         rate = float(rate)
         if not math.isfinite(rate):
-            raise _too_large(h, m, "the secrecy rate")
+            raise ValidationError(f"gains {h} with pmax {m} too large: "
+                                  "the secrecy rate overflows the float range")
         out.append(PowerAllocation(
             p=(float(p1), float(p2)), case_label=CASE_LABELS[code],
             achieved_rate=max(0.0, rate), **extra,

@@ -28,11 +28,11 @@ from .errors import ValidationError
 # 2**K subsets are materialized; beyond this the constraint sets explode.
 MAX_SUBSET_USERS = 20
 # cells per block of a grid evaluated in blocks of whole rows (the oracle's
-# grids, a boundary's power and time-share grids).  A float64 temporary of a
-# block takes at most 64 KiB, and a boundary block's candidate columns 128
-# KiB each, about glibc's initial mmap threshold, so the blocks reuse heap
-# memory instead of faulting in fresh pages, and memory does not grow with
-# the grid
+# grids and a boundary's power grid; the time-share grid is one 1-D call).  A
+# float64 temporary of a block takes at most 64 KiB, below glibc's initial
+# mmap threshold of 128 KiB, so the blocks reuse heap memory instead of
+# faulting in fresh pages, and a boundary block keeps only its row and
+# column maxima, so memory does not grow with the grid
 _GRID_BLOCK = 8192
 _BITS = 0.5 / math.log(2.0)
 

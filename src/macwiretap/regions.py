@@ -431,29 +431,25 @@ class RegionBoundary2D:
 
 
 def _box_simplex_candidates(u1: np.ndarray, u2: np.ndarray, u12: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The hull candidates of one block of cells, for the per-cell total-rate
-    bounds u1, u2 and u12 (broadcastable; u12 may be +inf when no joint row
-    exists) of {x,y >= 0, x <= u1, y <= u2, x+y <= u12}.  The box-simplex
-    vertices of a cell are (x_ax, 0), (0, y_ax), (x_ax, c1y) and
+    """The hull candidates of one power-grid block, for the total-rate
+    bounds u1 of shape (rows, 1), u2 of shape (1, cols) and u12 of the
+    block's cells, of {x,y >= 0, x <= u1, y <= u2, x+y <= u12}.  The
+    box-simplex vertices of a cell are (x_ax, 0), (0, y_ax), (x_ax, c1y) and
     (c2x, y_ax), with x_ax = min(u1, u12), y_ax = min(u2, u12),
     c1y = min(u2, u12 - x_ax) and c2x = min(u1, u12 - y_ax); the caller adds
     the axis maxima, which no other axis vertex can beat.  Returns
-    (x_ax, c1y, c2x, y_ax).  On a power-grid block, u1 of shape (rows, 1)
-    and u2 of shape (1, cols), these are reduced to their row and column
-    maxima: c1y > 0 only where u12 > u1, and there x_ax = u1 is constant
-    along the row, while elsewhere c1y = 0 and x_ax = u12 <= u1.  So the row
-    maxima (max x_ax, max c1y) are a corner of some cell of the row that
-    every (x_ax, c1y) corner of the row lies below and left of, or on; the
-    column maxima (max c2x, max y_ax) likewise.  min and max never round, so
-    the staircase keeps its values.  An axis of length 1 is raveled rather
-    than reduced, and a 1-D share grid, along which u1 and u2 both vary, is
-    left whole."""
+    (x_ax, c1y, c2x, y_ax) reduced to their row and column maxima:
+    c1y > 0 only where u12 > u1, and there x_ax = u1 is constant along the
+    row, while elsewhere c1y = 0 and x_ax = u12 <= u1.  So the row maxima
+    (max x_ax, max c1y) are a corner of some cell of the row that every
+    (x_ax, c1y) corner of the row lies below and left of, or on; the column
+    maxima (max c2x, max y_ax) likewise.  min and max never round, so the
+    staircase keeps its values.  An axis of length 1 is raveled rather than
+    reduced."""
     x_ax, y_ax = np.minimum(u1, u12), np.minimum(u2, u12)
     c1y, c2x = np.subtract(u12, x_ax), np.subtract(u12, y_ax)
     np.minimum(u2, c1y, out=c1y)
     np.minimum(u1, c2x, out=c2x)
-    if x_ax.ndim == 1:
-        return x_ax, c1y, c2x, y_ax
     rows, cols = x_ax.shape
     if cols > 1:
         x_ax, c1y = x_ax.max(axis=1), c1y.max(axis=1)
@@ -509,18 +505,20 @@ def _dominated(std: StandardChannel, kind: str, k: int) -> bool:
 
 def _tdma_bounds(std: StandardChannel, delta: float, alpha_res: int) -> tuple[np.ndarray, ...]:
     """Per time share of the alpha_res-point share grid, the total-rate
-    bounds (u1, u2, u12 = +inf) of the time-division region, each user at
-    full power by the rule of ``_dominated``: both of a share's bounds grow
-    with the user's power.  Both users are evaluated in one (2, alpha_res)
-    call, user 1 on the shares and user 2 on one minus them, and an
-    overflowing bound is refused before any candidate is built."""
+    bounds (u1, u2) of the time-division region, each user at full power by
+    the rule of ``_dominated``: both of a share's bounds grow with the
+    user's power.  The users take turns, so no joint row bounds u1 + u2, and
+    (u1, u2) is the share's one point that the hull can reach.  Both users
+    are evaluated in one (2, alpha_res) call, user 1 on the shares and user
+    2 on one minus them, and an overflowing bound is refused before any
+    candidate is built."""
     alphas = np.linspace(0.0, 1.0, alpha_res)
     with np.errstate(all="ignore"):
         secrecy, total = _tdma_bound(np.array(std.h)[:, None], np.array(std.pmax)[:, None],
                                      np.stack([alphas, 1.0 - alphas]))
         u1, u2 = np.minimum(secrecy / delta, total)
     _require_finite(total, f"pmax {std.pmax}")
-    return u1, u2, np.full(alpha_res, np.inf)
+    return u1, u2
 
 
 def _staircase(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -574,12 +572,12 @@ def _boundary_candidates(
     step product is harmless, since its last point is set to pmax exactly.
     The power grid comes in blocks of whole rows, each adding its row maxima
     (``_box_simplex_candidates``); the column maxima are joined across the
-    blocks by np.maximum.  The share grid comes in one block, left whole.
-    The cloud is the two axis maxima (max x_ax, 0) and (0, max y_ax), then
-    at most rows + cols points of the power grid and 2 * alpha_res of the
-    share grid, so no array grows with the grid's cells.  Per cell
-    c1y <= y_ax and c2x <= x_ax, so each axis maximum is the cloud's
-    largest rate."""
+    blocks by np.maximum.  The share grid adds its points as they are
+    (``_tdma_bounds``).  The cloud is the two axis maxima (max x_ax, 0) and
+    (0, max y_ax), then at most rows + cols points of the power grid and
+    alpha_res of the share grid, so no array grows with the grid's cells.
+    Per cell c1y <= y_ax and c2x <= x_ax, so each axis maximum is the
+    cloud's largest rate."""
     xs, ys = [np.zeros(2)], [np.zeros(2)]
     cells = 0
     if kind != KIND_TDMA:
@@ -593,13 +591,13 @@ def _boundary_candidates(
             xs.append(x_ax)
             ys.append(c1y)
             cols = [np.maximum(a, b, out=a) for a, b in zip(cols, col)] if cols else col
-            cells += np.broadcast(*bounds).size
         xs.append(cols[0])
         ys.append(cols[1])
+        cells = axes[0].size * axes[1].size
     if kind in (KIND_TDMA, KIND_UNION_I_T):
-        x_ax, c1y, c2x, y_ax = _box_simplex_candidates(*_tdma_bounds(std, delta, alpha_res))
-        xs += [x_ax, c2x]
-        ys += [c1y, y_ax]
+        u1, u2 = _tdma_bounds(std, delta, alpha_res)
+        xs.append(u1)
+        ys.append(u2)
         cells += alpha_res
     x, y = np.concatenate(xs), np.concatenate(ys)
     x[0], y[1] = x.max(), y.max()

@@ -5,7 +5,8 @@ package's one form of the case logic.
 Tests compare the public solvers and the sweep with it value for value and
 message for message.  The rate kernels and the input parsing are the
 package's own, and the capacity expression is the sum-rate kernel at the
-jamming allocation; the relabelling, the case logic, the sum-rate threshold
+jamming allocation (the difference of its two rates where the kernel's gap
+rounds to -1); the relabelling, the case logic, the sum-rate threshold
 and the jamming root are written here.
 """
 
@@ -29,6 +30,7 @@ from macwiretap.optimizer import (
     _jam_kernel,
     _sum_kernel,
 )
+from macwiretap.rates import _g_arr
 
 
 def _sorted_two(gains, pmax):
@@ -144,9 +146,14 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
         case = CASE_JAM_AT_MAX if p2 == m2 else CASE_JAM_AT_ROOT
     else:
         p_sorted, case = (0.0, 0.0), CASE_NONE
-    # a gap that rounds to -1 or below has no finite logarithm: left out
+    # a gap that rounds to -1 or below has no finite logarithm: there the
+    # capacity expression is the difference of its two rates, and it is left
+    # out where that is not finite either
     with np.errstate(all="ignore"):
         capacity = float(_sum_kernel(*p_sorted, *h))
+        if not math.isfinite(capacity):
+            (p1, p2), (h1, h2) = p_sorted, h
+            capacity = float(_g_arr(p1 + p2) - _g_arr(h1 * p1 + h2 * p2))
     return _allocation(
         _jam_kernel, p_sorted, case, h, m, swapped,
         capacity_expr_rate=capacity if math.isfinite(capacity) else None,

@@ -1065,8 +1065,8 @@ def _perfbench_workloads():
 
 
 def _mutant(argv, k):
-    """The ``k``-th parse edge applied to ``argv``: the cases the flag table,
-    the subcommand's parser and the top-level parser might read differently."""
+    """The ``k``-th parse edge applied to ``argv``: the cases the flag table
+    and the top-level parser might read differently."""
     flags = [i for i, arg in enumerate(argv) if arg.startswith("--") and i + 1 < len(argv)]
     i = flags[k % len(flags)] if flags else len(argv) - 1
     edges = [

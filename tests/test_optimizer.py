@@ -291,6 +291,57 @@ def test_solvers_reject_an_overflowing_secrecy_rate():
     assert alloc.capacity_expr_rate is None
 
 
+def _capacity_gap_draws(rng: random.Random, n: int):
+    """Seeded jamming channels at whose allocation the sum-rate kernel's SNR
+    gap rounds to -1 or below, so its logarithm is not finite: the jammer's
+    gain is huge next to the transmitter's.  Gains log-uniform up to 1e300
+    or a factor up to 1e20 apart, pmax log-uniform on [1e-3, 1e5] or up to
+    1e308, in either user order."""
+    def loguniform(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    draws = [((1e154, 1e150), (1e150, 5.0984213802232885))]
+    while len(draws) < n:
+        h1 = rng.choice([loguniform(-3.0, 0.0), rng.uniform(0.0, 1.0), loguniform(0.0, 300.0)])
+        h = (h1, rng.choice([loguniform(0.0, 300.0), h1 * loguniform(0.0, 20.0)]))
+        m = tuple(rng.choice([loguniform(-3.0, 5.0), loguniform(-300.0, 308.0)]) for _ in range(2))
+        if rng.random() < 0.5:
+            h = h[::-1]
+        try:
+            alloc = optimal_powers_jam(h, m)
+        except ValidationError:  # an overflowing gain or secrecy rate
+            continue
+        with np.errstate(all="ignore"):
+            if alloc.case_label.startswith("JAM") and not math.isfinite(optimizer._sum_kernel(*alloc.p, *h)):
+                draws.append((h, m))
+    return draws
+
+
+def test_capacity_expression_where_its_gap_rounds_to_minus_1_matches_the_exact_value():
+    # there it is g(p1 + p2) - g(h1 p1 + h2 p2), a difference of two rates:
+    # within 2 ulps of their magnitudes of its value in 80-digit decimals on
+    # the floats' exact values (-251.829137692737... bits on the first draw),
+    # and left out only where h1 p1 + h2 p2 overflows
+    draws = _capacity_gap_draws(random.Random(RNG_SEED), 400)
+    left_out = 0
+    with localcontext() as ctx:
+        ctx.prec = 80
+        bits = 2 * Decimal(2).ln()
+        for h, m in draws:
+            alloc = optimal_powers_jam(h, m)
+            (p1, p2), (h1, h2) = alloc.p, h
+            if alloc.capacity_expr_rate is None:
+                assert not math.isfinite(h1 * p1 + h2 * p2), (h, m)
+                left_out += 1
+                continue
+            P1, P2, H1, H2 = map(Decimal, (p1, p2, h1, h2))
+            main, eaves = (1 + P1 + P2).ln() / bits, (1 + H1 * P1 + H2 * P2).ln() / bits
+            error = abs(Decimal(alloc.capacity_expr_rate) - (main - eaves))
+            assert error <= 2 * Decimal(math.ulp(float(main + eaves))), (h, m)
+    assert f"{optimal_powers_jam(*draws[0]).capacity_expr_rate:.15g}" == "-251.829137692737"
+    assert 0 < left_out < len(draws) // 10
+
+
 def _solver_draws(rng: random.Random, n: int):
     """Seeded (gains, pmax) pairs: gains log-uniform on [1e-3, 1e3] and pmax
     on [1e-3, 1e5], with a tenth each of equal gains, a gain of exactly

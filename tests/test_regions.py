@@ -19,6 +19,7 @@ from macwiretap.regions import (
     RateVector,
     BOUNDARY_KINDS,
     SPLIT_TOL,
+    _boundary_candidates,
     _box_simplex_candidates,
     _dominated,
     _fixed_power_bounds,
@@ -661,13 +662,14 @@ def _evaluated_cells(std, kind, res):
 
 def _full_grid_corners(std, kind, delta, res, alpha_res):
     """All candidates of a boundary, unfiltered, over the full res x res
-    power grid and the share grid, with the origin."""
+    power grid and the share grid, whose cells have no joint row
+    (u12 = +inf), with the origin."""
     bounds = []
     if kind != "TDMA":
         fixed = "INDIVIDUAL" if kind == "UNION_I_T" else kind
         bounds.append(_grid_bounds(std, fixed, delta, _linspace_axes(std, res)))
     if kind in ("TDMA", "UNION_I_T"):
-        bounds.append(_tdma_bounds(std, delta, alpha_res))
+        bounds.append((*_tdma_bounds(std, delta, alpha_res), np.inf))
     return np.vstack([_all_corners(b) for b in bounds] + [[[0.0, 0.0]]])
 
 
@@ -730,11 +732,6 @@ def test_candidates_are_the_row_and_column_maxima():
     x_ax, c1y, c2x, y_ax = _box_simplex_candidates(u1[:1], u2, u12[:1])
     assert (x_ax.tolist(), c1y.tolist()) == ([1.0], [2.5])
     assert (c2x.tolist(), y_ax.tolist()) == ([1.0, 0.5, 0.0], [0.5, 2.0, 3.5])
-    # a share grid, u1 and u2 both varying along it and u12 = inf: not reduced
-    u1, u2 = np.array([1.0, 0.5, 0.0]), np.array([0.0, 0.5, 1.0])
-    x_ax, c1y, c2x, y_ax = _box_simplex_candidates(u1, u2, np.full(3, np.inf))
-    assert (x_ax.tolist(), c1y.tolist()) == ([1.0, 0.5, 0.0], [0.0, 0.5, 1.0])
-    assert (c2x.tolist(), y_ax.tolist()) == ([1.0, 0.5, 0.0], [0.0, 0.5, 1.0])
 
 
 def _full_grid_bounds(std, kind, delta, axes):
@@ -802,7 +799,7 @@ def test_tdma_share_bounds_are_the_bounds_at_full_power():
     for trial, (h, pmax, delta, res, alpha_res) in enumerate(_tdma_draws()):
         got = _tdma_bounds(StandardChannel(2, h, pmax), delta, alpha_res)
         alphas = np.linspace(0.0, 1.0, alpha_res)
-        assert np.all(got[2] == np.inf)
+        assert len(got) == 2  # the users take turns: no joint row
         with np.errstate(all="ignore"):
             for k, shares in enumerate((alphas, 1.0 - alphas)):
                 secrecy, total = _tdma_bound(h[k], pmax[k], shares)
@@ -1012,13 +1009,30 @@ def test_row_and_column_maxima_give_the_hull_of_every_corner(kind):
             bounds.append(_full_grid_bounds(std, fixed, delta, axes))
             cells += axes[0].size * axes[1].size
         if kind in ("TDMA", "UNION_I_T"):
-            bounds.append(_tdma_bounds(std, delta, alpha_res))
+            bounds.append((*_tdma_bounds(std, delta, alpha_res), np.inf))  # no joint row
             cells += alpha_res
         assert all(b is not None for b in bounds), draw
         want = _unfiltered_hull(np.vstack([_all_corners(b) for b in bounds] + [[[0.0, 0.0]]]))
         got = region_boundary_2d(*draw)
         assert _hex(got.vertices) == _hex(want), draw
         assert got.generator_count == 1 + 4 * cells, draw
+
+
+@pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+def test_the_cloud_holds_one_point_per_row_column_and_share(kind):
+    # the two axis maxima, each evaluated row's and column's maxima, and
+    # each time share's one point (u1, u2), the corner of its cell that the
+    # other three lie below and left of, or on: 2 + alpha_res points for
+    # TDMA, 2 + rows + cols + alpha_res for UNION_I_T
+    for std, _, delta, res, alpha_res in (draw for draw in _cut_draws() if draw[1] == kind):
+        rows = cols = shares = 0
+        if kind != "TDMA":
+            fixed = "INDIVIDUAL" if kind == "UNION_I_T" else kind
+            rows, cols = (a.size for a in _evaluated_axes(std, fixed, res))
+        if kind in ("TDMA", "UNION_I_T"):
+            shares = alpha_res
+        x, y, _ = _boundary_candidates(std, kind, delta, res, alpha_res)
+        assert x.size == y.size == 2 + rows + cols + shares, (std, kind, delta, res, alpha_res)
 
 
 def test_cut_draws_reach_every_evaluated_grid_shape():
