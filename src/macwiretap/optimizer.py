@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, _as_number, _as_numbers
 from .errors import ValidationError
-from .rates import _g_arr, _pick, _row_blocks
+from .rates import _BITS, _g_arr, _pick, _row_blocks
 
 CASE_BOTH_TRANSMIT = "BOTH_TRANSMIT"
 CASE_ONE_TRANSMITS = "ONE_TRANSMITS"
@@ -41,6 +41,7 @@ MIN_ORACLE_RESOLUTION = 11
 # floor, near 0) of the largest, far above the few ulps by which the kernels
 # round apart from it; a block with more than this share of candidates is flat
 _GAP_TOL, _GAP_FLOOR, _GAP_SHARE = 1e-12, 2.0**-1000, 1 / 16
+_EDGE_PAD, _EDGE_FLOOR = 2.0**-46, 2.0**-1060  # of a block's edge-line bound (``grid_oracle``)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,8 @@ class PowerAllocation:
     with the maximized objective when the jammer is active, and the gap is
     surfaced rather than hidden.  Where the kernel's SNR gap rounds to -1 or
     below (a huge jammer gain) it is g(p1 + p2) - g(h1 p1 + h2 p2) as a
-    difference; None where that is not finite either.
+    difference, and where a sum overflows the difference of the logarithms
+    of both sums over twice the larger power; None where that is not finite.
     """
 
     p: tuple[float, float]
@@ -214,6 +216,9 @@ def _allocations(gains, pmax, objectives: Sequence[str]) -> list[PowerAllocation
         capacity = float(_sum_kernel(jam[0], jam[1], *h))
         if not math.isfinite(capacity):  # its gap rounded to -1 or below
             capacity = float(_g_arr(jam[0] + jam[1]) - _g_arr(h[0] * jam[0] + h[1] * jam[1]))
+        if not math.isfinite(capacity):  # a sum overflows: both over twice the larger power
+            q1, q2, q0 = np.divide((jam[0], jam[1], 1.0), max(jam[0], jam[1])) * 0.5
+            capacity = float((np.log(q0 + (q1 + q2)) - np.log(q0 + (h[0] * q1 + h[1] * q2))) * _BITS)
     out = []
     for objective in objectives:
         extra = {}
@@ -273,6 +278,35 @@ def tdma_optimal_alpha(powers: Sequence[float]) -> tuple[float, ...]:
     return tuple(v / total for v in p)
 
 
+def _cut(gap):  # the least SNR gap whose rate may match the rate at gap
+    return gap - max(_GAP_TOL * abs(gap), _GAP_FLOOR)
+
+
+def _screen_gaps(terms, rows, cols=slice(None)) -> np.ndarray:
+    """The oracle's screen gaps outer(a, b) / add.outer(c, d) on rows x cols of its grid."""
+    outer, (a, b), (c, d) = terms
+    return outer.outer(a[rows], b[cols]) / np.add.outer(c[rows], d[cols])
+
+
+def _edge_bounds(terms, blocks: list[slice]) -> tuple[np.ndarray, float]:
+    """(a padded bound on each row block's largest screen gap, the ``_cut`` of
+    the largest edge-line gap), in ``_row_blocks`` pieces (see ``grid_oracle``)."""
+    outer, (a, b), (c, d) = terms
+    if outer is np.add:  # each row's two end cells; the numerator may cancel
+        rows, cols, starts = np.arange(a.size), [0, b.size - 1], [s.start for s in blocks]
+        spread = (np.abs(a) + np.abs(b).max()) / c
+    else:  # each block's first and last rows
+        rows = np.array([r for s in blocks for r in (s.start, min(s.stop, a.size) - 1)])
+        cols, starts, spread = slice(None), range(0, rows.size, 2), None
+    high, edge = [], []
+    for piece in _row_blocks(rows.size, b[cols].size):
+        gap = _screen_gaps(terms, rows[piece], cols)
+        scale = np.abs(gap) if spread is None else spread[rows[piece], None]
+        high.append((gap + _EDGE_PAD * scale).max(axis=1))
+        edge.append(gap.max())
+    return np.maximum.reduceat(np.concatenate(high), starts) + _EDGE_FLOOR, _cut(np.max(edge))
+
+
 def _oracle_label(objective: str, p1: float, p2: float, m2: float) -> str:
     if p1 == 0.0 and p2 == 0.0:
         return CASE_NONE
@@ -311,6 +345,14 @@ def grid_oracle(
     about once per pass.  A pass is evaluated in whole blocks where a 1-D
     bound shows a screen term may overflow, from a flat block or one whose
     largest gap is not finite, and anew where the rescored best is not finite.
+
+    A pass of several blocks screens only those whose padded bound reaches
+    the band of the largest gap on their edge lines: the SUM gap is
+    linear-fractional along a row, so it peaks at a row's end cells, and the
+    JAM gap x w / (h1x + u) is monotone down a column, so a block peaks on its
+    first or last row.  The pad covers the edge gaps' rounding: 2^-46 of the JAM
+    gaps and, per SUM row, whose numerator can cancel, of (|(1-h1)x| + max
+    |(1-h2)y|) / (1 + h1x); a floor covers underflow.
     """
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
@@ -323,9 +365,6 @@ def grid_oracle(
     order = slice(None, None, -1 if h[0] > h[1] else 1)
     (h1, h2), (m1, m2) = h[order], m[order]
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
-
-    def cut(gap):  # the least gap whose rate may match the rate at gap
-        return gap - max(_GAP_TOL * abs(gap), _GAP_FLOOR)
 
     def best_on(xs: np.ndarray, ys: np.ndarray, screened: bool = True) -> tuple[float, float, float]:
         # a later block wins only on a strictly larger value, so ties break
@@ -344,17 +383,22 @@ def grid_oracle(
         with np.errstate(all="ignore"):
             # gap = outer(top) / add.outer(bottom), bottom > 0 (if it overflows, gaps read 0)
             if obj == OBJECTIVE_SUM:
-                outer, top, bottom = np.add, ((1.0 - h1) * xs, (1.0 - h2) * ys), (1.0 + h1 * xs, h2 * ys)
+                terms = np.add, ((1.0 - h1) * xs, (1.0 - h2) * ys), (1.0 + h1 * xs, h2 * ys)
             else:
                 w = ((1.0 - h1) + (h2 - h1) * ys) / (1.0 + ys)
-                outer, top, bottom = np.multiply, (xs, w), (h1 * xs, 1.0 + h2 * ys)
-            screened = screened and math.isfinite(bottom[0].max() + bottom[1].max())
-            for rows in _row_blocks(xs.size, n):
-                if screened:
-                    gap = (outer.outer(top[0][rows], top[1]) / np.add.outer(bottom[0][rows], bottom[1])).ravel()
+                terms = np.multiply, (xs, w), (h1 * xs, 1.0 + h2 * ys)
+            screened = screened and math.isfinite(terms[2][0].max() + terms[2][1].max())
+            blocks = list(_row_blocks(xs.size, n))
+            # a skipped block adds no candidate, so the size test may read an earlier gap
+            skip = [False] * len(blocks)
+            if screened and len(blocks) > 1:  # none skipped where a bound or the cut is NaN
+                skip = np.less(*_edge_bounds(terms, blocks))
+            for rows, skipped in zip(blocks, skip):
+                if screened and not skipped:
+                    gap = _screen_gaps(terms, rows).ravel()
                     # none kept where the largest gap is inf or NaN; a flat
                     # block is told by the count, before any index is built
-                    keep = gap >= cut(gap.max())
+                    keep = gap >= _cut(gap.max())
                     screened = 0 < np.count_nonzero(keep) <= gap.size * _GAP_SHARE
                     if screened:
                         cells = keep.nonzero()[0]
@@ -365,7 +409,7 @@ def grid_oracle(
                 if kept and (not screened or rows.stop >= xs.size or count > gap.size * _GAP_SHARE):
                     cells, gaps = map(np.concatenate, zip(*kept))
                     kept, count = [], 0
-                    cells = cells[gaps >= cut(gaps.max())]
+                    cells = cells[gaps >= _cut(gaps.max())]
                     if not take(kernel(xs[cells // n], ys[cells % n], h1, h2), cells):
                         return best_on(xs, ys, False)
                 if not screened:

@@ -6,8 +6,9 @@ Tests compare the public solvers and the sweep with it value for value and
 message for message.  The rate kernels and the input parsing are the
 package's own, and the capacity expression is the sum-rate kernel at the
 jamming allocation (the difference of its two rates where the kernel's gap
-rounds to -1); the relabelling, the case logic, the sum-rate threshold
-and the jamming root are written here.
+rounds to -1, of their scaled logarithms where a sum overflows); the
+relabelling, the case logic, the sum-rate threshold and the jamming root
+are written here.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from macwiretap.optimizer import (
     _jam_kernel,
     _sum_kernel,
 )
-from macwiretap.rates import _g_arr
+from macwiretap.rates import _BITS, _g_arr
 
 
 def _sorted_two(gains, pmax):
@@ -147,13 +148,17 @@ def optimal_powers_jam(gains: Sequence[float], pmax: Sequence[float]) -> PowerAl
     else:
         p_sorted, case = (0.0, 0.0), CASE_NONE
     # a gap that rounds to -1 or below has no finite logarithm: there the
-    # capacity expression is the difference of its two rates, and it is left
-    # out where that is not finite either
+    # capacity expression is the difference of its two rates; where a sum
+    # overflows, that of the logarithms of both sums over twice the larger
+    # power; and it is left out where that is not finite either
+    (p1, p2), (h1, h2) = p_sorted, h
     with np.errstate(all="ignore"):
-        capacity = float(_sum_kernel(*p_sorted, *h))
+        capacity = float(_sum_kernel(p1, p2, h1, h2))
         if not math.isfinite(capacity):
-            (p1, p2), (h1, h2) = p_sorted, h
             capacity = float(_g_arr(p1 + p2) - _g_arr(h1 * p1 + h2 * p2))
+        if not math.isfinite(capacity):
+            q1, q2, q0 = np.divide((p1, p2, 1.0), max(p1, p2)) * 0.5
+            capacity = float((np.log(q0 + (q1 + q2)) - np.log(q0 + (h1 * q1 + h2 * q2))) * _BITS)
     return _allocation(
         _jam_kernel, p_sorted, case, h, m, swapped,
         capacity_expr_rate=capacity if math.isfinite(capacity) else None,

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import reference_solver
 from conftest import jam_derivative_numerator, jam_mode_value, random_instances
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_rates import jam_rate, sum_rate
+from reference_rates import exact_rate, jam_rate, sum_rate
 
 from macwiretap import optimizer, rates
 from macwiretap.errors import ValidationError
@@ -283,12 +284,19 @@ def test_solvers_reject_an_overflowing_secrecy_rate():
             with pytest.raises(ValidationError, match="the secrecy rate overflows"):
                 solver(gains, pmax)
     # h1 * P1 overflows, but the jamming rate's SNR gap does not: its true
-    # value, 0.1557057645206..., is answered; its capacity expression's
-    # denominator overflows, so that is left out rather than read as zero
-    alloc = optimal_powers_jam((1.4112098634870498, 1.1372276019244711),
-                               (1.6577117771685576e78, FLOAT_MAX))
+    # value, 0.1557057645206..., is answered.  Its capacity expression's sum
+    # h1 P1 + h2 P2 overflows too, so that is the difference of the
+    # logarithms of both sums over twice the larger power, not zero: within
+    # 2 ulps of its two rates' magnitudes of the 50-digit value on the
+    # floats' exact values, -0.0927605102755652... bits
+    gains = (1.4112098634870498, 1.1372276019244711)
+    alloc = optimal_powers_jam(gains, (1.6577117771685576e78, FLOAT_MAX))
     assert f"{alloc.achieved_rate:.12g}" == "0.155705764521"
-    assert alloc.capacity_expr_rate is None
+    main, eaves = (exact_rate(sum(Fraction(h) * Fraction(p) for h, p in zip(terms, alloc.p)))
+                   for terms in ((1.0, 1.0), gains))
+    assert f"{main - eaves:.15g}" == "-0.0927605102755652"
+    error = abs(Decimal(alloc.capacity_expr_rate) - (main - eaves))
+    assert error <= 2 * Decimal(math.ulp(float(main + eaves)))
 
 
 def _capacity_gap_draws(rng: random.Random, n: int):
@@ -318,28 +326,26 @@ def _capacity_gap_draws(rng: random.Random, n: int):
 
 
 def test_capacity_expression_where_its_gap_rounds_to_minus_1_matches_the_exact_value():
-    # there it is g(p1 + p2) - g(h1 p1 + h2 p2), a difference of two rates:
-    # within 2 ulps of their magnitudes of its value in 80-digit decimals on
-    # the floats' exact values (-251.829137692737... bits on the first draw),
-    # and left out only where h1 p1 + h2 p2 overflows
+    # there it is g(p1 + p2) - g(h1 p1 + h2 p2), a difference of two rates,
+    # and where h1 p1 + h2 p2 overflows the difference of the logarithms of
+    # both sums over twice the larger power: within 2 ulps of the two rates'
+    # magnitudes of its value in 80-digit decimals on the floats' exact
+    # values (-251.829137692737... bits on the first draw), on every draw
     draws = _capacity_gap_draws(random.Random(RNG_SEED), 400)
-    left_out = 0
+    overflowing = 0
     with localcontext() as ctx:
         ctx.prec = 80
         bits = 2 * Decimal(2).ln()
         for h, m in draws:
             alloc = optimal_powers_jam(h, m)
             (p1, p2), (h1, h2) = alloc.p, h
-            if alloc.capacity_expr_rate is None:
-                assert not math.isfinite(h1 * p1 + h2 * p2), (h, m)
-                left_out += 1
-                continue
+            overflowing += not math.isfinite(h1 * p1 + h2 * p2)
             P1, P2, H1, H2 = map(Decimal, (p1, p2, h1, h2))
             main, eaves = (1 + P1 + P2).ln() / bits, (1 + H1 * P1 + H2 * P2).ln() / bits
             error = abs(Decimal(alloc.capacity_expr_rate) - (main - eaves))
             assert error <= 2 * Decimal(math.ulp(float(main + eaves))), (h, m)
     assert f"{optimal_powers_jam(*draws[0]).capacity_expr_rate:.15g}" == "-251.829137692737"
-    assert 0 < left_out < len(draws) // 10
+    assert 0 < overflowing < len(draws) // 10
 
 
 def _solver_draws(rng: random.Random, n: int):
@@ -654,6 +660,102 @@ def test_grid_oracle_screen_matches_the_whole_grid_bit_for_bit(monkeypatch, bloc
     for draw, expected in _screen_cases():
         alloc = grid_oracle(*draw)
         assert _bits(alloc.p, alloc.achieved_rate, alloc.case_label) == _bits(*expected), draw
+
+
+def _bound_draws(n):
+    """``_screen_draws`` at resolutions 11, 41, 201 and 333 in turn, every
+    third one replaced by a SUM draw whose SNR gap's numerator
+    (1 - h1) p1 + (1 - h2) p2 cancels: gains on both sides of 1 and pmax
+    where the two terms nearly match at the far corner."""
+    rng = random.Random(RNG_SEED + 33)
+
+    def loguniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for k, draw in enumerate(_screen_draws(n)):
+        res = (11, 41, 201, 333)[k % 4]
+        if k % 3 == 2:
+            h = [rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0)]
+            m1 = loguniform(1e-3, 1e15)
+            near = 1.0 + rng.choice((-1, 1)) * loguniform(1e-15, 1e-1)
+            m = [m1, m1 * (1.0 - h[0]) / (h[1] - 1.0) * near]
+            if rng.random() < 0.5:
+                h, m = h[::-1], m[::-1]
+            draw = ("SUM", tuple(h), tuple(m))
+        yield draw[:3] + (res,)
+
+
+def _cancelling_windows(n):
+    """Screen terms of SUM grids in both user orders, a narrow window in p2
+    (a relative width of 1e-15 to 1e-9) around the point where the SNR gap's
+    numerator cancels on the last row: edge gaps near 0, far below the
+    numerator's terms, whose rounding the SUM pad is scaled to."""
+    rng = random.Random(RNG_SEED + 34)
+    for _ in range(n):
+        h = [rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0)]
+        xs = np.linspace(0.0, 10.0 ** rng.uniform(-3, 15), rng.choice((11, 41, 201, 333)))
+        y0 = xs[-1] * (1.0 - h[0]) / (h[1] - 1.0)
+        grid = [xs, np.linspace(y0, y0 * (1.0 + 10.0 ** rng.uniform(-15, -9)), xs.size)]
+        if rng.random() < 0.5:
+            h, grid = h[::-1], grid[::-1]
+        (h1, h2), (xs, ys) = h, grid
+        yield np.add, ((1.0 - h1) * xs, (1.0 - h2) * ys), (1.0 + h1 * xs, h2 * ys)
+
+
+def test_grid_oracle_block_bound_lies_above_every_screen_gap_of_its_block(monkeypatch):
+    # on both passes' grids of each draw, in the oracle's blocks and in
+    # blocks of three rows: no screen gap of a block exceeds its padded
+    # edge-line bound, a block holding a gap that is not finite is never
+    # skipped, and each cell whose gap reaches the band of the grid's
+    # largest gap lies in a block that is screened
+    grids, gaps_of = {}, optimizer._screen_gaps
+
+    def spy(terms, rows, cols=slice(None)):
+        grids[id(terms)] = terms  # each screened grid, once
+        return gaps_of(terms, rows, cols)
+
+    monkeypatch.setattr(optimizer, "_screen_gaps", spy)
+    for draw in _bound_draws(400):
+        grid_oracle(*draw)
+    monkeypatch.undo()
+    checked = list(grids.values()) + list(_cancelling_windows(200))
+    skipped = 0
+    for terms in checked:
+        rows, cols = terms[1][0].size, terms[1][1].size
+        with np.errstate(all="ignore"):
+            gaps = gaps_of(terms, slice(None))
+            band = gaps >= optimizer._cut(gaps.max())
+            for blocks in (list(rates._row_blocks(rows, cols)),
+                           [slice(start, start + 3) for start in range(0, rows, 3)]):
+                bounds, low = optimizer._edge_bounds(terms, blocks)
+                skip = bounds < low
+                for block, bound, skip_it in zip(blocks, bounds, skip):
+                    assert not (gaps[block] > bound).any(), (terms[0], rows, block)
+                    assert not skip_it or (np.isfinite(gaps[block]).all() and not band[block].any())
+                skipped += int(skip.sum())
+    assert skipped > len(checked)
+
+
+def test_grid_oracle_screens_one_row_block_of_six_at_the_benchmark_range(monkeypatch):
+    # h in [0, 3], pmax in [0.05, 20] at resolution 201, the range of the
+    # benchmark's --verify calls: each pass screens the one block of six
+    # that holds the largest edge gap, and no other
+    screened, gaps_of = [], optimizer._screen_gaps
+
+    def spy(terms, rows, cols=slice(None)):
+        if isinstance(rows, slice):  # a whole block, not an edge line
+            screened.append(rows)
+        return gaps_of(terms, rows, cols)
+
+    monkeypatch.setattr(optimizer, "_screen_gaps", spy)
+    assert len(list(rates._row_blocks(201, 201))) == 6
+    rng = random.Random(RNG_SEED + 35)
+    for k in range(200):
+        h = (rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
+        m = (rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0))
+        screened.clear()
+        grid_oracle(("SUM", "JAM")[k % 2], h, m)
+        assert len(screened) == 2, (h, m)
 
 
 def test_grid_oracle_tie_across_blocks_keeps_the_first_cell(monkeypatch):
