@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, _as_number, _as_numbers
 from .errors import ValidationError
-from .rates import _BITS, _g_arr, _pick, _row_blocks
+from .rates import _BITS, _g_arr, _linspace, _pick, _row_blocks
 
 CASE_BOTH_TRANSMIT = "BOTH_TRANSMIT"
 CASE_ONE_TRANSMITS = "ONE_TRANSMITS"
@@ -39,9 +39,9 @@ OBJECTIVE_JAM = "JAM"
 MIN_ORACLE_RESOLUTION = 11
 # the oracle's screen keeps the gaps within this relative tolerance (or this
 # floor, near 0) of the largest, far above the few ulps by which the kernels
-# round apart from it; a block with more than this share of candidates is flat
+# round apart from it; a pass with more than this share of its cells there is flat
 _GAP_TOL, _GAP_FLOOR, _GAP_SHARE = 1e-12, 2.0**-1000, 1 / 16
-_EDGE_PAD, _EDGE_FLOOR = 2.0**-46, 2.0**-1060  # of a block's edge-line bound (``grid_oracle``)
+_EDGE_PAD, _EDGE_FLOOR = 2.0**-46, 2.0**-1060  # a line bound's pad per rounded gap, and floor
 
 
 @dataclass(frozen=True)
@@ -288,23 +288,54 @@ def _screen_gaps(terms, rows, cols=slice(None)) -> np.ndarray:
     return outer.outer(a[rows], b[cols]) / np.add.outer(c[rows], d[cols])
 
 
-def _edge_bounds(terms, blocks: list[slice]) -> tuple[np.ndarray, float]:
-    """(a padded bound on each row block's largest screen gap, the ``_cut`` of
-    the largest edge-line gap), in ``_row_blocks`` pieces (see ``grid_oracle``)."""
+def _line_bounds(terms) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The oracle's screen terms with its lines as rows (a SUM row, a JAM
+    column), the screen gaps of their cells 0, 1, n-2 and n-1, and a padded
+    bound on the gaps of each line's other cells (see ``grid_oracle``)."""
     outer, (a, b), (c, d) = terms
-    if outer is np.add:  # each row's two end cells; the numerator may cancel
-        rows, cols, starts = np.arange(a.size), [0, b.size - 1], [s.start for s in blocks]
-        spread = (np.abs(a) + np.abs(b).max()) / c
-    else:  # each block's first and last rows
-        rows = np.array([r for s in blocks for r in (s.start, min(s.stop, a.size) - 1)])
-        cols, starts, spread = slice(None), range(0, rows.size, 2), None
-    high, edge = [], []
-    for piece in _row_blocks(rows.size, b[cols].size):
-        gap = _screen_gaps(terms, rows[piece], cols)
-        scale = np.abs(gap) if spread is None else spread[rows[piece], None]
-        high.append((gap + _EDGE_PAD * scale).max(axis=1))
-        edge.append(gap.max())
-    return np.maximum.reduceat(np.concatenate(high), starts) + _EDGE_FLOOR, _cut(np.max(edge))
+    if outer is np.multiply:  # JAM: both ufuncs commute, so the transpose has the same bits
+        a, b, c, d = b, a, d, c
+        terms = outer, (a, b), (c, d)
+    border = _screen_gaps(terms, slice(None), [0, 1, b.size - 2, b.size - 1])
+    inner = border[:, 1:3]
+    if outer is np.add:  # the numerator may cancel: pad by the gap of |a|, |b| at a row's ends
+        ends = [0, b.size - 1]
+        spread = np.add.outer(np.abs(a), np.abs(b[ends])) / np.add.outer(c, d[ends])
+        high = inner.max(axis=1) + (2 * _EDGE_PAD) * spread.max(axis=1)
+    else:
+        high = (inner + (2 * _EDGE_PAD) * np.abs(inner)).max(axis=1)
+    return terms, border, high + _EDGE_FLOOR
+
+
+def _band_cells(terms) -> np.ndarray | None:
+    """The row-major indices of the cells whose screen gap reaches the band of
+    the largest, or None for whole blocks (a gap not finite, a plateau); the
+    cells 2 to n-3 of a line are screened where its bound reaches the band."""
+    lines, border, high = _line_bounds(terms)
+    rows, cols = border.shape[0], lines[1][1].size
+    top = border.max()
+    low = _cut(top)
+    if not math.isfinite(low):
+        return None
+    screen = np.flatnonzero(~(high < low))  # a NaN bound is screened
+    peaks, count = np.empty(screen.size), np.count_nonzero(border >= low)
+    for piece in _row_blocks(screen.size, cols - 4):
+        gap = _screen_gaps(lines, screen[piece], slice(2, -2))
+        peaks[piece] = gap.max(axis=1)
+        count += np.count_nonzero(gap >= low)  # at least the band's cells
+        if count > rows * cols * _GAP_SHARE:
+            return None
+    top = peaks.max(initial=top)
+    if not math.isfinite(top):
+        return None
+    line, cell = (border >= _cut(top)).nonzero()
+    cells = [line * cols + np.array([0, 1, cols - 2, cols - 1])[cell]]
+    reach = screen[peaks >= _cut(top)]
+    for piece in _row_blocks(reach.size, cols - 4):
+        line, cell = (_screen_gaps(lines, reach[piece], slice(2, -2)) >= _cut(top)).nonzero()
+        cells.append(reach[piece][line] * cols + cell + 2)
+    cells = np.concatenate(cells)  # by line: SUM rows or, transposed, JAM columns
+    return np.sort(cells if lines is terms else cells % cols * rows + cells // cols)
 
 
 def _oracle_label(objective: str, p1: float, p2: float, m2: float) -> str:
@@ -339,20 +370,20 @@ def grid_oracle(
     objective is not finite (where a power sum overflows) is skipped; cell
     (0, 0) is always 0, so some cell is always kept.  Ties break toward the
     smaller lexicographic pair (P1, P2), as in one pass over the whole grid,
-    whose bits the result keeps: each block is first screened on its SNR gap,
+    whose bits the result keeps: each pass is first screened on its SNR gap,
     three numpy operations on 1-D terms, and as g is monotone only the cells
-    within ``_GAP_TOL`` of the largest gap are rescored with the kernel,
-    about once per pass.  A pass is evaluated in whole blocks where a 1-D
-    bound shows a screen term may overflow, from a flat block or one whose
-    largest gap is not finite, and anew where the rescored best is not finite.
-
-    A pass of several blocks screens only those whose padded bound reaches
-    the band of the largest gap on their edge lines: the SUM gap is
-    linear-fractional along a row, so it peaks at a row's end cells, and the
-    JAM gap x w / (h1x + u) is monotone down a column, so a block peaks on its
-    first or last row.  The pad covers the edge gaps' rounding: 2^-46 of the JAM
-    gaps and, per SUM row, whose numerator can cancel, of (|(1-h1)x| + max
-    |(1-h2)y|) / (1 + h1x); a floor covers underflow.
+    within ``_GAP_TOL`` of the largest gap are rescored with the kernel, once.
+    On any sorted axes the SUM gap is linear-fractional along a row and the
+    JAM gap x w / (h1x + u) monotone down a column, so cells 2 to n-3 of such
+    a line lie between its cells 1 and n-2: the screen takes cells 0, 1, n-2
+    and n-1 of every line, and the rest of a line only where the larger of
+    its cells 1 and n-2, padded twice by 2^-46 (for its rounding and an inner
+    cell's), reaches the band.  The pad scales the JAM gap and, per SUM row,
+    whose numerator can cancel, the larger of (|(1-h1)x| + |(1-h2)y|) /
+    (1 + h1x + h2y) at the row's ends; a floor covers underflow.  A pass is
+    evaluated in whole blocks where a bottom term may overflow, a gap is not
+    finite or over ``_GAP_SHARE`` of the cells reach the band (a plateau),
+    and where the rescored best is not finite.
     """
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
@@ -366,69 +397,39 @@ def grid_oracle(
     (h1, h2), (m1, m2) = h[order], m[order]
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
 
-    def best_on(xs: np.ndarray, ys: np.ndarray, screened: bool = True) -> tuple[float, float, float]:
-        # a later block wins only on a strictly larger value, so ties break
-        # toward the first cell in row-major order
-        n, best, kept, count = ys.size, (-math.inf, 0.0, 0.0), [], 0
-
-        def take(values, cells) -> bool:
-            # the first largest of values at flat grid cells, if it beats best
-            nonlocal best
-            k = int(np.argmax(values))  # the first NaN, if any
-            if values[k] > best[0]:
-                i, j = divmod(int(cells[k]), n)
-                best = float(values[k]), float(xs[i]), float(ys[j])
-            return math.isfinite(values[k])
-
+    def best_on(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+        n = ys.size
         with np.errstate(all="ignore"):
-            # gap = outer(top) / add.outer(bottom), bottom > 0 (if it overflows, gaps read 0)
+            # gap = outer(top) / add.outer(bottom), bottom > 0 and rising (if it overflows, gaps read 0)
             if obj == OBJECTIVE_SUM:
                 terms = np.add, ((1.0 - h1) * xs, (1.0 - h2) * ys), (1.0 + h1 * xs, h2 * ys)
             else:
                 w = ((1.0 - h1) + (h2 - h1) * ys) / (1.0 + ys)
                 terms = np.multiply, (xs, w), (h1 * xs, 1.0 + h2 * ys)
-            screened = screened and math.isfinite(terms[2][0].max() + terms[2][1].max())
-            blocks = list(_row_blocks(xs.size, n))
-            # a skipped block adds no candidate, so the size test may read an earlier gap
-            skip = [False] * len(blocks)
-            if screened and len(blocks) > 1:  # none skipped where a bound or the cut is NaN
-                skip = np.less(*_edge_bounds(terms, blocks))
-            for rows, skipped in zip(blocks, skip):
-                if screened and not skipped:
-                    gap = _screen_gaps(terms, rows).ravel()
-                    # none kept where the largest gap is inf or NaN; a flat
-                    # block is told by the count, before any index is built
-                    keep = gap >= _cut(gap.max())
-                    screened = 0 < np.count_nonzero(keep) <= gap.size * _GAP_SHARE
-                    if screened:
-                        cells = keep.nonzero()[0]
-                        kept.append((rows.start * n + cells, gap[cells]))
-                        count += cells.size
-                # rescore the candidates before a whole block, after the last
-                # block, and where they outgrow one block's share
-                if kept and (not screened or rows.stop >= xs.size or count > gap.size * _GAP_SHARE):
-                    cells, gaps = map(np.concatenate, zip(*kept))
-                    kept, count = [], 0
-                    cells = cells[gaps >= _cut(gaps.max())]
-                    if not take(kernel(xs[cells // n], ys[cells % n], h1, h2), cells):
-                        return best_on(xs, ys, False)
-                if not screened:
-                    values = kernel(xs[rows, None], ys[None, :], h1, h2).ravel()
-                    finite = np.isfinite(values)
-                    if not finite.all():
-                        values[~finite] = -math.inf
-                    take(values, range(rows.start * n, rows.stop * n))
+            if math.isfinite(terms[2][0][-1] + terms[2][1][-1]):
+                cells = _band_cells(terms)
+                if cells is not None:  # the first largest rate of the band, if finite
+                    values = kernel(xs[cells // n], ys[cells % n], h1, h2)
+                    k = int(np.argmax(values))  # the first NaN, if any
+                    if math.isfinite(values[k]):
+                        i, j = divmod(int(cells[k]), n)
+                        return float(values[k]), float(xs[i]), float(ys[j])
+            # a later block wins only on a strictly larger value, so ties
+            # break toward the first cell in row-major order
+            best = -math.inf, 0.0, 0.0
+            for rows in _row_blocks(xs.size, n):
+                values = kernel(xs[rows, None], ys[None, :], h1, h2).ravel()
+                values[~np.isfinite(values)] = -math.inf
+                k = int(np.argmax(values))
+                if values[k] > best[0]:
+                    i, j = divmod(rows.start * n + k, n)
+                    best = float(values[k]), float(xs[i]), float(ys[j])
         return best
 
-    xs = np.linspace(0.0, m1, resolution)
-    ys = np.linspace(0.0, m2, resolution)
-    val, p1, p2 = best_on(xs, ys)
-
-    step1 = m1 / (resolution - 1)
-    step2 = m2 / (resolution - 1)
-    fine_x = np.linspace(max(0.0, p1 - step1), min(m1, p1 + step1), resolution)
-    fine_y = np.linspace(max(0.0, p2 - step2), min(m2, p2 + step2), resolution)
-    fval, fp1, fp2 = best_on(fine_x, fine_y)
+    val, p1, p2 = best_on(_linspace(0.0, m1, resolution), _linspace(0.0, m2, resolution))
+    step1, step2 = m1 / (resolution - 1), m2 / (resolution - 1)
+    fval, fp1, fp2 = best_on(_linspace(max(0.0, p1 - step1), min(m1, p1 + step1), resolution),
+                             _linspace(max(0.0, p2 - step2), min(m2, p2 + step2), resolution))
     if fval > val:
         val, p1, p2 = fval, fp1, fp2
 

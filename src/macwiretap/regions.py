@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import NONNEGATIVE, WHOLE, StandardChannel, _as_number, _as_numbers, check_degraded
 from .errors import NonDegradedError, ValidationError
-from .rates import _clamp0, _cw, _g_arr, _overflow, _row_blocks, enumerate_subsets, g, subset_label
+from .rates import _clamp0, _cw, _g_arr, _linspace, _overflow, _row_blocks, enumerate_subsets, g, subset_label
 
 ROW_SECRECY = "SECRECY"
 ROW_MAC = "MAC"
@@ -512,7 +512,7 @@ def _tdma_bounds(std: StandardChannel, delta: float, alpha_res: int) -> tuple[np
     are evaluated in one (2, alpha_res) call, user 1 on the shares and user
     2 on one minus them, and an overflowing bound is refused before any
     candidate is built."""
-    alphas = np.linspace(0.0, 1.0, alpha_res)
+    alphas = _linspace(0.0, 1.0, alpha_res)
     with np.errstate(all="ignore"):
         secrecy, total = _tdma_bound(np.array(std.h)[:, None], np.array(std.pmax)[:, None],
                                      np.stack([alphas, 1.0 - alphas]))
@@ -568,7 +568,7 @@ def _boundary_candidates(
     """Rate-1 and rate-2 columns of the hull candidates of a boundary kind
     that can be on its staircase, and the number of generators they stand
     for.  A user's power axis is its pmax alone where ``_dominated`` holds,
-    and power_res points on [0, pmax] otherwise; an overflow in linspace's
+    and power_res points on [0, pmax] otherwise; an overflow in the axis's
     step product is harmless, since its last point is set to pmax exactly.
     The power grid comes in blocks of whole rows, each adding its row maxima
     (``_box_simplex_candidates``); the column maxima are joined across the
@@ -583,7 +583,7 @@ def _boundary_candidates(
     if kind != KIND_TDMA:
         fixed = KIND_INDIVIDUAL if kind == KIND_UNION_I_T else kind
         with np.errstate(all="ignore"):
-            axes = [np.array([pmax]) if _dominated(std, fixed, k) else np.linspace(0.0, pmax, power_res)
+            axes = [np.array([pmax]) if _dominated(std, fixed, k) else _linspace(0.0, pmax, power_res)
                     for k, pmax in enumerate(std.pmax)]
         cols: list[np.ndarray] = []
         for bounds in _fixed_power_bounds(std, fixed, delta, *axes):

@@ -702,60 +702,74 @@ def _cancelling_windows(n):
         yield np.add, ((1.0 - h1) * xs, (1.0 - h2) * ys), (1.0 + h1 * xs, h2 * ys)
 
 
-def test_grid_oracle_block_bound_lies_above_every_screen_gap_of_its_block(monkeypatch):
-    # on both passes' grids of each draw, in the oracle's blocks and in
-    # blocks of three rows: no screen gap of a block exceeds its padded
-    # edge-line bound, a block holding a gap that is not finite is never
-    # skipped, and each cell whose gap reaches the band of the grid's
-    # largest gap lies in a block that is screened
-    grids, gaps_of = {}, optimizer._screen_gaps
+def test_grid_oracle_line_bound_lies_above_every_screen_gap_of_its_line(monkeypatch):
+    # on both passes' grids of each draw, with the lines as SUM rows and JAM
+    # columns: no gap of a line's cells 2 to n-3 exceeds its padded bound
+    # from cells 1 and n-2, a line holding a gap that is not finite is never
+    # skipped, and each cell whose gap reaches the band of the grid's largest
+    # gap lies on a border line (cells 0, 1, n-2 and n-1 of every line) or on
+    # a screened one
+    grids, bounds_of = {}, optimizer._line_bounds
 
-    def spy(terms, rows, cols=slice(None)):
+    def spy(terms):
         grids[id(terms)] = terms  # each screened grid, once
-        return gaps_of(terms, rows, cols)
+        return bounds_of(terms)
 
-    monkeypatch.setattr(optimizer, "_screen_gaps", spy)
-    for draw in _bound_draws(400):
+    monkeypatch.setattr(optimizer, "_line_bounds", spy)
+    # and coarse grids whose screen top overflows on most lines, in both user orders
+    overflowing = [("JAM", (0.5, 3.0), (FLOAT_MAX, 10.0), 201), ("SUM", (0.1, 0.2), (FLOAT_MAX,) * 2, 201),
+                   ("JAM", (3.0, 0.5), (10.0, FLOAT_MAX), 41), ("SUM", (0.2, 0.1), (FLOAT_MAX,) * 2, 11)]
+    for draw in [*_bound_draws(400), *overflowing]:
         grid_oracle(*draw)
     monkeypatch.undo()
     checked = list(grids.values()) + list(_cancelling_windows(200))
-    skipped = 0
+    assert {terms[0] for terms in checked} == {np.add, np.multiply}
+    skipped = overflows = 0
     for terms in checked:
-        rows, cols = terms[1][0].size, terms[1][1].size
         with np.errstate(all="ignore"):
-            gaps = gaps_of(terms, slice(None))
-            band = gaps >= optimizer._cut(gaps.max())
-            for blocks in (list(rates._row_blocks(rows, cols)),
-                           [slice(start, start + 3) for start in range(0, rows, 3)]):
-                bounds, low = optimizer._edge_bounds(terms, blocks)
-                skip = bounds < low
-                for block, bound, skip_it in zip(blocks, bounds, skip):
-                    assert not (gaps[block] > bound).any(), (terms[0], rows, block)
-                    assert not skip_it or (np.isfinite(gaps[block]).all() and not band[block].any())
-                skipped += int(skip.sum())
-    assert skipped > len(checked)
+            gaps = optimizer._screen_gaps(terms, slice(None))
+            lines = gaps if terms[0] is np.add else gaps.T
+            band = lines >= optimizer._cut(lines.max())
+            _, border, high = bounds_of(terms)
+            skip = high < optimizer._cut(border.max())
+        assert not (lines[:, 2:-2] > high[:, None]).any(), (terms[0], lines.shape)
+        assert np.isfinite(lines[skip]).all()
+        overflows += not np.isfinite(lines).all()
+        assert not band[skip][:, 2:-2].any()
+        skipped += int(skip.sum())
+    assert skipped > len(checked) and overflows >= 4
 
 
-def test_grid_oracle_screens_one_row_block_of_six_at_the_benchmark_range(monkeypatch):
+def test_grid_oracle_screens_only_its_border_lines_at_the_benchmark_range(monkeypatch):
     # h in [0, 3], pmax in [0.05, 20] at resolution 201, the range of the
-    # benchmark's --verify calls: each pass screens the one block of six
-    # that holds the largest edge gap, and no other
+    # benchmark's --verify calls: each pass screens its 4 border lines (SUM
+    # columns, JAM rows 0, 1, n-2 and n-1) and no line's other cells, and
+    # rescores its candidates once, never a whole block
     screened, gaps_of = [], optimizer._screen_gaps
+    ndims, kernels = [], {name: getattr(optimizer, name) for name in ("_sum_kernel", "_jam_kernel")}
 
     def spy(terms, rows, cols=slice(None)):
-        if isinstance(rows, slice):  # a whole block, not an edge line
-            screened.append(rows)
-        return gaps_of(terms, rows, cols)
+        gap = gaps_of(terms, rows, cols)
+        screened.append(gap.shape)
+        return gap
+
+    def counted(kernel):
+        def spy_kernel(p1, p2, h1, h2):
+            ndims.append(np.ndim(p1))
+            return kernel(p1, p2, h1, h2)
+        return spy_kernel
 
     monkeypatch.setattr(optimizer, "_screen_gaps", spy)
-    assert len(list(rates._row_blocks(201, 201))) == 6
+    for name, kernel in kernels.items():
+        monkeypatch.setattr(optimizer, name, counted(kernel))
     rng = random.Random(RNG_SEED + 35)
     for k in range(200):
         h = (rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
         m = (rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0))
         screened.clear()
+        ndims.clear()
         grid_oracle(("SUM", "JAM")[k % 2], h, m)
-        assert len(screened) == 2, (h, m)
+        assert screened == [(201, 4)] * 2 and ndims == [1] * 2, (h, m)
 
 
 def test_grid_oracle_tie_across_blocks_keeps_the_first_cell(monkeypatch):

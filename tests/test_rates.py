@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from reference_rates import cm
 
 from macwiretap.errors import ValidationError
-from macwiretap.rates import _clamp0, cw, enumerate_subsets, g
+from macwiretap.rates import _clamp0, _linspace, cw, enumerate_subsets, g
 
 finite_power = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 finite_gain = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
@@ -31,6 +32,55 @@ def test_clamp0_on_one_value_gives_the_bits_of_the_array_form(x):
     expected = _clamp0(np.array([x, 1.0]))[0].tobytes()
     for one in (x, np.float64(x)):
         assert np.float64(_clamp0(one)).tobytes() == expected
+
+
+def _axis_windows(n):
+    """Seeded (start, stop, points) of every kind of axis the package builds:
+    the boundary's [0, pmax] and [0, 1], the oracle's fine windows one coarse
+    step each side of a grid point, and zero-width, subnormal and float-max
+    windows, at 2 to 2001 points."""
+    rng = random.Random(20240917 + 36)
+    tiny, big = 5e-324, 1.7976931348623157e308
+
+    def loguniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for k in range(n):
+        points = (2, 3, 2001, rng.randint(2, 2001))[k % 4]
+        kind = k % 6
+        if kind == 0:  # a power axis
+            window = 0.0, rng.choice([loguniform(1e-300, 1e300), rng.uniform(0.05, 20.0), big, tiny])
+        elif kind == 1:  # the share grid
+            window = 0.0, 1.0
+        elif kind == 2:  # a refinement window around a coarse grid point
+            m, res = loguniform(1e-3, 1e308), rng.randint(11, 2001)
+            with np.errstate(all="ignore"):
+                p = float(np.linspace(0.0, m, res)[rng.randrange(res)])
+            step = m / (res - 1)
+            window = max(0.0, p - step), min(m, p + step)
+        elif kind == 3:  # zero width
+            x = rng.choice([0.0, tiny, big, loguniform(1e-300, 1e300)])
+            window = x, x
+        elif kind == 4:  # subnormal ends, where the step may round to 0
+            lo = rng.choice([0.0, tiny, loguniform(tiny, 2.2e-308)])
+            window = lo, lo + rng.choice([tiny, loguniform(tiny, 1e-300)])
+        else:  # float-max ends, where the last product may overflow
+            window = rng.choice([0.0, big / 2, loguniform(1e300, big)]), big
+        yield window + (points,)
+
+
+def test_linspace_gives_the_bits_of_numpy_linspace():
+    zero_steps = overflows = 0
+    for start, stop, points in _axis_windows(3000):
+        with np.errstate(all="ignore"):
+            expected, got = np.linspace(start, stop, points), _linspace(start, stop, points)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (start, stop, points)
+        step = (stop - start) / (points - 1)
+        zero_steps += step == 0.0 and start != stop
+        overflows += math.isinf((points - 1) * step)
+    # numpy's branch for a step that rounds to 0 is taken, and so is a last
+    # product that overflows before the last point is set to stop
+    assert zero_steps > 0 and overflows > 0
 
 
 @pytest.mark.parametrize("bad", [-1e-12, -3.0, float("inf"), float("nan")])
