@@ -39,8 +39,8 @@ OBJECTIVE_JAM = "JAM"
 MIN_ORACLE_RESOLUTION = 11
 # the oracle's screen keeps the gaps within this relative tolerance (or this
 # floor, near 0) of the largest, far above the few ulps by which the kernels
-# round apart from it; a pass with more than this share of its cells there is flat
-_GAP_TOL, _GAP_FLOOR, _GAP_SHARE = 1e-12, 2.0**-1000, 1 / 16
+# round apart from it
+_GAP_TOL, _GAP_FLOOR = 1e-12, 2.0**-1000
 _EDGE_PAD, _EDGE_FLOOR = 2.0**-46, 2.0**-1060  # a line bound's pad per rounded gap, and floor
 
 
@@ -307,37 +307,6 @@ def _line_bounds(terms) -> tuple[tuple, np.ndarray, np.ndarray]:
     return terms, border, high + _EDGE_FLOOR
 
 
-def _band_cells(terms) -> np.ndarray | None:
-    """The row-major indices of the cells whose screen gap reaches the band of
-    the largest, or None for whole blocks (a gap not finite, a plateau); the
-    cells 2 to n-3 of a line are screened where its bound reaches the band."""
-    lines, border, high = _line_bounds(terms)
-    rows, cols = border.shape[0], lines[1][1].size
-    top = border.max()
-    low = _cut(top)
-    if not math.isfinite(low):
-        return None
-    screen = np.flatnonzero(~(high < low))  # a NaN bound is screened
-    peaks, count = np.empty(screen.size), np.count_nonzero(border >= low)
-    for piece in _row_blocks(screen.size, cols - 4):
-        gap = _screen_gaps(lines, screen[piece], slice(2, -2))
-        peaks[piece] = gap.max(axis=1)
-        count += np.count_nonzero(gap >= low)  # at least the band's cells
-        if count > rows * cols * _GAP_SHARE:
-            return None
-    top = peaks.max(initial=top)
-    if not math.isfinite(top):
-        return None
-    line, cell = (border >= _cut(top)).nonzero()
-    cells = [line * cols + np.array([0, 1, cols - 2, cols - 1])[cell]]
-    reach = screen[peaks >= _cut(top)]
-    for piece in _row_blocks(reach.size, cols - 4):
-        line, cell = (_screen_gaps(lines, reach[piece], slice(2, -2)) >= _cut(top)).nonzero()
-        cells.append(reach[piece][line] * cols + cell + 2)
-    cells = np.concatenate(cells)  # by line: SUM rows or, transposed, JAM columns
-    return np.sort(cells if lines is terms else cells % cols * rows + cells // cols)
-
-
 def _oracle_label(objective: str, p1: float, p2: float, m2: float) -> str:
     if p1 == 0.0 and p2 == 0.0:
         return CASE_NONE
@@ -372,18 +341,18 @@ def grid_oracle(
     smaller lexicographic pair (P1, P2), as in one pass over the whole grid,
     whose bits the result keeps: each pass is first screened on its SNR gap,
     three numpy operations on 1-D terms, and as g is monotone only the cells
-    within ``_GAP_TOL`` of the largest gap are rescored with the kernel, once.
-    On any sorted axes the SUM gap is linear-fractional along a row and the
-    JAM gap x w / (h1x + u) monotone down a column, so cells 2 to n-3 of such
-    a line lie between its cells 1 and n-2: the screen takes cells 0, 1, n-2
-    and n-1 of every line, and the rest of a line only where the larger of
-    its cells 1 and n-2, padded twice by 2^-46 (for its rounding and an inner
-    cell's), reaches the band.  The pad scales the JAM gap and, per SUM row,
-    whose numerator can cancel, the larger of (|(1-h1)x| + |(1-h2)y|) /
-    (1 + h1x + h2y) at the row's ends; a floor covers underflow.  A pass is
-    evaluated in whole blocks where a bottom term may overflow, a gap is not
-    finite or over ``_GAP_SHARE`` of the cells reach the band (a plateau),
-    and where the rescored best is not finite.
+    within ``_GAP_TOL`` of the largest gap can win.  On any sorted axes the
+    SUM gap is linear-fractional along a row and the JAM gap x w / (h1x + u)
+    monotone down a column, so cells 2 to n-3 of such a line lie between its
+    cells 1 and n-2: the screen takes cells 0, 1, n-2 and n-1 of every line,
+    and a line reaches the band of the largest of those gaps where the larger
+    of its cells 1 and n-2, padded twice by 2^-46 (for its rounding and an
+    inner cell's), does.  The pad scales the JAM gap and, per SUM row, whose
+    numerator can cancel, the larger of (|(1-h1)x| + |(1-h2)y|) /
+    (1 + h1x + h2y) at the row's ends; a floor covers underflow.  The kernel
+    rates the lines that reach whole, in blocks of whole rows, and rescores
+    the band's border cells on the other lines in one call.  A pass rates
+    every line where a bottom term may overflow or no rate it found is finite.
     """
     obj = str(objective).upper()
     if obj not in (OBJECTIVE_SUM, OBJECTIVE_JAM):
@@ -398,7 +367,26 @@ def grid_oracle(
     kernel = _sum_kernel if obj == OBJECTIVE_SUM else _jam_kernel
 
     def best_on(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-        n = ys.size
+        n = ys.size  # the grid is square
+        every = np.arange(n)
+
+        def first(values) -> tuple[float, int]:  # the first largest finite value, and where
+            values = values.ravel()
+            values[~np.isfinite(values)] = -math.inf
+            k = int(np.argmax(values))
+            return float(values[k]), k
+
+        def scan(rows, cols, best):
+            # rate rows x cols whole, in blocks of whole rows; best is (rate, -i, -j),
+            # so max keeps the largest rate and, on a tie, the first cell in row-major order
+            x, y = xs[rows], ys[None, cols]
+            for piece in _row_blocks(x.size, y.size) if y.size else ():
+                rate, k = first(kernel(x[piece, None], y, h1, h2))
+                i, j = divmod(piece.start * y.size + k, y.size)
+                best = max(best, (rate, -int(rows[i]), -int(cols[j])))
+            return best
+
+        best = -math.inf, 0, 0
         with np.errstate(all="ignore"):
             # gap = outer(top) / add.outer(bottom), bottom > 0 and rising (if it overflows, gaps read 0)
             if obj == OBJECTIVE_SUM:
@@ -407,24 +395,27 @@ def grid_oracle(
                 w = ((1.0 - h1) + (h2 - h1) * ys) / (1.0 + ys)
                 terms = np.multiply, (xs, w), (h1 * xs, 1.0 + h2 * ys)
             if math.isfinite(terms[2][0][-1] + terms[2][1][-1]):
-                cells = _band_cells(terms)
-                if cells is not None:  # the first largest rate of the band, if finite
-                    values = kernel(xs[cells // n], ys[cells % n], h1, h2)
-                    k = int(np.argmax(values))  # the first NaN, if any
-                    if math.isfinite(values[k]):
-                        i, j = divmod(int(cells[k]), n)
-                        return float(values[k]), float(xs[i]), float(ys[j])
-            # a later block wins only on a strictly larger value, so ties
-            # break toward the first cell in row-major order
-            best = -math.inf, 0.0, 0.0
-            for rows in _row_blocks(xs.size, n):
-                values = kernel(xs[rows, None], ys[None, :], h1, h2).ravel()
-                values[~np.isfinite(values)] = -math.inf
-                k = int(np.argmax(values))
-                if values[k] > best[0]:
-                    i, j = divmod(rows.start * n + k, n)
-                    best = float(values[k]), float(xs[i]), float(ys[j])
-        return best
+                _, border, high = _line_bounds(terms)
+                low = _cut(border.max())
+                skip = high < low  # a NaN bound or cut reaches
+                reach, ends = np.flatnonzero(~skip), np.array([0, 1, n - 2, n - 1])
+                # the band's border cells on the lines that do not reach, taken in row-major order
+                band = (border >= low) & skip[:, None]
+                if obj == OBJECTIVE_SUM:
+                    best = scan(reach, every, best)
+                    i, j = band.nonzero()
+                    j = ends[j]
+                else:
+                    best = scan(every, reach, best)
+                    i, j = band.T.nonzero()
+                    i = ends[i]
+                if i.size:
+                    rate, k = first(kernel(xs[i], ys[j], h1, h2))
+                    best = max(best, (rate, -int(i[k]), -int(j[k])))
+            if not math.isfinite(best[0]):  # the bottom may overflow, or no rate was finite
+                best = scan(every, every, best)
+        val, i, j = best
+        return val, float(xs[-i]), float(ys[-j])
 
     val, p1, p2 = best_on(_linspace(0.0, m1, resolution), _linspace(0.0, m2, resolution))
     step1, step2 = m1 / (resolution - 1), m2 / (resolution - 1)

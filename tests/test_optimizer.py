@@ -740,6 +740,55 @@ def test_grid_oracle_line_bound_lies_above_every_screen_gap_of_its_line(monkeypa
     assert skipped > len(checked) and overflows >= 4
 
 
+def test_grid_oracle_rates_whole_exactly_the_lines_that_reach(monkeypatch):
+    # on both passes of each draw, the kernel rates in whole-row blocks the
+    # lines (SUM rows, JAM columns) whose padded bound reaches the band of
+    # the border gaps, and every line where the bottom may overflow
+    axes, reach, rated = [], {}, {}
+    linspace, bounds_of = optimizer._linspace, optimizer._line_bounds
+    kernels = {name: getattr(optimizer, name) for name in ("_sum_kernel", "_jam_kernel")}
+
+    def spy_axis(start, stop, n):
+        axes.append(linspace(start, stop, n))
+        return axes[-1]
+
+    def spy_bounds(terms):
+        lines, border, high = bounds_of(terms)
+        reach[len(axes)] = np.flatnonzero(~(high < optimizer._cut(border.max())))
+        return lines, border, high
+
+    def counted(kernel):
+        def spy_kernel(p1, p2, h1, h2):
+            if np.ndim(p1) == 2:
+                rated.setdefault(len(axes), []).append((p1[:, 0], p2[0]))
+            return kernel(p1, p2, h1, h2)
+        return spy_kernel
+
+    monkeypatch.setattr(optimizer, "_linspace", spy_axis)
+    monkeypatch.setattr(optimizer, "_line_bounds", spy_bounds)
+    for name, kernel in kernels.items():
+        monkeypatch.setattr(optimizer, name, counted(kernel))
+    seen = Counter()
+    for draw in _bound_draws(400):
+        axes.clear(), reach.clear(), rated.clear()
+        grid_oracle(*draw)
+        assert len(axes) == 4, draw
+        for end in (2, 4):
+            xs, ys = axes[end - 2:end]
+            if end not in reach:
+                rows, cols, kind = xs, ys, "overflow"
+            else:
+                lines = reach[end]
+                rows, cols = (xs[lines], ys) if draw[0] == "SUM" else (xs, ys[lines])
+                kind = "none" if lines.size == 0 else "every" if lines.size == xs.size else "some"
+            blocks = rated.get(end, [])
+            expected = rows if cols.size else rows[:0]  # no column, no block
+            assert np.array_equal(np.concatenate([xs[:0], *(p1 for p1, _ in blocks)]), expected), draw
+            assert all(np.array_equal(p2, cols) for _, p2 in blocks), draw
+            seen[kind] += 1
+    assert seen.keys() == {"overflow", "none", "some", "every"}, seen
+
+
 def test_grid_oracle_screens_only_its_border_lines_at_the_benchmark_range(monkeypatch):
     # h in [0, 3], pmax in [0.05, 20] at resolution 201, the range of the
     # benchmark's --verify calls: each pass screens its 4 border lines (SUM
@@ -775,8 +824,8 @@ def test_grid_oracle_screens_only_its_border_lines_at_the_benchmark_range(monkey
 def test_grid_oracle_tie_across_blocks_keeps_the_first_cell(monkeypatch):
     # the maximum repeats at rows 3 and 150 of the coarse 201-point grid;
     # blocks of five whole rows put them in blocks 0 and 30.  Gains of 1
-    # make every SNR gap 0, so the screen finds each grid flat and its
-    # blocks are evaluated whole, where the fake kernel alone steers
+    # make every SNR gap 0, so every line's bound reaches the band and each
+    # grid is rated whole, where the fake kernel alone steers
     xs = np.linspace(0.0, 10.0, 201)
     ys = np.linspace(0.0, 10.0, 201)
     blocks = []
@@ -805,17 +854,29 @@ def test_grid_oracle_screened_tie_across_blocks_keeps_the_first_cell(monkeypatch
     blocks = list(rates._row_blocks(201, 201))
     assert blocks[-1] == slice(200, 205) and all(b.stop - b.start == 5 for b in blocks)
     assert rows[0] == 180 and rows[-1] == 200 and rows.size > 2
-    ndims, kernel = [], optimizer._sum_kernel
+    events, kernel, bounds_of = [], optimizer._sum_kernel, optimizer._line_bounds
 
     def spy(p1, p2, h1, h2):
-        ndims.append(np.ndim(p1))
+        events.append((np.ndim(p1), p1))
         return kernel(p1, p2, h1, h2)
 
+    def spy_bounds(terms):
+        lines, border, high = bounds_of(terms)
+        events.append(("reach", np.flatnonzero(~(high < optimizer._cut(border.max())))))
+        return lines, border, high
+
     monkeypatch.setattr(optimizer, "_sum_kernel", spy)
+    monkeypatch.setattr(optimizer, "_line_bounds", spy_bounds)
     alloc = grid_oracle("SUM", h, m)
-    # only candidates were rescored, never a whole block, and the first
-    # tied row wins, as in one pass over the whole grid
-    assert set(ndims) == {1}
+    # the coarse pass rates whole only the rows that reach, fewer than 201
+    # (here none), and rescores the tied rows with the band's other border
+    # cells; the first tied row wins, as in one pass over the whole grid
+    fine = [k for k, (kind, _) in enumerate(events) if kind == "reach"][1]
+    (kind, reach), coarse = events[0], events[1:fine]
+    assert kind == "reach" and reach.size < 201
+    rated = [p1[:, 0] for ndim, p1 in coarse if ndim == 2]
+    assert np.array_equal(np.concatenate([xs[:0], *rated]), xs[reach])
+    assert set(xs[rows]) <= set(np.concatenate([p1 for ndim, p1 in coarse if ndim == 1]))
     assert alloc.p == (xs[180], 0.0) and alloc.achieved_rate == values.max()
     assert _bits(alloc.p, alloc.achieved_rate, alloc.case_label) == _bits(*_whole_grid_oracle("SUM", h, m, 201)[0])
 
@@ -833,9 +894,9 @@ def test_grid_oracle_skips_an_overflow_in_the_last_block(monkeypatch, bad):
     # the bad row, the grid's last, lies past the first block
     assert rates._GRID_BLOCK // 201 < 200
     alloc = grid_oracle("JAM", (0.5, 2.0), (10.0, 10.0))
-    # the screen's largest gap lies on the last row, so each pass rescores
-    # candidates there once; they are not finite, and the pass is evaluated
-    # again in whole blocks
+    # the screen's largest gap lies on the last row and no column reaches
+    # its band, so each pass rescores the band's border cells there once;
+    # they are not finite, and the pass rates every line
     blocks = len(list(rates._row_blocks(201, 201)))
     assert ndims == 2 * ([1] + [2] * blocks)
     # the coarse pass keeps the row before it, (9.95, 10); the fine pass
@@ -848,7 +909,7 @@ def test_grid_oracle_skips_an_overflow_in_the_last_block(monkeypatch, bad):
 def test_grid_oracle_memory_does_not_grow_with_resolution():
     # one whole 2001 x 2001 grid would hold ~120 MiB of float64 temporaries;
     # the second draw is a plateau, its gap flat to a few ulps over most of
-    # the grid, where the screen finds its blocks flat
+    # the grid, where all but one line reach the band and are rated in blocks
     for draw, label in ((("JAM", (0.7, 1.9), (12.0, 7.0)), "JAM_AT_ROOT"),
                         (("SUM", (0.17, 0.6), (5e266, 1.3e40)), "ONE_TRANSMITS")):
         tracemalloc.start()
